@@ -86,11 +86,16 @@ SHIFT_DRAWS = 4
 # -- instance encodings -------------------------------------------------------
 
 
+# one (row, col, value) triple as it appears in the instance encoding
+_TRIPLE = np.dtype([("i", "<u4"), ("j", "<u4"), ("v", "<u8")])
+
+
 def sparse_bytes(m: SparseMatrix) -> bytes:
-    out = [b"S", _u32(m.rows), _u32(m.cols), _u32(m.nnz)]
-    for i, j, v in m.triples():
-        out.append(_u32(i) + _u32(j) + _u64(v))
-    return b"".join(out)
+    triples = np.empty(m.nnz, dtype=_TRIPLE)
+    triples["i"] = m.ri
+    triples["j"] = m.ci
+    triples["v"] = m.vals
+    return b"S" + _u32(m.rows) + _u32(m.cols) + _u32(m.nnz) + triples.tobytes()
 
 
 def operator_bytes(m, instance_tag: Optional[bytes] = None) -> bytes:
@@ -146,16 +151,16 @@ def _prover_rng(digest: bytes, prover_seed: Optional[int]) -> Random:
 
 
 def _dot(field: PrimeField, a: np.ndarray, b: np.ndarray, counter=None) -> int:
-    """Exact inner product with overflow-safe chunking."""
+    """Exact inner product of canonical vectors.
+
+    Over int64 every product is reduced before the sum, so the sum stays
+    below len * p < 2^63.
+    """
     if counter is not None:
         counter.add(2 * len(a))
-    if field.dtype is object or len(a) == 0:
+    if field.dtype is object:
         return int(np.dot(a, b)) % field.p if len(a) else 0
-    chunk = field.dot_chunk()
-    total = 0
-    for i in range(0, len(a), chunk):
-        total = (total + int(np.dot(a[i : i + chunk], b[i : i + chunk]))) % field.p
-    return total
+    return int((a * b % field.p).sum()) % field.p
 
 
 def projected_sequence(field: PrimeField, operator, u: np.ndarray, v: np.ndarray, count: int):
@@ -725,12 +730,18 @@ def det_prover_flow(ch, field: PrimeField, operator, s: SampleSet, rng: Random, 
     chosen mid-session.
     """
     p = field.p
+    # D·A has A's sparsity pattern, so over int64 the scaling folds into
+    # the CSR values and every Krylov step stays one CSR product
+    fold = isinstance(operator, SparseMatrix) and field.dtype is np.int64
     found = None
     for _ in range(DET_MAX_ATTEMPTS):
         scale = [rng.randrange(1, p) for _ in range(n)]
         u = [rng.randrange(p) for _ in range(n)]
         v = [rng.randrange(p) for _ in range(n)]
-        scaled = compose(diagonal_scaling(field, scale), operator)
+        if fold:
+            scaled = operator.scale_rows(field.arr(scale))
+        else:
+            scaled = compose(diagonal_scaling(field, scale), operator)
         u_arr, v_arr = field.arr(u), field.arr(v)
         seq = projected_sequence(field, scaled, u_arr, v_arr, 2 * n)
         gen = berlekamp_massey(field, seq)

@@ -2,9 +2,15 @@
 operators with explicit apply costs, and butterfly preconditioners.
 
 Matrix data lives in numpy arrays.  For moduli whose products fit in int64
-the dtype is int64 and heavy kernels run at C speed (with explicit chunking
-so no intermediate ever wraps); for larger word-sized moduli the dtype is
-``object`` and numpy carries exact Python ints through identical code.
+the dtype is int64 and heavy kernels run at C speed; for larger word-sized
+moduli the dtype is ``object`` and numpy carries exact Python ints through
+identical code.
+
+The int64 overflow argument: canonical operands are below p, so a single
+product is below p^2 < 2^63.  A kernel that sums ``dot_chunk()`` or fewer
+unreduced products at a time cannot wrap.  Anything wider reduces each
+product mod p before summing, which is exact while width * p < 2^63: for
+p < 2^31.5 that is any width a vector in memory can have.
 """
 
 from __future__ import annotations
@@ -88,7 +94,7 @@ class DenseMatrix:
 class SparseMatrix:
     """Coordinate-list sparse matrix; triples sorted row-major, no duplicates."""
 
-    __slots__ = ("field", "rows", "cols", "ri", "ci", "vals", "_csr", "_csc")
+    __slots__ = ("field", "rows", "cols", "ri", "ci", "vals", "_csr", "_csc", "_widest")
 
     def __init__(self, field: PrimeField, rows: int, cols: int, triples):
         self.field = field
@@ -111,6 +117,7 @@ class SparseMatrix:
         self.vals = np.array([t[2] for t in clean], dtype=field.dtype)
         self._csr = None
         self._csc = None
+        self._widest = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -128,15 +135,33 @@ class SparseMatrix:
         for i in range(self.nnz):
             yield int(self.ri[i]), int(self.ci[i]), int(self.vals[i])
 
-    def _scipy_ok(self) -> bool:
-        if self.field.dtype is not np.int64 or _scipy_sparse is None:
-            return False
-        if self.nnz == 0:
-            return True
-        # a CSR matvec accumulates one row at a time; make sure the widest
-        # row cannot overflow int64
-        widest = int(np.bincount(self.ri, minlength=self.rows).max())
-        return widest <= self.field.dot_chunk()
+    def widest(self) -> tuple[int, int]:
+        """Most entries in any one row and in any one column (computed once)."""
+        if self._widest is None:
+            if self.nnz == 0:
+                self._widest = (0, 0)
+            else:
+                self._widest = (
+                    int(np.bincount(self.ri).max()),
+                    int(np.bincount(self.ci).max()),
+                )
+        return self._widest
+
+    def scale_rows(self, d: np.ndarray) -> "SparseMatrix":
+        """diag(d) @ self for canonical nonzero scalars d.
+
+        The product keeps the sparsity pattern, so the index arrays and the
+        row and column widths are shared with this matrix.
+        """
+        if len(d) != self.rows:
+            raise DimensionMismatch(f"row scaling: {self.rows} rows by {len(d)}")
+        out = SparseMatrix.__new__(SparseMatrix)
+        out.field, out.rows, out.cols = self.field, self.rows, self.cols
+        out.ri, out.ci = self.ri, self.ci
+        out.vals = d[self.ri] * self.vals % self.field.p
+        out._csr = out._csc = None
+        out._widest = self.widest()
+        return out
 
     def _as_csr(self):
         if self._csr is None:
@@ -210,28 +235,28 @@ def matvec(m, x, counter: CostCounter | None = None) -> np.ndarray:
     if isinstance(m, SparseMatrix):
         if len(x) != m.cols:
             raise DimensionMismatch(f"matvec: {m.shape} by {len(x)}")
-        if m._scipy_ok():
-            return (m._as_csr() @ x) % field.p
-        out = [0] * m.rows
-        for i, j, v in m.triples():
-            out[i] += v * int(x[j])
-        return field.arr(out)
+        return _sparse_apply(m, x, transpose=False)
     raise TypeError(f"cannot matvec a {type(m).__name__}")
 
 
-def _sparse_apply_t(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
+def _sparse_apply(m: SparseMatrix, x: np.ndarray, transpose: bool) -> np.ndarray:
+    """m @ x, or m^T @ x, for a canonical vector x."""
     field = m.field
-    if m._scipy_ok():
-        # transpose reuses the overflow argument column-wise
-        widest = (
-            int(np.bincount(m.ci, minlength=m.cols).max()) if m.nnz else 0
-        )
-        if widest <= field.dot_chunk():
-            return (m._as_csc() @ x) % field.p
-    out = [0] * m.cols
-    for i, j, v in m.triples():
-        out[j] += v * int(x[i])
-    return field.arr(out)
+    p = field.p
+    if field.dtype is np.int64 and _scipy_sparse is not None:
+        # a CSR product sums one row of unreduced products at a time
+        if m.widest()[1 if transpose else 0] <= field.dot_chunk():
+            csr = m._as_csc() if transpose else m._as_csr()
+            return csr @ x % p
+    if transpose:
+        out_idx, in_idx, size = m.ci, m.ri, m.cols
+    else:
+        out_idx, in_idx, size = m.ri, m.ci, m.rows
+    # object dtype, or rows too wide for unreduced int64 sums: reduce every
+    # product before summing
+    out = field.zeros(size)
+    np.add.at(out, out_idx, m.vals * x[in_idx] % p)
+    return out % p
 
 
 def dense_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -325,7 +350,7 @@ def as_blackbox(m) -> Blackbox:
             m.cols,
             m.mu,
             lambda x: matvec(m, x),
-            lambda x: _sparse_apply_t(m, x),
+            lambda x: _sparse_apply(m, x, transpose=True),
         )
     raise TypeError(f"cannot wrap a {type(m).__name__}")
 
