@@ -1,10 +1,11 @@
 """Benchmark instances and timing runs.
 
-Two standard workloads: a dense product check where the honest prover
+Three standard workloads: a dense product check where the honest prover
 pays the full cubic multiplication and the verifier three matrix-vector
-products, and a sparse determinant where the prover runs Krylov
-sequences while the verifier does one checked solve.  Both report the
-verifier/prover time ratio, which is the whole point of certifying.
+products, a sparse determinant where the prover runs Krylov sequences
+while the verifier does one checked solve, and an integer determinant
+where the prover also runs the CRT lift.  All report the verifier/prover
+time ratio, which is the whole point of certifying.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .certs_dense import dense_bytes, matmul_certify
 from .certs_sparse import PROTOCOL_DET, _det_parts, det_verify
 from .ff import PrimeField, field_new
 from .la import DenseMatrix, SparseMatrix, dense_matmul, det_dense
+from .lift import DEFAULT_PRIME_BITS, PROTOCOL_INTDET, IntMatrix, _intdet_parts, intdet_verify
 from .proto import FiatShamirSource, fs_prove, transcript_serialize
 
 BENCH_MATMUL_SIZE = 1024
@@ -25,6 +27,8 @@ BENCH_MATMUL_MODULUS = 10007
 BENCH_DET_SIZE = 4096
 BENCH_DET_MODULUS = 536870909  # largest prime below 2**29, int64-safe
 BENCH_DET_PER_ROW = 10
+BENCH_INTDET_SIZE = 64
+BENCH_INTDET_ENTRY = 100  # entries uniform in [-100, 100]
 
 
 def random_dense(field: PrimeField, rows: int, cols: int, rng: Random) -> DenseMatrix:
@@ -160,4 +164,33 @@ def bench_sparse_det(
         cert_bytes=len(transcript_serialize(transcript)),
         epsilon=str(verdict.error_bound),
         detail=f"det={value} ops={verdict.verifier_ops}",
+    )
+
+
+def bench_intdet(n: int = BENCH_INTDET_SIZE, seed: int = 1) -> BenchResult:
+    rng = Random(seed)
+    rows = [
+        [rng.randint(-BENCH_INTDET_ENTRY, BENCH_INTDET_ENTRY) for _ in range(n)]
+        for _ in range(n)
+    ]
+    m = IntMatrix(rows)
+
+    t0 = time.perf_counter()
+    params, digest, prover, _ = _intdet_parts(m, DEFAULT_PRIME_BITS, seed)
+    transcript = fs_prove(PROTOCOL_INTDET, params, digest, prover)
+    prover_s = time.perf_counter() - t0
+
+    fresh = IntMatrix(rows)
+    t0 = time.perf_counter()
+    verdict, value = intdet_verify(fresh, transcript, DEFAULT_PRIME_BITS)
+    verifier_s = time.perf_counter() - t0
+    return BenchResult(
+        "intdet",
+        n,
+        prover_s,
+        verifier_s,
+        verdict.accepted,
+        cert_bytes=len(transcript_serialize(transcript)),
+        epsilon=str(verdict.error_bound),
+        detail=f"ops={verdict.verifier_ops}",
     )

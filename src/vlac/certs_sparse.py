@@ -46,8 +46,10 @@ from .la import (
     diagonal_scaling,
     kernel_vector,
     leading_projection,
+    limb_operator,
     materialize,
     matvec,
+    _matvec_canonical,
     padded,
     solve_dense,
 )
@@ -168,7 +170,7 @@ def projected_sequence(field: PrimeField, operator, u: np.ndarray, v: np.ndarray
     x = v.copy()
     out = [_dot(field, u, x)]
     for _ in range(count - 1):
-        x = matvec(operator, x)
+        x = _matvec_canonical(operator, x)
         out.append(_dot(field, u, x))
     return out
 
@@ -717,7 +719,7 @@ def _shift_solver(field: PrimeField, operator, gen: Poly, v_arr: np.ndarray):
             acc = (coeffs[i] + r1 * acc) % field.p
         w = v_arr * q[deg - 1] % field.p
         for i in range(deg - 2, -1, -1):
-            w = (matvec(operator, w) + q[i] * v_arr) % field.p
+            w = (_matvec_canonical(operator, w) + q[i] * v_arr) % field.p
         return w * field.inv(at_r1) % field.p
 
     return solve
@@ -730,16 +732,19 @@ def det_prover_flow(ch, field: PrimeField, operator, s: SampleSet, rng: Random, 
     chosen mid-session.
     """
     p = field.p
-    # D·A has A's sparsity pattern, so over int64 the scaling folds into
-    # the CSR values and every Krylov step stays one CSR product
-    fold = isinstance(operator, SparseMatrix) and field.dtype is np.int64
     found = None
     for _ in range(DET_MAX_ATTEMPTS):
         scale = [rng.randrange(1, p) for _ in range(n)]
         u = [rng.randrange(p) for _ in range(n)]
         v = [rng.randrange(p) for _ in range(n)]
-        if fold:
+        if isinstance(operator, SparseMatrix) and field.dtype is np.int64:
+            # D·A has A's sparsity pattern: the scaling folds into the CSR
+            # values and every Krylov step stays one CSR product
             scaled = operator.scale_rows(field.arr(scale))
+        elif isinstance(operator, DenseMatrix) and field.dtype is object:
+            # D·A is scaled once and split into int64 limb planes, so no
+            # Krylov step multiplies Python ints entry by entry
+            scaled = limb_operator(operator.scale_rows(field.arr(scale)))
         else:
             scaled = compose(diagonal_scaling(field, scale), operator)
         u_arr, v_arr = field.arr(u), field.arr(v)

@@ -154,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     delegate.add_argument("--port", type=int, required=True)
 
     bench = sub.add_parser("bench", help="run a timing workload")
-    bench.add_argument("--suite", choices=("matmul", "sparse-det"), required=True)
+    bench.add_argument("--suite", choices=("matmul", "sparse-det", "intdet"), required=True)
     bench.add_argument("--size", type=int)
     bench.add_argument("--bench-seed", type=int, default=1)
     return top
@@ -490,10 +490,12 @@ def _cmd_bench(args) -> int:
     kwargs = {"seed": args.bench_seed}
     if args.size:
         kwargs["n"] = args.size
-    if args.suite == "matmul":
-        result = bench_mod.bench_matmul(**kwargs)
-    else:
-        result = bench_mod.bench_sparse_det(**kwargs)
+    run = {
+        "matmul": bench_mod.bench_matmul,
+        "sparse-det": bench_mod.bench_sparse_det,
+        "intdet": bench_mod.bench_intdet,
+    }[args.suite]
+    result = run(**kwargs)
     print(bench_mod.CSV_HEADER)
     print(result.csv())
     print(result.render(), file=sys.stderr)

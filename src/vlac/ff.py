@@ -62,6 +62,11 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def word_dtype(p: int):
+    """int64 when products of residues mod p cannot wrap it, else object."""
+    return np.int64 if (p - 1) * (p - 1) < 2**63 else object
+
+
 class PrimeField:
     """GF(p) for an odd word-sized prime p."""
 
@@ -77,12 +82,10 @@ class PrimeField:
         if not is_probable_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
-        # int64 arithmetic is exact as long as single products cannot wrap.
-        if (p - 1) * (p - 1) < 2**63:
-            self.dtype = np.int64
+        self.dtype = word_dtype(p)
+        if self.dtype is np.int64:
             self._chunk = (2**63 - 1) // ((p - 1) * (p - 1))
         else:
-            self.dtype = object
             self._chunk = 0  # object arrays never overflow
 
     # -- scalar arithmetic ------------------------------------------------

@@ -4,7 +4,8 @@ operators with explicit apply costs, and butterfly preconditioners.
 Matrix data lives in numpy arrays.  For moduli whose products fit in int64
 the dtype is int64 and heavy kernels run at C speed; for larger word-sized
 moduli the dtype is ``object`` and numpy carries exact Python ints through
-identical code.
+identical code; ``limb_operator`` runs repeated products over such moduli
+on int64 limbs instead.
 
 The int64 overflow argument: canonical operands are below p, so a single
 product is below p^2 < 2^63.  A kernel that sums ``dot_chunk()`` or fewer
@@ -78,6 +79,15 @@ class DenseMatrix:
 
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix(self.field, self.a.T)
+
+    def scale_rows(self, d: np.ndarray) -> "DenseMatrix":
+        """diag(d) @ self for a canonical vector d."""
+        if len(d) != self.rows:
+            raise DimensionMismatch(f"row scaling: {self.rows} rows by {len(d)}")
+        out = DenseMatrix.__new__(DenseMatrix)
+        out.field = self.field
+        out.a = d[:, None] * self.a % self.field.p
+        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -222,21 +232,30 @@ def _dense_apply(field: PrimeField, a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def matvec(m, x, counter: CostCounter | None = None) -> np.ndarray:
     """Product m @ x for a dense, sparse, or blackbox operator."""
-    if isinstance(m, Blackbox):
-        if counter is not None:
-            counter.add(m.mu)
-        return m.apply(x)
-    field = m.field
-    x = np.asarray(x, dtype=field.dtype) % field.p
+    if not isinstance(m, (Blackbox, DenseMatrix, SparseMatrix)):
+        raise TypeError(f"cannot matvec a {type(m).__name__}")
     if counter is not None:
         counter.add(m.mu)
+    if isinstance(m, Blackbox):
+        return m.apply(x)
+    x = np.asarray(x, dtype=m.field.dtype) % m.field.p
+    if len(x) != m.cols:
+        raise DimensionMismatch(f"matvec: {m.shape} by {len(x)}")
+    return _matvec_canonical(m, x)
+
+
+def _matvec_canonical(m, x: np.ndarray) -> np.ndarray:
+    """m @ x for a canonical vector x of the right length and dtype.
+
+    The prover's Krylov and shift-solve loops feed each product back in,
+    so they skip the input reduction that ``matvec`` makes.  A blackbox
+    still reduces its own input: its outputs carry no such promise.
+    """
     if isinstance(m, DenseMatrix):
-        return _dense_apply(field, m.a, x)
+        return _dense_apply(m.field, m.a, x)
     if isinstance(m, SparseMatrix):
-        if len(x) != m.cols:
-            raise DimensionMismatch(f"matvec: {m.shape} by {len(x)}")
         return _sparse_apply(m, x, transpose=False)
-    raise TypeError(f"cannot matvec a {type(m).__name__}")
+    return m.apply(x)
 
 
 def _sparse_apply(m: SparseMatrix, x: np.ndarray, transpose: bool) -> np.ndarray:
@@ -278,6 +297,55 @@ def dense_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
         hi = min(k, lo + chunk)
         acc = (acc + (a.a[:, lo:hi] @ b.a[lo:hi, :]) % p) % p
     return DenseMatrix(field, acc)
+
+
+# Products over object-dtype fields (p above 2^31.5) run on int64 limbs: an
+# entry below 2^63 splits into three 21-bit limbs, a limb product is below
+# 2^42, and one partial sum adds at most 3 * cols of them, which stays exact
+# in int64 while cols <= LIMB_COLS; wider operators run in column chunks.
+LIMB_BITS = 21
+LIMB_COLS = (2**63 - 1) // (3 << (2 * LIMB_BITS))
+_LIMB_SHIFTS = np.array([0, LIMB_BITS, 2 * LIMB_BITS], dtype=np.int64)
+_LIMB_MASK = (1 << LIMB_BITS) - 1
+
+
+def _limbs(a: np.ndarray) -> np.ndarray:
+    """Canonical entries as int64 21-bit limbs along a new last axis."""
+    return (a.astype(np.int64)[..., None] >> _LIMB_SHIFTS) & _LIMB_MASK
+
+
+def limb_operator(m: DenseMatrix) -> Blackbox:
+    """A dense matrix over an object-dtype field as an int64 limb operator.
+
+    The matrix is split once into limb planes A0, A1, A2.  An apply splits
+    x into limbs x0, x1, x2, makes the nine products Ai·xj as one int64
+    product of shape (3 rows, cols) by (cols, 3), adds Ai·xj into partial
+    sum i + j, and recombines the five partial sums of each row, of weight
+    2^(21 k), mod p in Python ints.  The transpose keeps the plain object
+    product.
+    """
+    field = m.field
+    p = field.p
+    rows, cols = m.shape
+    planes = _limbs(m.a).transpose(2, 0, 1).reshape(3 * rows, cols)
+    weights = np.array([pow(2, LIMB_BITS * k, p) for k in range(5)], dtype=object)
+
+    def apply(x):
+        if rows == 0 or cols == 0:
+            return field.zeros(rows)
+        xl = _limbs(x)
+        y = 0
+        for lo in range(0, cols, LIMB_COLS):
+            prod = (planes[:, lo : lo + LIMB_COLS] @ xl[lo : lo + LIMB_COLS]).reshape(3, rows, 3)
+            partial = np.zeros((rows, 5), dtype=np.int64)
+            for i in range(3):
+                partial[:, i : i + 3] += prod[i]
+            y = y + partial.astype(object).dot(weights)
+        return y % p
+
+    return Blackbox(
+        field, rows, cols, m.mu, apply, lambda x: _dense_apply(field, m.a.T, x)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +742,69 @@ def rank_dense(a: DenseMatrix) -> int:
 def det_dense(a: DenseMatrix) -> int:
     if a.rows != a.cols:
         raise NotSquare("determinant needs a square matrix")
-    field = a.field
-    m = a.a.copy()
-    pivots, sign, pivprod = _rref(field, m)
-    if len(pivots) < a.rows:
-        return 0
-    return pivprod % field.p if sign == 1 else -pivprod % field.p
+    return det_stack(a.a[None].copy(), [a.field.p])[0]
+
+
+# Entries in one determinant batch, so a batch stays a few MB whatever the
+# number of slices, and in one block of its row updates, so the update's
+# temporary stays far smaller than the batch.
+STACK_ENTRIES = 1 << 20
+UPDATE_ENTRIES = 1 << 14
+
+
+def stack_cap(n: int) -> int:
+    """Most n x n slices one determinant batch holds."""
+    return max(1, STACK_ENTRIES // max(1, n * n))
+
+
+def det_stack(stack: np.ndarray, moduli: Sequence[int]) -> list[int]:
+    """Determinant of each slice of a (k, n, n) stack, slice i modulo moduli[i].
+
+    Entries must be canonical, in int64 when every modulus is int64-safe
+    and in ``object`` otherwise; the stack is overwritten.  One forward
+    elimination runs on all the slices of a batch at once, with the pivot
+    search, row swaps and sign kept per slice, and stops at the triangular
+    form.  Batches hold at most ``stack_cap(n)`` slices.
+    """
+    k, n, _ = stack.shape
+    if len(moduli) != k:
+        raise DimensionMismatch(f"{k} slices but {len(moduli)} moduli")
+    cap = stack_cap(n)
+    out = []
+    for lo in range(0, k, cap):
+        ps = np.array(moduli[lo : lo + cap], dtype=stack.dtype)
+        out += [int(d) for d in _det_batch(stack[lo : lo + cap], ps)]
+    return out
+
+
+def _det_batch(m: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """In-place forward elimination of a stack; returns the determinants."""
+    k, n, _ = m.shape
+    block = max(1, UPDATE_ENTRIES // max(1, k * n))
+    every = np.arange(k)
+    det = np.ones(k, dtype=m.dtype)
+    for c in range(n):
+        # first nonzero entry at or below the diagonal; c when there is none
+        pr = c + (m[:, c:, c] != 0).argmax(axis=1)
+        swap = every[pr != c]
+        if len(swap):
+            top = m[swap, c].copy()
+            m[swap, c] = m[swap, pr[swap]]
+            m[swap, pr[swap]] = top
+            det[swap] = (ps[swap] - det[swap]) % ps[swap]
+        piv = m[:, c, c]
+        # a singular slice has a zero pivot: its det stays 0 and it never
+        # changes again, since its multipliers are 0
+        det = det * piv % ps
+        if c + 1 == n:
+            break
+        inv = np.array(
+            [pow(int(v), -1, int(q)) if v else 0 for v, q in zip(piv, ps)],
+            dtype=m.dtype,
+        )
+        f = m[:, c + 1 :, c] * inv[:, None] % ps[:, None]
+        for lo in range(c + 1, n, block):
+            rest = m[:, lo : lo + block, c + 1 :]
+            rest -= f[:, lo - c - 1 : lo - c - 1 + block, None] * m[:, c, None, c + 1 :]
+            rest %= ps[:, None, None]
+    return det

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from random import Random
 from typing import Optional, Sequence
 
@@ -21,8 +21,15 @@ import numpy as np
 
 from .certs_sparse import det_prover_flow, det_verifier_flow
 from .errors import DimensionMismatch, FieldMismatch, NotSquare
-from .ff import MAX_MODULUS_BITS, Poly, PrimeField, full_sample_set, is_probable_prime
-from .la import CostCounter, DenseMatrix
+from .ff import (
+    MAX_MODULUS_BITS,
+    Poly,
+    PrimeField,
+    full_sample_set,
+    is_probable_prime,
+    word_dtype,
+)
+from .la import CostCounter, DenseMatrix, det_stack, stack_cap
 from .proto import (
     HEURISTIC_FS,
     KIND_BIGINT,
@@ -42,6 +49,10 @@ PROTOCOL_INTDET = "vlac.intdet.v1"
 PROTOCOL_POLYDET = "vlac.polydet.v1"
 
 DEFAULT_PRIME_BITS = 62
+
+# The first primes above 2^31 are below the largest int64-safe prime
+# (about 2^31.5), so the CRT images run on int64.
+CRT_PRIME_BITS = 31
 
 
 class IntMatrix:
@@ -76,12 +87,19 @@ class IntMatrix:
     def reduce(self, field: PrimeField) -> DenseMatrix:
         return DenseMatrix(field, self.a % field.p)
 
+    def _int64(self) -> Optional[np.ndarray]:
+        """The entries as an int64 array, or None when one does not fit."""
+        try:
+            return self.a.astype(np.int64)
+        except OverflowError:
+            return None
+
     def encode(self) -> bytes:
-        out = [b"I", _u32(self.rows), _u32(self.cols)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.append(encode_payload(KIND_BIGINT, self.a[i, j]))
-        return b"".join(out)
+        head = b"I" + _u32(self.rows) + _u32(self.cols)
+        a = self._int64()
+        if a is None:
+            return head + b"".join(encode_payload(KIND_BIGINT, v) for v in self.a.flat)
+        return head + _bigint_records(a)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and np.array_equal(self.a, other.a)
@@ -90,21 +108,46 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
+def _bigint_records(a: np.ndarray) -> bytes:
+    """encode_payload(KIND_BIGINT, v) of every int64 entry, joined.
+
+    Each record is a sign byte, a ``<u4`` byte count and the minimal
+    little-endian magnitude.  All records are laid out at their widest,
+    13 bytes, and a mask keeps the bytes each one uses.
+    """
+    v = np.ascontiguousarray(a, dtype=np.int64).reshape(-1)
+    neg = v < 0
+    u = v.view(np.uint64)
+    mag = np.where(neg, np.uint64(0) - u, u)  # exact for -2^63 too
+    length = np.zeros(len(v), dtype=np.uint32)
+    for b in range(8):
+        length += (mag >> np.uint64(8 * b)) != 0
+    rec = np.zeros((len(v), 13), dtype=np.uint8)
+    rec[:, 0] = neg
+    rec[:, 1:5] = length.astype("<u4").view(np.uint8).reshape(-1, 4)
+    rec[:, 5:] = mag.astype("<u8").view(np.uint8).reshape(-1, 8)
+    keep = np.arange(13) < 5 + length[:, None].astype(np.int64)
+    return rec[keep].tobytes()
+
+
 def hadamard_bound(m: IntMatrix) -> int:
     """Integer bound on |det|: the product of row norms, rounded up.
 
     The square of the determinant is at most the product of the row
     norm squares, so the bound is computed exactly in integers and only
-    the final square root is rounded.
+    the final square root is rounded.  Row squares are summed in int64
+    when no sum can reach 2^63, and multiplied in Python ints.
     """
-    prod = 1
-    for i in range(m.rows):
-        row_sq = sum(int(v) * int(v) for v in m.a[i])
-        if row_sq == 0:
-            return 0
-        prod *= row_sq
-    root = isqrt(prod)
-    if root * root < prod:
+    a = m._int64()
+    if a is not None and a.size and m.cols * max(int(a.max()), -int(a.min())) ** 2 < 2**63:
+        row_sq = (a * a).sum(axis=1).tolist()
+    else:
+        row_sq = [sum(int(v) * int(v) for v in row) for row in m.a]
+    if 0 in row_sq:
+        return 0
+    square = prod(row_sq)
+    root = isqrt(square)
+    if root * root < square:
         root += 1
     return root
 
@@ -132,11 +175,16 @@ def intdet_epsilon(bound: int, bits: int, eps_field: Fraction) -> Fraction:
     return Fraction(bad, lower_bound_primes(bits)) + eps_field
 
 
-def int_det_crt(m: IntMatrix, bits: int = MAX_MODULUS_BITS - 1) -> int:
+def int_det_crt(m: IntMatrix, bits: int = CRT_PRIME_BITS) -> int:
     """Exact integer determinant by Chinese remaindering word-prime images.
 
-    Prover-side: runs dense elimination modulo enough fixed primes to
-    cover twice the Hadamard bound, then recombines.
+    Prover-side.  Takes the first primes above 2**bits until their product
+    covers twice the Hadamard bound.  The matrix is reduced once into a
+    stack of one slice per prime, int64 when the primes are int64-safe (the
+    default 31 bits) and the entries fit, ``object`` otherwise, and
+    ``la.det_stack`` eliminates all the slices together, in batches of at
+    most ``la.stack_cap(n)``.  Garner's incremental recombination then
+    lifts the images to the symmetric residue.
     """
     if m.rows != m.cols:
         raise NotSquare("determinant needs a square matrix")
@@ -145,23 +193,30 @@ def int_det_crt(m: IntMatrix, bits: int = MAX_MODULUS_BITS - 1) -> int:
     bound = hadamard_bound(m)
     if bound == 0:
         return 0
-    from .la import det_dense
-
-    need = 2 * bound + 1
-    residue, modulus = 0, 1
+    primes, product = [], 1
     candidate = (1 << bits) + 1
-    while modulus < need:
+    while product < 2 * bound + 1:
         while not is_probable_prime(candidate):
             candidate += 2
-        p = candidate
+        primes.append(candidate)
+        product *= candidate
         candidate += 2
-        field = PrimeField(p)
-        r = det_dense(m.reduce(field))
-        # combine: find x = residue (mod modulus), x = r (mod p)
-        inv = pow(modulus % p, -1, p)
-        t = (r - residue) % p * inv % p
-        residue += modulus * t
-        modulus *= p
+    a64 = m._int64()
+    residue, modulus = 0, 1
+    cap = stack_cap(m.rows)
+    for lo in range(0, len(primes), cap):
+        batch = primes[lo : lo + cap]
+        dtype = word_dtype(batch[-1])
+        ps = np.array(batch, dtype=object)[:, None, None]
+        if dtype is np.int64 and a64 is not None:
+            stack = a64 % ps.astype(np.int64)
+        else:
+            stack = (m.a % ps).astype(dtype)
+        for p, r in zip(batch, det_stack(stack, batch)):
+            # combine: find x = residue (mod modulus), x = r (mod p)
+            t = (r - residue) % p * pow(modulus % p, -1, p) % p
+            residue += modulus * t
+            modulus *= p
     if residue > modulus // 2:
         residue -= modulus
     return residue
@@ -293,20 +348,32 @@ def poly_det_interp(m: PolyMatrix) -> Poly:
     """Exact determinant polynomial by evaluation and interpolation.
 
     Prover-side: the determinant has degree at most n * max entry degree,
-    so that many point evaluations (each a dense field elimination)
-    followed by Lagrange interpolation recover it.
+    so that many point evaluations followed by Lagrange interpolation
+    recover it.  The evaluations are built by Horner's rule as stacks of
+    at most ``la.stack_cap(n)`` slices, and ``la.det_stack`` eliminates
+    each stack at once.
     """
-    from .la import det_dense
-
     field = m.field
+    p = field.p
     if m.rows != m.cols:
         raise NotSquare("determinant needs a square matrix")
     n = m.rows
     bound = n * m.max_degree
-    if bound + 1 > field.p:
+    if bound + 1 > p:
         raise ValueError("field too small to interpolate the determinant")
+    coeffs = field.zeros((m.max_degree + 1, n, n))
+    for i, row in enumerate(m.entries):
+        for j, e in enumerate(row):
+            coeffs[: len(e.coeffs), i, j] = e.coeffs
     xs = list(range(bound + 1))
-    ys = [det_dense(m.evaluate(x)) for x in xs]
+    ys = []
+    cap = stack_cap(n)
+    for lo in range(0, len(xs), cap):
+        x = field.arr(xs[lo : lo + cap])[:, None, None]
+        stack = np.repeat(coeffs[-1:], len(x), axis=0)
+        for c in coeffs[:-1][::-1]:
+            stack = (stack * x % p + c) % p
+        ys += det_stack(stack, [p] * len(x))
     return _lagrange(field, xs, ys)
 
 

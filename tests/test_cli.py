@@ -423,3 +423,9 @@ def test_cli_bench_sparse_det_csv(capsys):
     assert main(["bench", "--suite", "sparse-det", "--size", "128"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1].startswith("sparse-det,128,")
+
+
+def test_cli_bench_intdet_csv(capsys):
+    assert main(["bench", "--suite", "intdet", "--size", "8"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("intdet,8,")

@@ -2,22 +2,35 @@
 
 The edges are where the int64 code changes strategy: p = 3, the largest
 int64-safe prime P_WORD (``dot_chunk() == 1``), the first object-dtype prime
-P_BIG, lengths and row widths on either side of ``dot_chunk()``, and 1x1
-shapes.
+P_BIG, lengths and row widths on either side of ``dot_chunk()``, 0x0 and 1x1
+shapes, the determinant batch cap, integer entries past int64, and the
+largest 63-bit prime for the limb products.
 """
 
 import struct
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlac.certs_sparse import _dot, det_certify, projected_sequence, sparse_bytes
-from vlac.ff import field_new
-from vlac.la import SparseMatrix, as_blackbox, det_dense, matvec
-from vlac.oracle import brute_det_field, projected_powers
-from vlac.proto import FiatShamirSource
+from vlac import la
+from vlac.certs_sparse import _dot, det_certify, det_verify, projected_sequence, sparse_bytes
+from vlac.ff import field_new, is_probable_prime
+from vlac.la import (
+    DenseMatrix,
+    SparseMatrix,
+    as_blackbox,
+    det_dense,
+    det_stack,
+    limb_operator,
+    matvec,
+    stack_cap,
+)
+from vlac.lift import IntMatrix, hadamard_bound, int_det_crt
+from vlac.oracle import brute_det_field, brute_det_int, projected_powers
+from vlac.proto import KIND_BIGINT, FiatShamirSource, encode_payload
 
 P_DET = 536870909  # dot_chunk() == 32
 P_WORD = 3037000493  # largest prime whose products (p-1)^2 fit int64
@@ -26,6 +39,16 @@ PRIMES = (3, P_DET, P_WORD, P_BIG)
 
 # for p = 3 dot_chunk() is about 2^61; longer vectors than this are not built
 MAX_LEN = 1 << 16
+
+
+def _largest_63_bit_prime() -> int:
+    p = (1 << 63) - 1
+    while not is_probable_prime(p):
+        p -= 2
+    return p
+
+
+P_TOP = _largest_63_bit_prime()
 
 
 def _rows(m: SparseMatrix) -> list:
@@ -199,3 +222,303 @@ def test_sparse_bytes_matches_struct_encoding(p):
     )
     top = SparseMatrix(field, 2, 2, [(1, 1, p - 1)])
     assert sparse_bytes(top) == _sparse_bytes_by_struct(top)
+
+
+# -- the batched determinant kernel ----------------------------------------------
+
+
+def _stack(field, slices) -> np.ndarray:
+    n = len(slices[0])
+    out = field.zeros((len(slices), n, n))
+    for i, rows in enumerate(slices):
+        out[i] = field.arr(rows)
+    return out
+
+
+def _edge_slices(p, n, rng) -> list:
+    """Nonsingular, singular and zero-leading slices for one stack."""
+    def rand():
+        return [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+
+    out = [rand() for _ in range(3)]
+    dup = rand()
+    dup[-1] = list(dup[0])  # two equal rows
+    out.append(dup)
+    zcol = rand()
+    for row in zcol:
+        row[n // 2] = 0
+    out.append(zcol)
+    # zeros above the diagonal's first pivot force row swaps
+    for zeros in range(1, n):
+        sw = rand()
+        for i in range(zeros):
+            sw[i][0] = 0
+        sw[zeros][0] = rng.randrange(1, p)
+        out.append(sw)
+    # an anti-diagonal permutation: every column needs a swap
+    perm = [[(rng.randrange(1, p) if i + j == n - 1 else 0) for j in range(n)] for i in range(n)]
+    out.append(perm)
+    out.append([[0] * n for _ in range(n)])
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", (1, 2, 3, 6))
+def test_det_stack_matches_oracle_on_mixed_slices(p, n):
+    field = field_new(p)
+    slices = _edge_slices(p, n, Random(p % 1009 + n))
+    got = det_stack(_stack(field, slices), [p] * len(slices))
+    assert got == [brute_det_field(field, s) for s in slices]
+    assert got[-1] == 0
+    assert any(d != 0 for d in got)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_det_stack_zero_by_zero_and_empty(p):
+    field = field_new(p)
+    assert det_stack(field.zeros((3, 0, 0)), [p] * 3) == [brute_det_field(field, [])] * 3
+    assert det_stack(field.zeros((0, 4, 4)), []) == []
+    assert det_dense(DenseMatrix(field, np.zeros((0, 0), dtype=np.int64))) == 1
+    assert det_stack(_stack(field, [[[p - 1]], [[0]]]), [p, p]) == [p - 1, 0]
+
+
+def test_det_stack_per_slice_moduli():
+    primes = [3, 5, 7, 536870909, P_WORD]
+    rng = Random(41)
+    rows = [[[rng.randrange(q) for _ in range(4)] for _ in range(4)] for q in primes]
+    stack = np.array(rows, dtype=np.int64)
+    got = det_stack(stack, primes)
+    assert got == [brute_det_field(field_new(q), r) for q, r in zip(primes, rows)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(PRIMES),
+    st.integers(1, 7),
+    st.integers(1, 6),
+    st.integers(0, 2**32),
+)
+def test_det_stack_random_sparse_slices(p, n, k, seed):
+    rng = Random(seed)
+    field = field_new(p)
+    # sparse entries make zero pivots and singular slices common
+    slices = [
+        [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)]
+        for _ in range(k)
+    ]
+    assert det_stack(_stack(field, slices), [p] * k) == [
+        brute_det_field(field, s) for s in slices
+    ]
+
+
+def test_stack_cap_values():
+    assert stack_cap(64) == 256
+    assert stack_cap(1024) == 1
+    assert stack_cap(4096) == 1
+    assert stack_cap(1) == 1 << 20
+
+
+@pytest.mark.parametrize("p", (P_DET, P_BIG))
+def test_det_stack_larger_than_cap_runs_in_batches(p, monkeypatch):
+    field = field_new(p)
+    slices = _edge_slices(p, 4, Random(43))
+    monkeypatch.setattr(la, "STACK_ENTRIES", 3 * 16)
+    assert stack_cap(4) == 3
+    seen = []
+    batch = la._det_batch
+
+    def spy(m, ps):
+        seen.append(len(m))
+        return batch(m, ps)
+
+    monkeypatch.setattr(la, "_det_batch", spy)
+    got = det_stack(_stack(field, slices), [p] * len(slices))
+    assert got == [brute_det_field(field, s) for s in slices]
+    assert len(slices) > 3 and max(seen) == 3 and sum(seen) == len(slices)
+
+
+# -- the CRT lift ------------------------------------------------------------------
+
+
+def test_int_det_crt_zero_and_singular():
+    zero = [[0] * 5 for _ in range(5)]
+    assert int_det_crt(IntMatrix(zero)) == brute_det_int(zero) == 0
+    rng = Random(47)
+    base = [[rng.randint(-100, 100) for _ in range(6)] for _ in range(6)]
+    twice = [list(r) for r in base]
+    twice[4] = [2 * v for v in base[1]]  # row 4 = 2 * row 1
+    assert brute_det_int(twice) == 0
+    assert int_det_crt(IntMatrix(twice)) == 0
+    low_rank = [[a * b for b in base[0]] for a in base[1]]
+    assert int_det_crt(IntMatrix(low_rank)) == 0
+    assert int_det_crt(IntMatrix(base)) == brute_det_int(base)
+    assert int_det_crt(IntMatrix([])) == 1
+    assert int_det_crt(IntMatrix([[-7]])) == -7
+
+
+@pytest.mark.parametrize("n", (2, 5, 9))
+def test_int_det_crt_past_int64_takes_the_fallback(n):
+    rng = Random(53 + n)
+    rows = [[rng.randint(-(2**70), 2**70) for _ in range(n)] for _ in range(n)]
+    rows[0][0] = 2**63  # one past int64
+    m = IntMatrix(rows)
+    assert m._int64() is None
+    assert int_det_crt(m) == brute_det_int(rows)
+
+
+def test_int_det_crt_int64_edges_and_object_primes():
+    rows = [[2**63 - 1, -(2**63)], [-(2**63) + 1, 2**62]]
+    m = IntMatrix(rows)
+    assert m._int64() is not None
+    assert int_det_crt(m) == brute_det_int(rows)
+    rng = Random(59)
+    rows = [[rng.randint(-(2**40), 2**40) for _ in range(7)] for _ in range(7)]
+    # 40-bit primes are past int64-safe: the stack runs on object arrays
+    assert int_det_crt(IntMatrix(rows), bits=40) == brute_det_int(rows)
+    assert int_det_crt(IntMatrix(rows)) == brute_det_int(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 2**62), st.integers(0, 2**32))
+def test_int_det_crt_matches_bareiss(n, top, seed):
+    rng = Random(seed)
+    rows = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+    assert int_det_crt(IntMatrix(rows)) == brute_det_int(rows)
+
+
+def _hadamard_reference(rows) -> int:
+    from math import isqrt
+
+    square = 1
+    for row in rows:
+        square *= sum(v * v for v in row)
+    root = isqrt(square)
+    return root + (root * root < square)
+
+
+@pytest.mark.parametrize("top", (1, 100, 2**30, 3037000499, 2**31 + 1, 2**62, 2**70))
+def test_hadamard_bound_exact_across_the_int64_threshold(top):
+    rng = Random(top % 1000)
+    for n in (1, 2, 4):
+        rows = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+        rows[0][0] = -top
+        assert hadamard_bound(IntMatrix(rows)) == _hadamard_reference(rows)
+    assert hadamard_bound(IntMatrix([[top, 0], [0, 0]])) == 0
+
+
+# -- limb products over object-dtype fields ----------------------------------------
+
+
+def _dense(field, rows) -> DenseMatrix:
+    return DenseMatrix(field, np.array(rows, dtype=object))
+
+
+@pytest.mark.parametrize("p", (P_BIG, P_TOP))
+@pytest.mark.parametrize("shape", ((1, 1), (3, 5), (64, 64), (7, 2)))
+def test_limb_apply_matches_object_product(p, shape):
+    field = field_new(p)
+    rows, cols = shape
+    rng = Random(p % 1013 + rows)
+    full = [[p - 1] * cols for _ in range(rows)]
+    rand = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    for entries in (full, rand):
+        a = _dense(field, entries)
+        op = limb_operator(a)
+        for x in ([p - 1] * cols, [rng.randrange(p) for _ in range(cols)], [0] * cols):
+            xv = field.arr(x)
+            want = a.a.dot(xv) % p
+            got = op.apply(xv)
+            assert got.dtype == object
+            assert got.tolist() == want.tolist()
+            assert all(type(v) is int for v in got)
+
+
+def test_limb_apply_column_chunks(monkeypatch):
+    p = P_TOP
+    field = field_new(p)
+    rng = Random(61)
+    a = _dense(field, [[rng.randrange(p) for _ in range(10)] for _ in range(4)])
+    x = field.arr([p - 1] * 10)
+    monkeypatch.setattr(la, "LIMB_COLS", 3)
+    assert limb_operator(a).apply(x).tolist() == (a.a.dot(x) % p).tolist()
+
+
+def test_limb_exactness_bound():
+    # three partial sums of cols limb products each stay below 2^63
+    assert 3 * la.LIMB_COLS * ((1 << la.LIMB_BITS) - 1) ** 2 < 2**63
+    assert 3 * (la.LIMB_COLS + 1) * (1 << 2 * la.LIMB_BITS) >= 2**63
+
+
+def test_limb_apply_zero_width():
+    field = field_new(P_BIG)
+    a = DenseMatrix(field, np.zeros((3, 0), dtype=object))
+    assert limb_operator(a).apply(field.zeros(0)).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("p", (P_BIG, P_TOP))
+def test_dense_det_over_object_field_uses_limbs_and_replays(p):
+    field = field_new(p)
+    rng = Random(p % 1019)
+    a = _dense(field, [[rng.randrange(p) for _ in range(9)] for _ in range(9)])
+    verdict, value = det_certify(a, FiatShamirSource(), prover_seed=7)
+    assert verdict.accepted
+    assert value == brute_det_field(field, a)
+    replay, same = det_verify(a, verdict.transcript)
+    assert replay.accepted and same == value
+
+
+# -- public matvec keeps reducing its input -----------------------------------------
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_matvec_reduces_non_canonical_input(p):
+    field = field_new(p)
+    rng = Random(p % 1021)
+    rows = [[rng.randrange(p) for _ in range(6)] for _ in range(5)]
+    x = [rng.randrange(p) for _ in range(6)]
+    want = _ref_matvec(rows, x, p)
+    # negatives and values past p, all congruent to x and inside int64
+    shifted = [v - p if i % 2 else v + p * (i + 1) for i, v in enumerate(x)]
+    sparse = SparseMatrix(
+        field, 5, 6, [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)]
+    )
+    for m in (DenseMatrix(field, rows), sparse, as_blackbox(sparse)):
+        assert matvec(m, shifted).tolist() == want
+
+
+# -- the integer-matrix encoding ---------------------------------------------------
+
+
+_EDGE_INTS = [0, 1, -1, 255, -255, 256, -256, 2**63 - 1, -(2**63 - 1), -(2**63)]
+
+
+def _encode_by_entries(m: IntMatrix) -> bytes:
+    out = [b"I", struct.pack("<II", m.rows, m.cols)]
+    for i in range(m.rows):
+        for j in range(m.cols):
+            out.append(encode_payload(KIND_BIGINT, m.entry(i, j)))
+    return b"".join(out)
+
+
+def test_intmatrix_encode_int64_buffer_matches_entries():
+    m = IntMatrix([_EDGE_INTS, _EDGE_INTS[::-1]])
+    assert m._int64() is not None
+    assert m.encode() == _encode_by_entries(m)
+    rng = Random(67)
+    for n in (1, 3, 16):
+        rows = [[rng.randint(-(2**63), 2**63 - 1) >> rng.randrange(64) for _ in range(n)]
+                for _ in range(n)]
+        m = IntMatrix(rows)
+        assert m.encode() == _encode_by_entries(m)
+
+
+def test_intmatrix_encode_past_int64_matches_entries():
+    m = IntMatrix([_EDGE_INTS + [2**70], [-(2**70)] + _EDGE_INTS])
+    assert m._int64() is None
+    assert m.encode() == _encode_by_entries(m)
+
+
+def test_intmatrix_encode_empty():
+    m = IntMatrix([])
+    assert m.encode() == _encode_by_entries(m) == b"I" + struct.pack("<II", 0, 0)
+
