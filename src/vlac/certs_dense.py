@@ -21,16 +21,15 @@ from typing import Union
 import numpy as np
 
 from .errors import BrokenReference, DimensionMismatch, FieldMismatch, NotSquare
-from .ff import PrimeField, SampleSet, full_sample_set
+from .ff import PrimeField, SampleSet, _check_sample_set
 from .la import CostCounter, DenseMatrix, matvec
 from .proto import (
-    HEURISTIC_FS,
     KIND_MATRIX,
     Verdict,
     certify,
     encode_payload,
     instance_digest,
-    verify_recorded,
+    replay,
     _u32,
     _u64,
 )
@@ -104,10 +103,7 @@ def _matmul_parts(
         raise DimensionMismatch(
             f"product shapes {a.shape}x{b.shape} vs claim {c.shape}"
         )
-    if s is None:
-        s = full_sample_set(field)
-    if s.field != field:
-        raise FieldMismatch("sample set drawn from a different field")
+    s = _check_sample_set(field, s)
     code = _variant_code(variant)
     if variant == ZERO_ONE and rounds < 1:
         raise ValueError("zero-one variant needs at least one round")
@@ -129,24 +125,21 @@ def _matmul_parts(
                 ch.challenge_vector(f"product.v.{t}", bits, c.cols)
 
     def verifier(ch):
-        counter = CostCounter()
-        labels = (HEURISTIC_FS,) if ch.is_fiat_shamir else ()
         if variant == GEOMETRIC:
             r = ch.challenge_scalar("product.r", s)
-            v = _geometric_vector(field, r, c.cols, counter)
-            ok = _product_holds(a, b, c, v, counter)
+            v = _geometric_vector(field, r, c.cols, ch.counter)
+            ok = _product_holds(a, b, c, v, ch.counter)
         else:
             bits = SampleSet(field, 2)
             ok = True
             for t in range(rounds):
                 v = field.arr(ch.challenge_vector(f"product.v.{t}", bits, c.cols))
-                if not _product_holds(a, b, c, v, counter):
+                if not _product_holds(a, b, c, v, ch.counter):
                     ok = False
                     break
-        eps = matmul_epsilon(variant, c.cols, s, rounds)
         if not ok:
-            return Verdict.reject("CheckFailed:product", counter.ops), None
-        return Verdict.accept(eps, labels, counter.ops), None
+            return Verdict.reject("CheckFailed:product"), None
+        return Verdict.accept(matmul_epsilon(variant, c.cols, s, rounds)), None
 
     return params, digest, prover, verifier
 
@@ -162,9 +155,7 @@ def matmul_certify(
     timeout: float = 60.0,
 ) -> Verdict:
     """Check the claim a @ b = c without recomputing the product."""
-    params, digest, prover, verifier = _matmul_parts(a, b, c, s, variant, rounds)
-    verdict, _ = certify(PROTOCOL_MATMUL, params, digest, prover, verifier, source, timeout)
-    return verdict
+    return certify(PROTOCOL_MATMUL, _matmul_parts(a, b, c, s, variant, rounds), source, timeout)[0]
 
 
 def matmul_verify(
@@ -177,9 +168,7 @@ def matmul_verify(
     rounds: int = DEFAULT_ZERO_ONE_ROUNDS,
 ) -> Verdict:
     """Replay a recorded product-check transcript against the instance."""
-    params, digest, _, verifier = _matmul_parts(a, b, c, s, variant, rounds)
-    verdict, _ = verify_recorded(transcript, PROTOCOL_MATMUL, digest, params, verifier)
-    return verdict
+    return replay(transcript, PROTOCOL_MATMUL, _matmul_parts(a, b, c, s, variant, rounds))[0]
 
 
 @dataclass(frozen=True)
@@ -244,8 +233,7 @@ def _chain_parts(claims: list[MatMulClaim], s: SampleSet | None):
             pass
 
         def verifier(ch):
-            labels = (HEURISTIC_FS,) if ch.is_fiat_shamir else ()
-            return Verdict.accept(Fraction(0), labels, 0), None
+            return Verdict.accept(Fraction(0)), None
 
         return params, digest, prover, verifier
     resolved = []
@@ -258,10 +246,7 @@ def _chain_parts(claims: list[MatMulClaim], s: SampleSet | None):
         resolved.append((left, right, cl.product))
     field = resolved[0][2].field
     _require_same_field(*(pr for _, _, pr in resolved))
-    if s is None:
-        s = full_sample_set(field)
-    if s.field != field:
-        raise FieldMismatch("sample set drawn from a different field")
+    s = _check_sample_set(field, s)
 
     parts = []
     for cl in claims:
@@ -276,14 +261,12 @@ def _chain_parts(claims: list[MatMulClaim], s: SampleSet | None):
             ch.challenge_scalar(f"chain.{i}.r", s)
 
     def verifier(ch):
-        counter = CostCounter()
-        labels = (HEURISTIC_FS,) if ch.is_fiat_shamir else ()
         for i, (left, right, product) in enumerate(resolved):
             r = ch.challenge_scalar(f"chain.{i}.r", s)
-            v = _geometric_vector(field, r, product.cols, counter)
-            if not _product_holds(left, right, product, v, counter):
-                return Verdict.reject(f"CheckFailed:chain.{i}", counter.ops), None
-        return Verdict.accept(chain_epsilon(claims, s), labels, counter.ops), None
+            v = _geometric_vector(field, r, product.cols, ch.counter)
+            if not _product_holds(left, right, product, v, ch.counter):
+                return Verdict.reject(f"CheckFailed:chain.{i}"), None
+        return Verdict.accept(chain_epsilon(claims, s)), None
 
     return params, digest, prover, verifier
 
@@ -296,9 +279,7 @@ def chain_certify(
 ) -> Verdict:
     """Check every link of a product chain; the error bound is the union
     bound over the per-link product checks."""
-    params, digest, prover, verifier = _chain_parts(claims, s)
-    verdict, _ = certify(PROTOCOL_CHAIN, params, digest, prover, verifier, source, timeout)
-    return verdict
+    return certify(PROTOCOL_CHAIN, _chain_parts(claims, s), source, timeout)[0]
 
 
 def chain_verify(
@@ -306,9 +287,7 @@ def chain_verify(
     transcript,
     s: SampleSet | None = None,
 ) -> Verdict:
-    params, digest, _, verifier = _chain_parts(claims, s)
-    verdict, _ = verify_recorded(transcript, PROTOCOL_CHAIN, digest, params, verifier)
-    return verdict
+    return replay(transcript, PROTOCOL_CHAIN, _chain_parts(claims, s))[0]
 
 
 def inverse_epsilon(n: int, s: SampleSet) -> Fraction:
@@ -321,10 +300,7 @@ def _inverse_parts(a: DenseMatrix, w: DenseMatrix, s: SampleSet | None):
         raise NotSquare("inverse claims need a square matrix")
     if w.rows != a.rows or w.cols != a.cols:
         raise DimensionMismatch("claimed inverse has the wrong shape")
-    if s is None:
-        s = full_sample_set(field)
-    if s.field != field:
-        raise FieldMismatch("sample set drawn from a different field")
+    s = _check_sample_set(field, s)
     n = a.rows
     digest = instance_digest(PROTOCOL_INVERSE, (dense_bytes(a), dense_bytes(w)))
     params = _u64(field.p) + _u64(s.offset) + _u64(s.size)
@@ -333,16 +309,12 @@ def _inverse_parts(a: DenseMatrix, w: DenseMatrix, s: SampleSet | None):
         ch.challenge_scalar("inverse.r", s)
 
     def verifier(ch):
-        counter = CostCounter()
-        labels = (HEURISTIC_FS,) if ch.is_fiat_shamir else ()
         r = ch.challenge_scalar("inverse.r", s)
-        v = _geometric_vector(field, r, n, counter)
-        inner = matvec(w, v, counter)
-        left = matvec(a, inner, counter)
-        ok = bool(np.array_equal(left, v))
-        if not ok:
-            return Verdict.reject("CheckFailed:inverse", counter.ops), None
-        return Verdict.accept(inverse_epsilon(n, s), labels, counter.ops), None
+        v = _geometric_vector(field, r, n, ch.counter)
+        left = matvec(a, matvec(w, v, ch.counter), ch.counter)
+        if not np.array_equal(left, v):
+            return Verdict.reject("CheckFailed:inverse"), None
+        return Verdict.accept(inverse_epsilon(n, s)), None
 
     return params, digest, prover, verifier
 
@@ -360,11 +332,7 @@ def inverse_certify(
     w = a^{-1}.  The identity never has to be materialized because
     I v = v.
     """
-    params, digest, prover, verifier = _inverse_parts(a, w, s)
-    verdict, _ = certify(
-        PROTOCOL_INVERSE, params, digest, prover, verifier, source, timeout
-    )
-    return verdict
+    return certify(PROTOCOL_INVERSE, _inverse_parts(a, w, s), source, timeout)[0]
 
 
 def inverse_verify(
@@ -373,6 +341,4 @@ def inverse_verify(
     transcript,
     s: SampleSet | None = None,
 ) -> Verdict:
-    params, digest, _, verifier = _inverse_parts(a, w, s)
-    verdict, _ = verify_recorded(transcript, PROTOCOL_INVERSE, digest, params, verifier)
-    return verdict
+    return replay(transcript, PROTOCOL_INVERSE, _inverse_parts(a, w, s))[0]

@@ -23,13 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, FieldMismatch, NotSquare
+from .errors import DimensionMismatch, NotSquare
 from .ff import (
     Poly,
     PrimeField,
     SampleSet,
+    _check_sample_set,
     berlekamp_massey,
-    full_sample_set,
     numerator_from_sequence,
     poly_xgcd,
 )
@@ -54,7 +54,6 @@ from .la import (
     solve_dense,
 )
 from .proto import (
-    HEURISTIC_FS,
     KIND_EMPTY,
     KIND_POLY,
     KIND_VEC,
@@ -64,7 +63,7 @@ from .proto import (
     certify,
     encode_payload,
     instance_digest,
-    verify_recorded,
+    replay,
     _u32,
     _u64,
 )
@@ -136,20 +135,17 @@ def _square_dims(m) -> tuple:
     return bb, bb.rows
 
 
-def _check_sample_set(field: PrimeField, s: Optional[SampleSet]) -> SampleSet:
-    if s is None:
-        return full_sample_set(field)
-    if s.field != field:
-        raise FieldMismatch("sample set drawn from a different field")
-    return s
-
-
 def _prover_rng(digest: bytes, prover_seed: Optional[int]) -> Random:
     if prover_seed is None:
         prover_seed = int.from_bytes(
             hashlib.sha256(digest + b"prover-seed").digest()[:8], "little"
         )
     return Random(prover_seed)
+
+
+def _send_answer(ch, w) -> None:
+    """Send the vector w, or an empty response when there is none."""
+    ch.send(TAG_RESPONSE, KIND_EMPTY if w is None else KIND_VEC, w)
 
 
 def _dot(field: PrimeField, a: np.ndarray, b: np.ndarray, counter=None) -> int:
@@ -192,26 +188,18 @@ def _nonsingular_parts(a, s: Optional[SampleSet], instance_tag: Optional[bytes])
     def prover(ch):
         dense = _densify(a)
         target = ch.challenge_vector("nonsingular.b", s, n)
-        w = solve_dense(dense, field.arr(target))
-        if w is None:
-            ch.send(TAG_RESPONSE, KIND_EMPTY)
-        else:
-            ch.send(TAG_RESPONSE, KIND_VEC, [int(x) for x in w])
+        _send_answer(ch, solve_dense(dense, field.arr(target)))
 
     def verifier(ch):
-        counter = CostCounter()
-        labels = (HEURISTIC_FS,) if ch.is_fiat_shamir else ()
         target = field.arr(ch.challenge_vector("nonsingular.b", s, n))
         kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field)
         if kind == KIND_EMPTY:
-            return Verdict.reject("ProverFailed", counter.ops), None
+            return Verdict.reject("ProverFailed"), None
         if len(wv) != n:
-            return Verdict.reject("Malformed:vector-length", counter.ops), None
-        w = field.arr(wv)
-        ok = bool(np.array_equal(matvec(a, w, counter), target))
-        if not ok:
-            return Verdict.reject("CheckFailed:solve", counter.ops), None
-        return Verdict.accept(nonsingular_epsilon(s), labels, counter.ops), None
+            return Verdict.reject("Malformed:vector-length"), None
+        if not np.array_equal(matvec(a, field.arr(wv), ch.counter), target):
+            return Verdict.reject("CheckFailed:solve"), None
+        return Verdict.accept(nonsingular_epsilon(s)), None
 
     return params, digest, prover, verifier
 
@@ -229,11 +217,9 @@ def nonsingular_certify(
     for it.  A singular operator misses all but at most a 1/|S| fraction
     of right-hand sides, since its column span is a proper subspace.
     """
-    params, digest, prover, verifier = _nonsingular_parts(a, s, instance_tag)
-    verdict, _ = certify(
-        PROTOCOL_NONSINGULAR, params, digest, prover, verifier, source, timeout
-    )
-    return verdict
+    return certify(
+        PROTOCOL_NONSINGULAR, _nonsingular_parts(a, s, instance_tag), source, timeout
+    )[0]
 
 
 def nonsingular_verify(
@@ -242,11 +228,7 @@ def nonsingular_verify(
     s: Optional[SampleSet] = None,
     instance_tag: Optional[bytes] = None,
 ) -> Verdict:
-    params, digest, _, verifier = _nonsingular_parts(a, s, instance_tag)
-    verdict, _ = verify_recorded(
-        transcript, PROTOCOL_NONSINGULAR, digest, params, verifier
-    )
-    return verdict
+    return replay(transcript, PROTOCOL_NONSINGULAR, _nonsingular_parts(a, s, instance_tag))[0]
 
 
 # -- rank ---------------------------------------------------------------------
@@ -286,15 +268,10 @@ def _rank_upper_prover(ch, field, a, m, n, r, s, label: str):
     u_th = ch.challenge_nonzero_vector(f"{label}.u", s, butterfly_param_count(m))
     v_th = ch.challenge_nonzero_vector(f"{label}.v", s, butterfly_param_count(n))
     op = _preconditioned(field, a, m, n, u_th, v_th)
-    block = _leading_block(field, op, r + 1)
-    w = kernel_vector(block)
-    if w is None:
-        ch.send(TAG_RESPONSE, KIND_EMPTY)
-    else:
-        ch.send(TAG_RESPONSE, KIND_VEC, [int(x) for x in w])
+    _send_answer(ch, kernel_vector(_leading_block(field, op, r + 1)))
 
 
-def _rank_upper_verifier(ch, field, a, m, n, r, s, counter, label: str):
+def _rank_upper_verifier(ch, field, a, m, n, r, s, label: str):
     """Returns a reject reason or None."""
     u_th = ch.challenge_nonzero_vector(f"{label}.u", s, butterfly_param_count(m))
     v_th = ch.challenge_nonzero_vector(f"{label}.v", s, butterfly_param_count(n))
@@ -307,7 +284,7 @@ def _rank_upper_verifier(ch, field, a, m, n, r, s, counter, label: str):
     if not np.any(w != 0):
         return "ZeroWitness"
     op = _preconditioned(field, a, m, n, u_th, v_th)
-    y = matvec(leading_projection(op, r + 1), w, counter)
+    y = matvec(leading_projection(op, r + 1), w, ch.counter)
     if np.any(y != 0):
         return "CheckFailed:kernel"
     return None
@@ -329,13 +306,10 @@ def _rank_upper_parts(a, r: int, s: Optional[SampleSet], instance_tag: Optional[
         _rank_upper_prover(ch, field, a, m, n, r, s, "rankub")
 
     def verifier(ch):
-        counter = CostCounter()
-        labels = (HEURISTIC_FS,) if ch.is_fiat_shamir else ()
-        reason = _rank_upper_verifier(ch, field, a, m, n, r, s, counter, "rankub")
+        reason = _rank_upper_verifier(ch, field, a, m, n, r, s, "rankub")
         if reason is not None:
-            return Verdict.reject(reason, counter.ops), None
-        eps = rank_upper_epsilon(m, n, r, s)
-        return Verdict.accept(eps, labels + (HEURISTIC_BUTTERFLY,), counter.ops), None
+            return Verdict.reject(reason), None
+        return Verdict.accept(rank_upper_epsilon(m, n, r, s), (HEURISTIC_BUTTERFLY,)), None
 
     return params, digest, prover, verifier
 
@@ -356,11 +330,9 @@ def rank_upper_certify(
     When the rank is at most r the corner is singular outright, so the
     honest prover always finds a witness.
     """
-    params, digest, prover, verifier = _rank_upper_parts(a, r, s, instance_tag)
-    verdict, _ = certify(
-        PROTOCOL_RANK_UPPER, params, digest, prover, verifier, source, timeout
-    )
-    return verdict
+    return certify(
+        PROTOCOL_RANK_UPPER, _rank_upper_parts(a, r, s, instance_tag), source, timeout
+    )[0]
 
 
 def rank_upper_verify(
@@ -370,11 +342,7 @@ def rank_upper_verify(
     s: Optional[SampleSet] = None,
     instance_tag: Optional[bytes] = None,
 ) -> Verdict:
-    params, digest, _, verifier = _rank_upper_parts(a, r, s, instance_tag)
-    verdict, _ = verify_recorded(
-        transcript, PROTOCOL_RANK_UPPER, digest, params, verifier
-    )
-    return verdict
+    return replay(transcript, PROTOCOL_RANK_UPPER, _rank_upper_parts(a, r, s, instance_tag))[0]
 
 
 def rank_epsilon(m: int, n: int, r: int, s: SampleSet) -> Fraction:
@@ -429,41 +397,36 @@ def _rank_parts(
             ch.send(TAG_COMMIT, KIND_VEC, u_th)
             ch.send(TAG_COMMIT, KIND_VEC, v_th)
             target = ch.challenge_vector("rank.low.b", s, r)
-            w = solve_dense(block, field.arr(target))
-            if w is None:
-                ch.send(TAG_RESPONSE, KIND_EMPTY)
-            else:
-                ch.send(TAG_RESPONSE, KIND_VEC, [int(x) for x in w])
+            _send_answer(ch, solve_dense(block, field.arr(target)))
         if r < min(m, n):
             _rank_upper_prover(ch, field, a, m, n, r, s, "rank.up")
 
     def verifier(ch):
-        counter = CostCounter()
-        labels = (HEURISTIC_FS,) if ch.is_fiat_shamir else ()
+        labels = ()
         if r > 0:
             _, u_th = ch.recv(TAG_COMMIT, (KIND_VEC,), field)
             _, v_th = ch.recv(TAG_COMMIT, (KIND_VEC,), field)
             if len(u_th) != butterfly_param_count(m) or len(v_th) != butterfly_param_count(n):
-                return Verdict.reject("Malformed:vector-length", counter.ops), None
+                return Verdict.reject("Malformed:vector-length"), None
             if any(t == 0 for t in u_th) or any(t == 0 for t in v_th):
-                return Verdict.reject("Malformed:zero-theta", counter.ops), None
+                return Verdict.reject("Malformed:zero-theta"), None
             target = field.arr(ch.challenge_vector("rank.low.b", s, r))
             kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field)
             if kind == KIND_EMPTY:
-                return Verdict.reject("ProverFailed", counter.ops), None
+                return Verdict.reject("ProverFailed"), None
             if len(wv) != r:
-                return Verdict.reject("Malformed:vector-length", counter.ops), None
+                return Verdict.reject("Malformed:vector-length"), None
             w = field.arr(wv)
             op = _preconditioned(field, a, m, n, u_th, v_th)
-            y = matvec(leading_projection(op, r), w, counter)
+            y = matvec(leading_projection(op, r), w, ch.counter)
             if not np.array_equal(y, target):
-                return Verdict.reject("CheckFailed:solve", counter.ops), None
+                return Verdict.reject("CheckFailed:solve"), None
         if r < min(m, n):
-            reason = _rank_upper_verifier(ch, field, a, m, n, r, s, counter, "rank.up")
+            reason = _rank_upper_verifier(ch, field, a, m, n, r, s, "rank.up")
             if reason is not None:
-                return Verdict.reject(reason, counter.ops), None
-            labels = labels + (HEURISTIC_BUTTERFLY,)
-        return Verdict.accept(rank_epsilon(m, n, r, s), labels, counter.ops), None
+                return Verdict.reject(reason), None
+            labels = (HEURISTIC_BUTTERFLY,)
+        return Verdict.accept(rank_epsilon(m, n, r, s), labels), None
 
     return params, digest, prover, verifier
 
@@ -486,9 +449,9 @@ def rank_certify(
     how the parameters were picked.  Upper bound: the verifier-drawn
     kernel-witness check above, with its heuristic bound.
     """
-    params, digest, prover, verifier = _rank_parts(a, r, s, instance_tag, prover_seed)
-    verdict, _ = certify(PROTOCOL_RANK, params, digest, prover, verifier, source, timeout)
-    return verdict
+    return certify(
+        PROTOCOL_RANK, _rank_parts(a, r, s, instance_tag, prover_seed), source, timeout
+    )[0]
 
 
 def rank_verify(
@@ -498,9 +461,7 @@ def rank_verify(
     s: Optional[SampleSet] = None,
     instance_tag: Optional[bytes] = None,
 ) -> Verdict:
-    params, digest, _, verifier = _rank_parts(a, r, s, instance_tag)
-    verdict, _ = verify_recorded(transcript, PROTOCOL_RANK, digest, params, verifier)
-    return verdict
+    return replay(transcript, PROTOCOL_RANK, _rank_parts(a, r, s, instance_tag))[0]
 
 
 # -- minimal polynomial of a projected sequence -------------------------------
@@ -513,33 +474,24 @@ def minpoly_epsilon(deg_gen: int, deg_num: int, s: SampleSet) -> Fraction:
     return coprime + identity
 
 
-def _minpoly_package(field: PrimeField, seq) -> tuple:
-    """Prover-side: generator, numerator, and a Bezout pair for them."""
-    gen = berlekamp_massey(field, seq)
+def _send_minpoly_package(ch, gen: Poly, seq) -> None:
+    """Prover-side: commit the generator of seq, its numerator, and a
+    Bezout pair for them."""
     num = numerator_from_sequence(gen, seq)
     g, phi, psi = poly_xgcd(gen, num)
     if g.degree != 0:
         raise AssertionError("generator and numerator must be coprime")
-    return gen, num, phi, psi
-
-
-def _send_minpoly_package(ch, gen, num, phi, psi) -> None:
-    ch.send(TAG_COMMIT, KIND_POLY, gen)
-    ch.send(TAG_COMMIT, KIND_POLY, num)
-    ch.send(TAG_COMMIT, KIND_POLY, phi)
-    ch.send(TAG_COMMIT, KIND_POLY, psi)
+    for poly in (gen, num, phi, psi):
+        ch.send(TAG_COMMIT, KIND_POLY, poly)
 
 
 def _prove_shifted_solves(ch, field, s, solve_fn) -> None:
     """Answer shifted-system challenges, passing on singular shifts."""
     for attempt in range(SHIFT_DRAWS):
-        r1 = ch.challenge_scalar(f"minpoly.r1.{attempt}", s)
-        w = solve_fn(r1)
-        if w is None:
-            ch.send(TAG_RESPONSE, KIND_EMPTY)
-            continue
-        ch.send(TAG_RESPONSE, KIND_VEC, [int(x) for x in w])
-        return
+        w = solve_fn(ch.challenge_scalar(f"minpoly.r1.{attempt}", s))
+        _send_answer(ch, w)
+        if w is not None:
+            return
 
 
 def _eval(field: PrimeField, poly: Poly, x: int, counter: CostCounter) -> int:
@@ -555,7 +507,6 @@ def _verify_minpoly_exchange(
     u: np.ndarray,
     v: np.ndarray,
     n: int,
-    counter: CostCounter,
     full_degree: bool,
 ):
     """Shared verifier flow.  Returns (reason, gen, num); reason None on pass.
@@ -566,6 +517,7 @@ def _verify_minpoly_exchange(
     operator through one linear solve the verifier can check with a
     single matrix-vector product.
     """
+    counter = ch.counter
     _, gen_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field)
     gen = Poly(field, gen_coeffs)
     if gen.is_zero or not gen.is_monic:
@@ -635,8 +587,7 @@ def _minpoly_parts(a, u, v, s: Optional[SampleSet], instance_tag: Optional[bytes
     def prover(ch):
         dense = _densify(a)
         seq = projected_sequence(field, a, u_arr, v_arr, 2 * n)
-        gen, num, phi, psi = _minpoly_package(field, seq)
-        _send_minpoly_package(ch, gen, num, phi, psi)
+        _send_minpoly_package(ch, berlekamp_massey(field, seq), seq)
         ch.challenge_scalar("minpoly.r0", s)
 
         def solve_shift(r1):
@@ -648,15 +599,12 @@ def _minpoly_parts(a, u, v, s: Optional[SampleSet], instance_tag: Optional[bytes
         _prove_shifted_solves(ch, field, s, solve_shift)
 
     def verifier(ch):
-        counter = CostCounter()
-        labels = (HEURISTIC_FS,) if ch.is_fiat_shamir else ()
         reason, gen, num = _verify_minpoly_exchange(
-            ch, field, s, a, u_arr, v_arr, n, counter, full_degree=False
+            ch, field, s, a, u_arr, v_arr, n, full_degree=False
         )
         if reason is not None:
-            return Verdict.reject(reason, counter.ops), None
-        eps = minpoly_epsilon(gen.degree, num.degree, s)
-        return Verdict.accept(eps, labels, counter.ops), gen
+            return Verdict.reject(reason), None
+        return Verdict.accept(minpoly_epsilon(gen.degree, num.degree, s)), gen
 
     return params, digest, prover, verifier
 
@@ -674,8 +622,7 @@ def minpoly_certify(
 
     Returns (verdict, generator); the generator is None on rejection.
     """
-    params, digest, prover, verifier = _minpoly_parts(a, u, v, s, instance_tag)
-    return certify(PROTOCOL_MINPOLY, params, digest, prover, verifier, source, timeout)
+    return certify(PROTOCOL_MINPOLY, _minpoly_parts(a, u, v, s, instance_tag), source, timeout)
 
 
 def minpoly_verify(
@@ -686,8 +633,7 @@ def minpoly_verify(
     s: Optional[SampleSet] = None,
     instance_tag: Optional[bytes] = None,
 ):
-    params, digest, _, verifier = _minpoly_parts(a, u, v, s, instance_tag)
-    return verify_recorded(transcript, PROTOCOL_MINPOLY, digest, params, verifier)
+    return replay(transcript, PROTOCOL_MINPOLY, _minpoly_parts(a, u, v, s, instance_tag))
 
 
 # -- determinant --------------------------------------------------------------
@@ -757,19 +703,14 @@ def det_prover_flow(ch, field: PrimeField, operator, s: SampleSet, rng: Random, 
         ch.send(TAG_COMMIT, KIND_EMPTY)
         return
     scale, u_arr, v_arr, scaled, seq, gen = found
-    num = numerator_from_sequence(gen, seq)
-    g, phi, psi = poly_xgcd(gen, num)
-    if g.degree != 0:
-        raise AssertionError("generator and numerator must be coprime")
-    ch.send(TAG_COMMIT, KIND_VEC, scale)
-    ch.send(TAG_COMMIT, KIND_VEC, [int(x) for x in u_arr])
-    ch.send(TAG_COMMIT, KIND_VEC, [int(x) for x in v_arr])
-    _send_minpoly_package(ch, gen, num, phi, psi)
+    for vec in (scale, u_arr, v_arr):
+        ch.send(TAG_COMMIT, KIND_VEC, vec)
+    _send_minpoly_package(ch, gen, seq)
     ch.challenge_scalar("minpoly.r0", s)
     _prove_shifted_solves(ch, field, s, _shift_solver(field, scaled, gen, v_arr))
 
 
-def det_verifier_flow(ch, field: PrimeField, operator, s: SampleSet, n: int, counter: CostCounter):
+def det_verifier_flow(ch, field: PrimeField, operator, s: SampleSet, n: int):
     """Verifier half of the determinant exchange.
 
     Returns (reason, value, eps); reason is None exactly when the run
@@ -790,7 +731,7 @@ def det_verifier_flow(ch, field: PrimeField, operator, s: SampleSet, n: int, cou
     u_arr, v_arr = field.arr(uv), field.arr(vv)
     scaled = compose(diagonal_scaling(field, scale), operator)
     reason, gen, num = _verify_minpoly_exchange(
-        ch, field, s, scaled, u_arr, v_arr, n, counter, full_degree=True
+        ch, field, s, scaled, u_arr, v_arr, n, full_degree=True
     )
     if reason is not None:
         return reason, None, None
@@ -802,7 +743,7 @@ def det_verifier_flow(ch, field: PrimeField, operator, s: SampleSet, n: int, cou
     scale_det = 1
     for x in scale:
         scale_det = scale_det * int(x) % p
-    counter.add(n + 2)
+    ch.counter.add(n + 2)
     value = det_scaled * field.inv(scale_det) % p
     return None, value, det_epsilon(n, num.degree, s)
 
@@ -823,12 +764,10 @@ def _det_parts(
         det_prover_flow(ch, field, a, s, _prover_rng(digest, prover_seed), n)
 
     def verifier(ch):
-        counter = CostCounter()
-        labels = (HEURISTIC_FS,) if ch.is_fiat_shamir else ()
-        reason, value, eps = det_verifier_flow(ch, field, a, s, n, counter)
+        reason, value, eps = det_verifier_flow(ch, field, a, s, n)
         if reason is not None:
-            return Verdict.reject(reason, counter.ops), None
-        return Verdict.accept(eps, labels, counter.ops), value
+            return Verdict.reject(reason), None
+        return Verdict.accept(eps), value
 
     return params, digest, prover, verifier
 
@@ -852,8 +791,7 @@ def det_certify(
     scaling.  The verifier never sees the matrix entries, only the
     committed polynomials and one checked linear solve.
     """
-    params, digest, prover, verifier = _det_parts(a, s, instance_tag, prover_seed)
-    return certify(PROTOCOL_DET, params, digest, prover, verifier, source, timeout)
+    return certify(PROTOCOL_DET, _det_parts(a, s, instance_tag, prover_seed), source, timeout)
 
 
 def det_verify(
@@ -862,5 +800,4 @@ def det_verify(
     s: Optional[SampleSet] = None,
     instance_tag: Optional[bytes] = None,
 ):
-    params, digest, _, verifier = _det_parts(a, s, instance_tag, None)
-    return verify_recorded(transcript, PROTOCOL_DET, digest, params, verifier)
+    return replay(transcript, PROTOCOL_DET, _det_parts(a, s, instance_tag, None))

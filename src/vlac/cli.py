@@ -57,7 +57,14 @@ from .errors import (
 )
 from .ff import Poly, SampleSet, field_new, full_sample_set
 from .la import DenseMatrix, SparseMatrix
-from .lift import IntMatrix, PolyMatrix, _intdet_parts, _polydet_parts
+from .lift import (
+    PROTOCOL_INTDET,
+    PROTOCOL_POLYDET,
+    IntMatrix,
+    PolyMatrix,
+    _intdet_parts,
+    _polydet_parts,
+)
 from .matrixmarket import MatrixFile, parse_matrix_market
 from .net import HELLO_OK, SocketTransport, hello_frame, parse_hello
 from .proto import (
@@ -66,11 +73,11 @@ from .proto import (
     Verdict,
     _abort_frame,
     fs_prove,
+    replay,
     run_remote_session,
     serve_session,
     transcript_deserialize,
     transcript_serialize,
-    verify_recorded,
 )
 
 EXIT_ACCEPT = 0
@@ -167,12 +174,6 @@ def _read_files(paths) -> list[MatrixFile]:
     return [parse_matrix_market(Path(p).read_text()) for p in paths]
 
 
-def _field_matrix(mf: MatrixFile, what: str):
-    if mf.modulus is None or mf.polydegree is not None:
-        raise Malformed(f"{what}: expected a matrix over GF(p) with %%modulus")
-    return mf.matrix
-
-
 def _as_dense(m, what: str) -> DenseMatrix:
     if isinstance(m, DenseMatrix):
         return m
@@ -181,7 +182,13 @@ def _as_dense(m, what: str) -> DenseMatrix:
     raise Malformed(f"{what}: expected a field matrix")
 
 
-def _check_modulus(args, mats) -> None:
+def _field_operands(args, files: list[MatrixFile], what: str):
+    """The files' matrices, all over one GF(p) that agrees with --modulus,
+    and the sample set: --sample-size elements, or the whole field."""
+    for mf in files:
+        if mf.modulus is None or mf.polydegree is not None:
+            raise Malformed(f"{what}: expected a matrix over GF(p) with %%modulus")
+    mats = [mf.matrix for mf in files]
     moduli = {m.field.p for m in mats}
     if len(moduli) != 1:
         raise Malformed(f"instance files disagree on the modulus: {sorted(moduli)}")
@@ -189,12 +196,10 @@ def _check_modulus(args, mats) -> None:
         raise Malformed(
             f"--modulus {args.modulus} does not match the file modulus {moduli.pop()}"
         )
-
-
-def _sample_set(args, field) -> Optional[SampleSet]:
+    field = mats[0].field
     if args.sample_size is None:
-        return None
-    return SampleSet(field, args.sample_size)
+        return mats, full_sample_set(field)
+    return mats, SampleSet(field, args.sample_size)
 
 
 def _instance_seed(args) -> int:
@@ -206,6 +211,7 @@ class _Problem:
 
     def __init__(self, protocol_id, parts, render=None, eps_worst=None):
         self.protocol_id = protocol_id
+        self.parts = parts
         self.params, self.digest, self.prover, self.verifier = parts
         self.render = render or (lambda r: None)
         # instance-independent error bound, when one is known up front
@@ -234,82 +240,63 @@ def _build_problem(args) -> _Problem:
         raise Malformed(f"{name} expects {want} matrix file(s), got {len(files)}")
 
     if name == "matmul":
-        mats = [_field_matrix(mf, "matmul operand") for mf in files]
-        _check_modulus(args, mats)
+        mats, s = _field_operands(args, files, "matmul operand")
         a, b, c = (_as_dense(m, "matmul operand") for m in mats)
-        s = _sample_set(args, a.field)
-        eps = matmul_epsilon(
-            args.variant, c.cols, s or full_sample_set(a.field), args.rounds
-        )
+        eps = matmul_epsilon(args.variant, c.cols, s, args.rounds)
         return _Problem(
             PROTOCOL_MATMUL,
             _matmul_parts(a, b, c, s, args.variant, args.rounds),
             eps_worst=eps,
         )
     if name == "inverse":
-        mats = [_field_matrix(mf, "inverse operand") for mf in files]
-        _check_modulus(args, mats)
+        mats, s = _field_operands(args, files, "inverse operand")
         a, w = (_as_dense(m, "inverse operand") for m in mats)
-        s = _sample_set(args, a.field)
-        eps = inverse_epsilon(a.rows, s or full_sample_set(a.field))
+        eps = inverse_epsilon(a.rows, s)
         return _Problem(PROTOCOL_INVERSE, _inverse_parts(a, w, s), eps_worst=eps)
     if name == "nonsingular":
-        a = _field_matrix(files[0], "operator")
-        _check_modulus(args, [a])
-        s = _sample_set(args, a.field)
-        eps = nonsingular_epsilon(s or full_sample_set(a.field))
+        (a,), s = _field_operands(args, files, "operator")
+        eps = nonsingular_epsilon(s)
         return _Problem(
             PROTOCOL_NONSINGULAR, _nonsingular_parts(a, s, None), eps_worst=eps
         )
     if name == "rank":
         if args.rank is None:
             raise Malformed("rank problem needs --rank")
-        a = _field_matrix(files[0], "operator")
-        _check_modulus(args, [a])
-        s = _sample_set(args, a.field)
-        eps = rank_epsilon(a.rows, a.cols, args.rank, s or full_sample_set(a.field))
+        (a,), s = _field_operands(args, files, "operator")
+        eps = rank_epsilon(a.rows, a.cols, args.rank, s)
         return _Problem(
             PROTOCOL_RANK, _rank_parts(a, args.rank, s, None), eps_worst=eps
         )
     if name == "minpoly":
-        a = _field_matrix(files[0], "operator")
-        _check_modulus(args, [a])
-        s = _sample_set(args, a.field)
+        (a,), s = _field_operands(args, files, "operator")
         rng = Random(_instance_seed(args))
-        bb_n = a.rows
-        u = [rng.randrange(a.field.p) for _ in range(bb_n)]
-        v = [rng.randrange(a.field.p) for _ in range(bb_n)]
+        u = [rng.randrange(a.field.p) for _ in range(a.rows)]
+        v = [rng.randrange(a.field.p) for _ in range(a.rows)]
         return _Problem(
             PROTOCOL_MINPOLY,
             _minpoly_parts(a, u, v, s, None),
             render=_render_poly,
         )
     if name == "det":
-        a = _field_matrix(files[0], "operator")
-        _check_modulus(args, [a])
-        s = _sample_set(args, a.field)
+        (a,), s = _field_operands(args, files, "operator")
         return _Problem(
             PROTOCOL_DET,
             _det_parts(a, s, None, args.seed),
-            render=lambda r: print(f"determinant = {r}"),
+            render=_render_det,
         )
     if name == "intdet":
         m = files[0].matrix
         if not isinstance(m, IntMatrix):
             raise Malformed("intdet expects an integer matrix file (no %%modulus)")
-        from .lift import PROTOCOL_INTDET
-
         return _Problem(
             PROTOCOL_INTDET,
             _intdet_parts(m, args.prime_bits, args.seed),
-            render=lambda r: print(f"determinant = {r}"),
+            render=_render_det,
         )
     if name == "polydet":
         mf = files[0]
         if not isinstance(mf.matrix, PolyMatrix):
             raise Malformed("polydet expects %%modulus and %%polydegree")
-        from .lift import PROTOCOL_POLYDET
-
         return _Problem(
             PROTOCOL_POLYDET,
             _polydet_parts(mf.matrix, mf.polydegree, args.seed),
@@ -320,6 +307,10 @@ def _build_problem(args) -> _Problem:
 
 def _assemble(args) -> _Problem:
     return _refuse_unachievable(args, _build_problem(args))
+
+
+def _render_det(r) -> None:
+    print(f"determinant = {r}")
 
 
 def _render_poly(r) -> None:
@@ -382,13 +373,7 @@ def _cmd_prove(args) -> int:
     except Exception as exc:
         print(f"prover failed: {exc}", file=sys.stderr)
         return EXIT_PROVER
-    verdict, result = verify_recorded(
-        transcript,
-        problem.protocol_id,
-        problem.digest,
-        problem.params,
-        problem.verifier,
-    )
+    verdict, result = replay(transcript, problem.protocol_id, problem.parts)
     if not verdict.accepted and _prover_fault(verdict.reason):
         print(f"prover failed: {verdict.reason}", file=sys.stderr)
         return EXIT_PROVER
@@ -404,13 +389,7 @@ def _cmd_verify(args) -> int:
     _want_mode(args, "fiat-shamir")
     problem = _assemble(args)
     transcript = transcript_deserialize(Path(args.transcript).read_bytes())
-    verdict, result = verify_recorded(
-        transcript,
-        problem.protocol_id,
-        problem.digest,
-        problem.params,
-        problem.verifier,
-    )
+    verdict, result = replay(transcript, problem.protocol_id, problem.parts)
     return _finish(verdict, result, problem, _epsilon_limit(args))
 
 
@@ -470,12 +449,7 @@ def _cmd_delegate(args) -> int:
         source = InteractiveSource(args.seed)
         start = time.monotonic()
         verdict, result, _ = run_remote_session(
-            problem.protocol_id,
-            problem.params,
-            problem.digest,
-            tr,
-            problem.verifier,
-            source,
+            problem.protocol_id, problem.params, problem.digest, tr, problem.verifier, source
         )
         total = time.monotonic() - start
         code = _finish(verdict, result, problem, _epsilon_limit(args))

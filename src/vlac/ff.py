@@ -184,6 +184,15 @@ def full_sample_set(field: PrimeField) -> SampleSet:
     return SampleSet(field, field.p, 0)
 
 
+def _check_sample_set(field: PrimeField, s: SampleSet | None) -> SampleSet:
+    """The sample set a protocol draws from: s, or the whole field."""
+    if s is None:
+        return full_sample_set(field)
+    if s.field != field:
+        raise FieldMismatch("sample set drawn from a different field")
+    return s
+
+
 def sample(s: SampleSet, src, label: str = "sample") -> int:
     """Draw one uniform scalar from s through a challenge source."""
     return src.draw_scalar(label, s)

@@ -11,15 +11,14 @@ size bound on the commitment caps how many such points exist.
 
 from __future__ import annotations
 
-import hashlib
+import threading
 from fractions import Fraction
 from math import isqrt, prod
-from random import Random
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .certs_sparse import det_prover_flow, det_verifier_flow
+from .certs_sparse import _prover_rng, det_prover_flow, det_verifier_flow
 from .errors import DimensionMismatch, FieldMismatch, NotSquare
 from .ff import (
     MAX_MODULUS_BITS,
@@ -29,9 +28,8 @@ from .ff import (
     is_probable_prime,
     word_dtype,
 )
-from .la import CostCounter, DenseMatrix, det_stack, stack_cap
+from .la import DenseMatrix, det_stack, stack_cap
 from .proto import (
-    HEURISTIC_FS,
     KIND_BIGINT,
     KIND_POLY,
     TAG_COMMIT,
@@ -40,7 +38,7 @@ from .proto import (
     draw_prime,
     encode_payload,
     instance_digest,
-    verify_recorded,
+    replay,
     _u32,
     _u64,
 )
@@ -53,6 +51,10 @@ DEFAULT_PRIME_BITS = 62
 # The first primes above 2^31 are below the largest int64-safe prime
 # (about 2^31.5), so the CRT images run on int64.
 CRT_PRIME_BITS = 31
+
+# bits -> the first primes above 2**bits found so far; grown on demand
+_CRT_PRIMES: dict[int, list[int]] = {}
+_CRT_PRIMES_LOCK = threading.Lock()
 
 
 class IntMatrix:
@@ -85,7 +87,12 @@ class IntMatrix:
         return int(self.a[i, j])
 
     def reduce(self, field: PrimeField) -> DenseMatrix:
-        return DenseMatrix(field, self.a % field.p)
+        """The matrix mod p, reduced once (in int64 when the entries fit)."""
+        a64 = self._int64()
+        out = DenseMatrix.__new__(DenseMatrix)
+        out.field = field
+        out.a = (self.a % field.p if a64 is None else a64 % field.p).astype(field.dtype)
+        return out
 
     def _int64(self) -> Optional[np.ndarray]:
         """The entries as an int64 array, or None when one does not fit."""
@@ -175,6 +182,22 @@ def intdet_epsilon(bound: int, bits: int, eps_field: Fraction) -> Fraction:
     return Fraction(bad, lower_bound_primes(bits)) + eps_field
 
 
+def _crt_primes(bits: int, bound: int) -> list[int]:
+    """The first primes above 2**bits whose product exceeds 2 * bound."""
+    with _CRT_PRIMES_LOCK:
+        known = _CRT_PRIMES.setdefault(bits, [])
+        primes, product = [], 1
+        while product < 2 * bound + 1:
+            if len(primes) == len(known):
+                candidate = known[-1] + 2 if known else (1 << bits) + 1
+                while not is_probable_prime(candidate):
+                    candidate += 2
+                known.append(candidate)
+            primes.append(known[len(primes)])
+            product *= primes[-1]
+        return primes
+
+
 def int_det_crt(m: IntMatrix, bits: int = CRT_PRIME_BITS) -> int:
     """Exact integer determinant by Chinese remaindering word-prime images.
 
@@ -193,14 +216,7 @@ def int_det_crt(m: IntMatrix, bits: int = CRT_PRIME_BITS) -> int:
     bound = hadamard_bound(m)
     if bound == 0:
         return 0
-    primes, product = [], 1
-    candidate = (1 << bits) + 1
-    while product < 2 * bound + 1:
-        while not is_probable_prime(candidate):
-            candidate += 2
-        primes.append(candidate)
-        product *= candidate
-        candidate += 2
+    primes = _crt_primes(bits, bound)
     a64 = m._int64()
     residue, modulus = 0, 1
     cap = stack_cap(m.rows)
@@ -235,7 +251,7 @@ def _intdet_parts(m: IntMatrix, bits: int, prover_seed: Optional[int]):
     bound = hadamard_bound(m)
 
     def prover(ch):
-        rng = _lift_rng(digest, prover_seed)
+        rng = _prover_rng(digest, prover_seed)
         value = int_det_crt(m)
         ch.send(TAG_COMMIT, KIND_BIGINT, value)
         q = ch.challenge_prime("intdet.q", bits)
@@ -243,23 +259,18 @@ def _intdet_parts(m: IntMatrix, bits: int, prover_seed: Optional[int]):
         det_prover_flow(ch, field, m.reduce(field), full_sample_set(field), rng, n)
 
     def verifier(ch):
-        counter = CostCounter()
-        labels = (HEURISTIC_FS,) if ch.is_fiat_shamir else ()
         _, claimed = ch.recv(TAG_COMMIT, (KIND_BIGINT,))
         if abs(claimed) > bound:
-            return Verdict.reject("CommitmentOutOfBounds", counter.ops), None
+            return Verdict.reject("CommitmentOutOfBounds"), None
         q = ch.challenge_prime("intdet.q", bits)
         field = PrimeField(q)
         s = full_sample_set(field)
-        reason, value, eps_field = det_verifier_flow(
-            ch, field, m.reduce(field), s, n, counter
-        )
+        reason, value, eps_field = det_verifier_flow(ch, field, m.reduce(field), s, n)
         if reason is not None:
-            return Verdict.reject(reason, counter.ops), None
+            return Verdict.reject(reason), None
         if claimed % q != value:
-            return Verdict.reject("CheckFailed:lift", counter.ops), None
-        eps = intdet_epsilon(bound, bits, eps_field)
-        return Verdict.accept(eps, labels, counter.ops), claimed
+            return Verdict.reject("CheckFailed:lift"), None
+        return Verdict.accept(intdet_epsilon(bound, bits, eps_field)), claimed
 
     return params, digest, prover, verifier
 
@@ -278,21 +289,11 @@ def intdet_certify(
     against the Hadamard bound, draws a random prime of the agreed size,
     and settles the reduced claim with the field certificate.
     """
-    params, digest, prover, verifier = _intdet_parts(m, bits, prover_seed)
-    return certify(PROTOCOL_INTDET, params, digest, prover, verifier, source, timeout)
+    return certify(PROTOCOL_INTDET, _intdet_parts(m, bits, prover_seed), source, timeout)
 
 
 def intdet_verify(m: IntMatrix, transcript, bits: int = DEFAULT_PRIME_BITS):
-    params, digest, _, verifier = _intdet_parts(m, bits, None)
-    return verify_recorded(transcript, PROTOCOL_INTDET, digest, params, verifier)
-
-
-def _lift_rng(digest: bytes, prover_seed: Optional[int]) -> Random:
-    if prover_seed is None:
-        prover_seed = int.from_bytes(
-            hashlib.sha256(digest + b"prover-seed").digest()[:8], "little"
-        )
-    return Random(prover_seed)
+    return replay(transcript, PROTOCOL_INTDET, _intdet_parts(m, bits, None))
 
 
 class PolyMatrix:
@@ -411,31 +412,25 @@ def _polydet_parts(m: PolyMatrix, deg_bound: Optional[int], prover_seed: Optiona
     digest = instance_digest(PROTOCOL_POLYDET, (m.encode(),))
 
     def prover(ch):
-        rng = _lift_rng(digest, prover_seed)
+        rng = _prover_rng(digest, prover_seed)
         f = poly_det_interp(m)
         ch.send(TAG_COMMIT, KIND_POLY, f)
         alpha = ch.challenge_scalar("polydet.alpha", s)
         det_prover_flow(ch, field, m.evaluate(alpha), s, rng, n)
 
     def verifier(ch):
-        counter = CostCounter()
-        labels = (HEURISTIC_FS,) if ch.is_fiat_shamir else ()
         _, f_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field)
         f = Poly(field, f_coeffs)
         if f.degree > n * deg_bound:
-            return Verdict.reject("DegreeOutOfBounds", counter.ops), None
+            return Verdict.reject("DegreeOutOfBounds"), None
         alpha = ch.challenge_scalar("polydet.alpha", s)
-        evaluated = m.evaluate(alpha)
-        reason, value, eps_field = det_verifier_flow(
-            ch, field, evaluated, s, n, counter
-        )
+        reason, value, eps_field = det_verifier_flow(ch, field, m.evaluate(alpha), s, n)
         if reason is not None:
-            return Verdict.reject(reason, counter.ops), None
-        counter.add(2 * max(f.degree, 0))
+            return Verdict.reject(reason), None
+        ch.counter.add(2 * max(f.degree, 0))
         if f(alpha) != value:
-            return Verdict.reject("CheckFailed:lift", counter.ops), None
-        eps = polydet_epsilon(n, deg_bound, len(s), eps_field)
-        return Verdict.accept(eps, labels, counter.ops), f
+            return Verdict.reject("CheckFailed:lift"), None
+        return Verdict.accept(polydet_epsilon(n, deg_bound, len(s), eps_field)), f
 
     return params, digest, prover, verifier
 
@@ -454,10 +449,8 @@ def polydet_certify(
     determinant certificate for the evaluated matrix; two distinct
     polynomials of degree at most n*d agree on at most n*d points.
     """
-    params, digest, prover, verifier = _polydet_parts(m, deg_bound, prover_seed)
-    return certify(PROTOCOL_POLYDET, params, digest, prover, verifier, source, timeout)
+    return certify(PROTOCOL_POLYDET, _polydet_parts(m, deg_bound, prover_seed), source, timeout)
 
 
 def polydet_verify(m: PolyMatrix, transcript, deg_bound: Optional[int] = None):
-    params, digest, _, verifier = _polydet_parts(m, deg_bound, None)
-    return verify_recorded(transcript, PROTOCOL_POLYDET, digest, params, verifier)
+    return replay(transcript, PROTOCOL_POLYDET, _polydet_parts(m, deg_bound, None))

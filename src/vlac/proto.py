@@ -12,6 +12,11 @@ challenges come from:
 * replay verification re-derives every challenge from the recorded
   prefix and rejects on the first disagreement.
 
+The runners keep the verifier's books: each verifier channel carries a
+fresh ``CostCounter`` as ``ch.counter``, whose count becomes the verdict's
+``verifier_ops``, and accepted verdicts over hash-derived challenges get
+the ``fiat-shamir`` heuristic label.
+
 Transcripts serialize to a small tagged binary format (magic ``VLAC``)
 with exactly one valid encoding per transcript.
 """
@@ -38,6 +43,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .ff import PrimeField, SampleSet, is_probable_prime
+from .la import CostCounter
 
 MAGIC = b"VLAC"
 VERSION = 1
@@ -132,14 +138,11 @@ def encode_payload(kind: int, value) -> bytes:
         return b""
     if kind in (KIND_SCALAR, KIND_UINT):
         return _u64(int(value))
-    if kind == KIND_VEC:
-        vals = [int(v) for v in value]
-        return _u32(len(vals)) + b"".join(_u64(v) for v in vals)
-    if kind == KIND_POLY:
-        coeffs = list(value.coeffs) if hasattr(value, "coeffs") else [int(v) for v in value]
-        if coeffs and coeffs[-1] == 0:
+    if kind in (KIND_VEC, KIND_POLY):
+        vals = _canon_value(kind, value)
+        if kind == KIND_POLY and vals and vals[-1] == 0:
             raise Malformed("polynomial encoding must be trimmed")
-        return _u32(len(coeffs)) + b"".join(_u64(int(v)) for v in coeffs)
+        return _u32(len(vals)) + b"".join(_u64(v) for v in vals)
     if kind == KIND_MATRIX:
         if isinstance(value, tuple) and len(value) == 3:
             # canonical (rows, cols, flat) form, as produced by decoding
@@ -177,15 +180,11 @@ def _decode_payload_inner(kind: int, r: _Reader):
         return None
     if kind in (KIND_SCALAR, KIND_UINT):
         return r.u64()
-    if kind == KIND_VEC:
-        n = r.u32()
-        return [r.u64() for _ in range(n)]
-    if kind == KIND_POLY:
-        n = r.u32()
-        coeffs = [r.u64() for _ in range(n)]
-        if coeffs and coeffs[-1] == 0:
+    if kind in (KIND_VEC, KIND_POLY):
+        vals = [r.u64() for _ in range(r.u32())]
+        if kind == KIND_POLY and vals and vals[-1] == 0:
             raise Malformed("polynomial encoding not canonical")
-        return coeffs
+        return vals
     if kind == KIND_MATRIX:
         rows = r.u32()
         cols = r.u32()
@@ -233,11 +232,9 @@ def decode_message(buf: bytes) -> Message:
 
 
 def _payload_in_field(kind: int, value, p: int) -> bool:
-    if kind in (KIND_SCALAR,):
+    if kind == KIND_SCALAR:
         return 0 <= value < p
-    if kind == KIND_VEC:
-        return all(0 <= v < p for v in value)
-    if kind == KIND_POLY:
+    if kind in (KIND_VEC, KIND_POLY):
         return all(0 <= v < p for v in value)
     if kind == KIND_MATRIX:
         return all(0 <= v < p for v in value[2])
@@ -504,13 +501,40 @@ def _parse_frame(frame: bytes) -> Message:
 # -- channels -----------------------------------------------------------------
 
 
-class FSProverChannel:
+class _ChallengeChannel:
+    """Challenge core of the channels that hold the challenge source.
+
+    Each challenge is drawn from the source once; a subclass supplies only
+    the step after the draw (record it, match it against a transcript, or
+    emit it to the prover) through ``_drawn``, which returns the value.
+    """
+
+    def __init__(self, source):
+        self._src = source
+        self.is_fiat_shamir = source.kind == "fiat-shamir"
+
+    def challenge_scalar(self, label: str, s: SampleSet) -> int:
+        return self._drawn(KIND_SCALAR, self._src.draw_scalar(label, s))
+
+    def challenge_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
+        return self._drawn(
+            KIND_VEC, [self._src.draw_scalar(f"{label}.{i}", s) for i in range(count)]
+        )
+
+    def challenge_nonzero_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
+        return self._drawn(
+            KIND_VEC, [_draw_nonzero(self._src, f"{label}.{i}", s) for i in range(count)]
+        )
+
+    def challenge_prime(self, label: str, bits: int) -> int:
+        return self._drawn(KIND_UINT, draw_prime(self._src, label, bits))
+
+
+class FSProverChannel(_ChallengeChannel):
     """Prover running alone against the hash chain."""
 
-    is_fiat_shamir = True
-
     def __init__(self, source: FiatShamirSource, transcript: Transcript):
-        self._src = source
+        super().__init__(source)
         self._t = transcript
 
     def send(self, tag: int, kind: int, value=None) -> None:
@@ -518,28 +542,9 @@ class FSProverChannel:
         self._t.messages.append(m)
         self._src.absorb(m.encode())
 
-    def _record_challenge(self, kind: int, value) -> None:
+    def _drawn(self, kind: int, value):
         self._t.messages.append(Message(ROLE_VERIFIER, TAG_CHALLENGE, kind, value))
-
-    def challenge_scalar(self, label: str, s: SampleSet) -> int:
-        v = self._src.draw_scalar(label, s)
-        self._record_challenge(KIND_SCALAR, v)
-        return v
-
-    def challenge_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
-        vals = [self._src.draw_scalar(f"{label}.{i}", s) for i in range(count)]
-        self._record_challenge(KIND_VEC, vals)
-        return vals
-
-    def challenge_nonzero_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
-        vals = [_draw_nonzero(self._src, f"{label}.{i}", s) for i in range(count)]
-        self._record_challenge(KIND_VEC, vals)
-        return vals
-
-    def challenge_prime(self, label: str, bits: int) -> int:
-        v = draw_prime(self._src, label, bits)
-        self._record_challenge(KIND_UINT, v)
-        return v
+        return value
 
 
 def _draw_nonzero(source, label: str, s: SampleSet) -> int:
@@ -571,13 +576,11 @@ def _canon_value(kind: int, value):
     raise Malformed(f"unknown payload kind {kind}")
 
 
-class ReplayVerifierChannel:
+class ReplayVerifierChannel(_ChallengeChannel):
     """Feeds a verifier from a recorded transcript, re-deriving challenges."""
 
-    is_fiat_shamir = True
-
     def __init__(self, source: FiatShamirSource, transcript: Transcript):
-        self._src = source
+        super().__init__(source)
         self._msgs = transcript.messages
         self._pos = 0
 
@@ -597,49 +600,26 @@ class ReplayVerifierChannel:
         self._src.absorb(m.encode())
         return m.kind, m.value
 
-    def _match_challenge(self, kind: int, value) -> None:
+    def _drawn(self, kind: int, value):
         m = self._next()
         if m.role != ROLE_VERIFIER or m.tag != TAG_CHALLENGE or m.kind != kind:
             raise _ReplayReject("ProtocolViolation:challenge-slot")
         if m.value != value:
             raise _ReplayReject("ChallengeMismatch")
-
-    def challenge_scalar(self, label: str, s: SampleSet) -> int:
-        v = self._src.draw_scalar(label, s)
-        self._match_challenge(KIND_SCALAR, v)
-        return v
-
-    def challenge_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
-        vals = [self._src.draw_scalar(f"{label}.{i}", s) for i in range(count)]
-        self._match_challenge(KIND_VEC, vals)
-        return vals
-
-    def challenge_nonzero_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
-        vals = [_draw_nonzero(self._src, f"{label}.{i}", s) for i in range(count)]
-        self._match_challenge(KIND_VEC, vals)
-        return vals
-
-    def challenge_prime(self, label: str, bits: int) -> int:
-        v = draw_prime(self._src, label, bits)
-        self._match_challenge(KIND_UINT, v)
-        return v
+        return value
 
     def finish(self) -> None:
         if self._pos != len(self._msgs):
             raise _ReplayReject("ProtocolViolation:trailing-messages")
 
 
-class LiveVerifierChannel:
+class LiveVerifierChannel(_ChallengeChannel):
     """Interactive verifier half over a transport."""
 
     def __init__(self, source, transport, transcript: Transcript):
-        self._src = source
+        super().__init__(source)
         self._tr = transport
         self._t = transcript
-
-    @property
-    def is_fiat_shamir(self) -> bool:
-        return self._src.kind == "fiat-shamir"
 
     def recv(self, tag: int, kinds: tuple[int, ...], field: Optional[PrimeField] = None):
         m = _parse_frame(self._tr.recv_frame())
@@ -651,30 +631,11 @@ class LiveVerifierChannel:
         self._src.absorb(m.encode())
         return m.kind, m.value
 
-    def _emit(self, kind: int, value) -> None:
+    def _drawn(self, kind: int, value):
         m = Message(ROLE_VERIFIER, TAG_CHALLENGE, kind, value)
         self._t.messages.append(m)
         self._tr.send_frame(_msg_frame(m))
-
-    def challenge_scalar(self, label: str, s: SampleSet) -> int:
-        v = self._src.draw_scalar(label, s)
-        self._emit(KIND_SCALAR, v)
-        return v
-
-    def challenge_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
-        vals = [self._src.draw_scalar(f"{label}.{i}", s) for i in range(count)]
-        self._emit(KIND_VEC, vals)
-        return vals
-
-    def challenge_nonzero_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
-        vals = [_draw_nonzero(self._src, f"{label}.{i}", s) for i in range(count)]
-        self._emit(KIND_VEC, vals)
-        return vals
-
-    def challenge_prime(self, label: str, bits: int) -> int:
-        v = draw_prime(self._src, label, bits)
-        self._emit(KIND_UINT, v)
-        return v
+        return value
 
 
 class LiveProverChannel:
@@ -726,6 +687,22 @@ class LiveProverChannel:
 DEFAULT_ROUND_TIMEOUT = 60.0
 
 
+def _run_verifier(verifier_fn: Callable, channel):
+    """Call a verifier and do its bookkeeping.
+
+    The channel carries a fresh ``CostCounter`` as ``channel.counter``;
+    the verdict reports its count as ``verifier_ops``, and an accepted
+    verdict over hash-derived challenges is labelled ``fiat-shamir``
+    ahead of the verifier's own heuristics.
+    """
+    channel.counter = CostCounter()
+    verdict, result = verifier_fn(channel)
+    verdict.verifier_ops = channel.counter.ops
+    if verdict.accepted and channel.is_fiat_shamir:
+        verdict.heuristics = (HEURISTIC_FS,) + verdict.heuristics
+    return verdict, result
+
+
 def run_session(
     protocol_id: str,
     params: bytes,
@@ -741,13 +718,10 @@ def run_session(
     ProtocolViolation or TransportError if the session itself breaks;
     mere disbelief is a rejecting verdict instead.
     """
-    source.begin(protocol_id, params, digest)
     to_prover: queue.Queue = queue.Queue()
     to_verifier: queue.Queue = queue.Queue()
     verifier_tr = QueueTransport(to_prover, to_verifier, timeout)
     prover_tr = QueueTransport(to_verifier, to_prover, timeout)
-    mode = MODE_FIAT_SHAMIR if source.kind == "fiat-shamir" else MODE_INTERACTIVE
-    transcript = Transcript(protocol_id, mode, digest, params, [])
 
     def prover_main():
         try:
@@ -758,13 +732,13 @@ def run_session(
     worker = threading.Thread(target=prover_main, daemon=True)
     worker.start()
     try:
-        verdict, result = verifier_fn(LiveVerifierChannel(source, verifier_tr, transcript))
+        return run_remote_session(
+            protocol_id, params, digest, verifier_tr, verifier_fn, source
+        )
     finally:
         # wake a prover still waiting on a challenge so the join is quick
         verifier_tr.send_frame(_abort_frame("session closed"))
         worker.join(timeout=timeout)
-    verdict.transcript = transcript
-    return verdict, result, transcript
 
 
 def run_remote_session(
@@ -779,7 +753,9 @@ def run_remote_session(
     source.begin(protocol_id, params, digest)
     mode = MODE_FIAT_SHAMIR if source.kind == "fiat-shamir" else MODE_INTERACTIVE
     transcript = Transcript(protocol_id, mode, digest, params, [])
-    verdict, result = verifier_fn(LiveVerifierChannel(source, transport, transcript))
+    verdict, result = _run_verifier(
+        verifier_fn, LiveVerifierChannel(source, transport, transcript)
+    )
     verdict.transcript = transcript
     return verdict, result, transcript
 
@@ -835,7 +811,7 @@ def verify_recorded(
     src.begin(protocol_id, params, digest)
     channel = ReplayVerifierChannel(src, transcript)
     try:
-        verdict, result = verifier_fn(channel)
+        verdict, result = _run_verifier(verifier_fn, channel)
         if verdict.accepted:
             channel.finish()
     except _ReplayReject as rej:
@@ -844,25 +820,25 @@ def verify_recorded(
     return verdict, result
 
 
-def certify(
-    protocol_id: str,
-    params: bytes,
-    digest: bytes,
-    prover_fn: Callable,
-    verifier_fn: Callable,
-    source,
-    timeout: float = DEFAULT_ROUND_TIMEOUT,
-):
-    """One-shot honest run: live session for interactive sources, a
-    prove-then-replay round trip for hash-chain sources."""
+def certify(protocol_id: str, parts, source, timeout: float = DEFAULT_ROUND_TIMEOUT):
+    """One-shot honest run of a protocol from its ``(params, digest,
+    prover, verifier)`` parts: a live session for interactive sources, a
+    prove-then-replay round trip for hash-chain sources.  Returns
+    (verdict, result)."""
+    params, digest, prover, verifier = parts
     if source.kind == "fiat-shamir":
-        transcript = fs_prove(protocol_id, params, digest, prover_fn, source)
-        verdict, result = verify_recorded(
-            transcript, protocol_id, digest, params, verifier_fn
-        )
+        transcript = fs_prove(protocol_id, params, digest, prover, source)
+        verdict, result = replay(transcript, protocol_id, parts)
         verdict.transcript = transcript
         return verdict, result
     verdict, result, _ = run_session(
-        protocol_id, params, digest, prover_fn, verifier_fn, source, timeout
+        protocol_id, params, digest, prover, verifier, source, timeout
     )
     return verdict, result
+
+
+def replay(transcript: Transcript, protocol_id: str, parts):
+    """Replay a recorded transcript against a protocol's parts; returns
+    (verdict, result)."""
+    params, digest, _, verifier = parts
+    return verify_recorded(transcript, protocol_id, digest, params, verifier)

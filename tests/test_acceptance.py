@@ -299,9 +299,9 @@ def test_4_lifting_soundness(capsys):
     true_det = brute_det_int([list(r) for r in m.a])
     bound = hadamard_bound(m)
     params, digest, _, verifier = _intdet_parts(m, bits, None)
-    from vlac.certs_sparse import det_prover_flow
+    from vlac.certs_sparse import _prover_rng, det_prover_flow
     from vlac.ff import PrimeField, full_sample_set
-    from vlac.lift import PROTOCOL_INTDET, _lift_rng
+    from vlac.lift import PROTOCOL_INTDET
 
     accepts = 0
     for t in range(trials):
@@ -313,7 +313,7 @@ def test_4_lifting_soundness(capsys):
             ch.send(TAG_COMMIT, KIND_BIGINT, claimed)
             q = ch.challenge_prime("intdet.q", bits)
             f = PrimeField(q)
-            det_prover_flow(ch, f, m.reduce(f), full_sample_set(f), _lift_rng(digest, t), n)
+            det_prover_flow(ch, f, m.reduce(f), full_sample_set(f), _prover_rng(digest, t), n)
 
         transcript = fs_prove(PROTOCOL_INTDET, params, digest, cheat)
         verdict, _ = verify_recorded(

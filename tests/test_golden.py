@@ -4,10 +4,13 @@ Each case builds a small fixed instance, runs the hash-compiled protocol
 with a fixed prover seed, and hashes the serialized transcript.  Any change
 to challenge derivation, prover randomness, message order or payload
 encoding shows up here as a changed hash, so a kernel or refactor change
-that claims to keep transcripts byte-identical can prove it.
+that claims to keep transcripts byte-identical can prove it.  A second pin
+covers what the transcript does not hold: each verdict's error bound,
+heuristic labels and verifier operation count.
 """
 
 import hashlib
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -241,3 +244,37 @@ def test_golden_transcript(name):
     assert verdict.transcript.protocol_id == protocol_id
     digest = hashlib.sha256(transcript_serialize(verdict.transcript)).hexdigest()
     assert digest == expected
+
+
+# name: (error bound numerator, denominator, heuristics, verifier ops)
+VERDICTS = {
+    "chain": (8, 3037000493, ("fiat-shamir",), 308),
+    "det-dense-pword": (38, 3037000493, ("fiat-shamir",), 376),
+    "det-sparse-p10007": (78, 10007, ("fiat-shamir",), 476),
+    "det-sparse-p29": (94, 536870909, ("fiat-shamir",), 620),
+    "det-sparse-pbig": (62, 3037000507, ("fiat-shamir",), 380),
+    "intdet": (
+        2993602109291702187,
+        46500572342941654504200624967350866,
+        ("fiat-shamir",),
+        176,
+    ),
+    "inverse": (4, 3037000507, ("fiat-shamir",), 104),
+    "matmul-geometric": (5, 10007, ("fiat-shamir",), 221),
+    "matmul-zero-one": (1, 256, ("fiat-shamir",), 1728),
+    "minpoly": (38, 3037000507, ("fiat-shamir",), 214),
+    "nonsingular": (1, 10007, ("fiat-shamir",), 72),
+    "polydet": (16, 3037000507, ("fiat-shamir",), 80),
+    "rank": (23, 3037000493, ("fiat-shamir", "butterfly-preconditioner"), 448),
+    "rank-upper": (16, 10007, ("fiat-shamir", "butterfly-preconditioner"), 224),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_verdict(name):
+    numerator, denominator, heuristics, ops = VERDICTS[name]
+    verdict = CASES[name]()
+    assert verdict.accepted, verdict.reason
+    assert verdict.error_bound == Fraction(numerator, denominator)
+    assert verdict.heuristics == heuristics
+    assert verdict.verifier_ops == ops

@@ -1,12 +1,16 @@
 """Integer and polynomial determinant lifting."""
 
+import sys
+import threading
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from vlac.errors import DimensionMismatch, FieldMismatch, NotSquare
-from vlac.ff import Poly, PrimeField, field_new
+from vlac import lift
+from vlac.ff import Poly, PrimeField, field_new, is_probable_prime
+from vlac.la import DenseMatrix
 from vlac.lift import (
     DEFAULT_PRIME_BITS,
     PROTOCOL_INTDET,
@@ -65,6 +69,75 @@ def test_int_det_crt_matches_bareiss():
         n = rng.randrange(1, 6)
         m = rand_int_matrix(rng, n, -30, 30)
         assert int_det_crt(m) == brute_det_int([list(r) for r in m.a])
+
+
+def _first_primes_covering(bits, bound):
+    # the search int_det_crt runs without the kept primes
+    primes, product, candidate = [], 1, (1 << bits) + 1
+    while product < 2 * bound + 1:
+        while not is_probable_prime(candidate):
+            candidate += 2
+        primes.append(candidate)
+        product *= candidate
+        candidate += 2
+    return primes
+
+
+def test_crt_primes_keep_count_and_order():
+    # growing, then shrinking, then growing again past what is kept
+    for bits in (31, 20):
+        for bound in (1, 10**5, 10**40, 10**9, 1, 10**60):
+            assert lift._crt_primes(bits, bound) == _first_primes_covering(bits, bound)
+
+
+def test_crt_primes_concurrent_growth():
+    # every thread grows the same kept list at once; a lost or doubled
+    # append would hand some thread a wrong or repeated prime
+    bits, bound = 40, 1 << (40 * 30)
+    want = _first_primes_covering(bits, bound)
+    lift._CRT_PRIMES.pop(bits, None)
+    start = threading.Barrier(6)
+    results, errors = [], []
+
+    def worker(i):
+        try:
+            start.wait(timeout=30)
+            for b in (bound >> (40 * (i % 3)), bound, bound >> 400):
+                results.append(lift._crt_primes(bits, b))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert len(results) == 6 * 3
+    for primes in results:
+        assert primes == want[: len(primes)]
+    assert lift._CRT_PRIMES[bits] == want
+
+
+def test_int_matrix_reduce_matches_dense_constructor():
+    rng = Random(12)
+    rows = [[rng.randint(-(2**40), 2**40) for _ in range(5)] for _ in range(4)]
+    wide = [row[:] for row in rows]
+    wide[1][2] = -(2**70) - 3  # past int64: the object path
+    for data in (rows, wide, [[0]], [[-1]]):
+        m = IntMatrix(data)
+        for p in (3, 536870909, 3037000493, 3037000507, (1 << 61) - 1):
+            field = field_new(p)
+            got = m.reduce(field)
+            want = DenseMatrix(field, m.a % p)
+            assert got == want
+            assert got.a.dtype == want.a.dtype
+            assert [type(v) for v in got.a.flat] == [type(v) for v in want.a.flat]
 
 
 def test_int_matrix_validation():
@@ -195,9 +268,8 @@ def test_intdet_commitment_out_of_bounds():
 
 def test_intdet_commitment_binding_monte_carlo():
     """Shifted commitments survive only when the drawn prime divides the shift."""
-    from vlac.certs_sparse import det_prover_flow
+    from vlac.certs_sparse import _prover_rng, det_prover_flow
     from vlac.ff import full_sample_set
-    from vlac.lift import _lift_rng
 
     rng = Random(7)
     n, bits = 4, 16
@@ -224,7 +296,7 @@ def test_intdet_commitment_binding_monte_carlo():
             field = PrimeField(q)
             det_prover_flow(
                 ch, field, m.reduce(field), full_sample_set(field),
-                _lift_rng(digest, t), n,
+                _prover_rng(digest, t), n,
             )
 
         verdict, _, _ = run_session(
@@ -331,9 +403,8 @@ def test_polydet_rejects_overdegree_commitment(gf101):
 
 def test_polydet_cheating_polynomial_rate(gf101):
     """A forged determinant polynomial survives only at collision points."""
-    from vlac.certs_sparse import det_prover_flow
+    from vlac.certs_sparse import _prover_rng, det_prover_flow
     from vlac.ff import full_sample_set
-    from vlac.lift import _lift_rng
 
     x = Poly.x(gf101)
     one = Poly.one(gf101)
@@ -350,7 +421,7 @@ def test_polydet_cheating_polynomial_rate(gf101):
         def cheat(ch):
             ch.send(TAG_COMMIT, KIND_POLY, forged)
             alpha = ch.challenge_scalar("polydet.alpha", s)
-            det_prover_flow(ch, gf101, m.evaluate(alpha), s, _lift_rng(digest, t), 2)
+            det_prover_flow(ch, gf101, m.evaluate(alpha), s, _prover_rng(digest, t), 2)
 
         verdict, _, _ = run_session(
             PROTOCOL_POLYDET, params, digest, cheat, verifier, InteractiveSource(t)
