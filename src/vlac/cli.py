@@ -66,7 +66,7 @@ from .lift import (
     _polydet_parts,
 )
 from .matrixmarket import MatrixFile, parse_matrix_market
-from .net import HELLO_OK, SocketTransport, hello_frame, parse_hello
+from .net import HELLO_OK, MAX_HELLO, SocketTransport, hello_frame, parse_hello
 from .proto import (
     FiatShamirSource,
     InteractiveSource,
@@ -403,7 +403,7 @@ def _cmd_serve(args) -> int:
     def handle(conn) -> None:
         tr = SocketTransport(conn, args.timeout)
         try:
-            their = parse_hello(tr.recv_frame())
+            their = parse_hello(tr.recv_frame(MAX_HELLO))
             if their != (problem.protocol_id, problem.params, problem.digest):
                 tr.send_frame(_abort_frame("instance or protocol mismatch"))
                 return

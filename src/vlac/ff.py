@@ -1,9 +1,17 @@
 """Word-sized prime fields GF(p), dense polynomials over them, and the
-sequence machinery (Berlekamp-Massey, numerator reconstruction) that the
-certificate protocols are built on.
+sequence machinery (Berlekamp-Massey, numerator reconstruction, the
+extended gcd) that the certificate protocols are built on.
 
 Scalars are canonical Python ints in [0, p).  Keeping them as plain ints
 lets the matrix layer batch arithmetic through numpy without boxing.
+
+The sequence and gcd kernels run on coefficient arrays of ``field.dtype``
+at every size: one path for both word dtypes.  Over int64 every operand
+is canonical, so one product is below p^2 < 2^63.  ``_dot`` reduces each
+product before summing, so its sum stays below len * p < 2^63;
+``_mul_arrays`` sums at most ``dot_chunk()`` unreduced products per
+coefficient.  Over ``object`` arrays the same numpy calls carry exact
+Python ints, and nothing can overflow.
 """
 
 from __future__ import annotations
@@ -369,27 +377,25 @@ def poly_eval(poly: Poly, x: int) -> int:
 def poly_xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended gcd: returns monic d and cofactors (s, t) with s*f + t*g = d.
 
-    Degree bounds in the nontrivial case: deg s < deg g - deg d + 1 and
-    deg t < deg f - deg d + 1, which is what the coprimality rounds of the
-    minimal-polynomial certificate rely on.
+    Degree bounds when d is a proper divisor of both: deg s < deg g - deg d
+    and deg t < deg f - deg d.  They make the pair unique, which is what
+    the coprimality rounds of the minimal-polynomial certificate rely on.
     """
     _check_same_field(f.field, g.field)
     if f.is_zero and g.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
     field = f.field
-    if _use_arrays(field, max(f.degree, g.degree)):
-        d, s, t = _xgcd_arrays(field, f.coeffs, g.coeffs)
-        return Poly(field, d), Poly(field, s), Poly(field, t)
-    r0, r1 = f, g
-    s0, s1 = Poly.one(field), Poly.zero(field)
-    t0, t1 = Poly.zero(field), Poly.one(field)
-    while not r1.is_zero:
-        q, r = r0.divmod_by(r1)
+    p = field.p
+    r0, r1 = _residues(field, f.coeffs), _residues(field, g.coeffs)
+    s0, s1 = _residues(field, [1]), _residues(field, [])
+    t0, t1 = s1, s0
+    while len(r1):
+        q, r = _divmod_arrays(field, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lead_inv = field.inv(r0.coeffs[-1])
-    return r0.scale(lead_inv), s0.scale(lead_inv), t0.scale(lead_inv)
+        s0, s1 = s1, _sub_mul(field, s0, q, s1)
+        t0, t1 = t1, _sub_mul(field, t0, q, t1)
+    lead_inv = pow(int(r0[-1]), -1, p)
+    return tuple(Poly(field, c * lead_inv % p) for c in (r0, s0, t0))
 
 
 # ---------------------------------------------------------------------------
@@ -405,28 +411,15 @@ def generates(gen: Poly, seq: Sequence[int]) -> bool:
     convention used for the zero sequence.
     """
     field = gen.field
-    p = field.p
     m = gen.degree
     if m < 0:
         raise GeneratorMismatch("zero polynomial cannot generate anything")
     n = len(seq)
     if m > n:
         raise GeneratorMismatch("window shorter than the claimed generator degree")
-    cs = gen.coeffs
-    if _use_arrays(field, n):
-        s = np.asarray(seq, dtype=np.int64)
-        c = np.asarray(cs, dtype=np.int64)
-        for k in range(n - m):
-            if int((c * s[k : k + m + 1] % p).sum() % p):
-                return False
-        return True
-    for k in range(n - m):
-        acc = 0
-        for j, cj in enumerate(cs):
-            acc += cj * seq[k + j]
-        if acc % p:
-            return False
-    return True
+    # window k of the recurrence is coefficient m + k of reverse(gen) * seq
+    windows = _mul_arrays(field, _residues(field, gen.coeffs[::-1]), _residues(field, seq))
+    return not windows[m:n].any()
 
 
 def berlekamp_massey(field: PrimeField, seq: Sequence[int]) -> Poly:
@@ -435,102 +428,39 @@ def berlekamp_massey(field: PrimeField, seq: Sequence[int]) -> Poly:
     The zero sequence yields the constant 1 (degree 0), which keeps the
     downstream certificate protocols total.
     """
-    seq = [int(v) % field.p for v in seq]
-    if _use_arrays(field, len(seq)):
-        return _bm_arrays(field, seq)
-    return _bm_lists(field, seq)
-
-
-def _bm_lists(field: PrimeField, seq: list[int]) -> Poly:
     p = field.p
-    conn = [1]  # current connection polynomial, high-order-first recurrence
-    prev = [1]  # copy from before the last length change
+    s = _residues(field, seq)
+    # connection polynomial, high-order-first; zero past conn_len
+    conn = field.zeros(len(s) + 2)
+    prev = field.zeros(len(s) + 2)  # its copy from before the last length change
+    conn[0] = prev[0] = 1
+    conn_len = prev_len = 1
     length = 0
     gap = 1  # steps since the last length change
     prev_disc = 1
-    for n, s in enumerate(seq):
-        d = s
-        for i in range(1, length + 1):
-            if i < len(conn) and conn[i]:
-                d += conn[i] * seq[n - i]
-        d %= p
-        if d == 0:
-            gap += 1
-            continue
-        coef = d * pow(prev_disc, -1, p) % p
-        if 2 * length <= n:
-            saved = list(conn)
-            if len(conn) < gap + len(prev):
-                conn.extend([0] * (gap + len(prev) - len(conn)))
-            for i, v in enumerate(prev):
-                conn[gap + i] = (conn[gap + i] - coef * v) % p
-            length = n + 1 - length
-            prev = saved
-            prev_disc = d
-            gap = 1
-        else:
-            if len(conn) < gap + len(prev):
-                conn.extend([0] * (gap + len(prev) - len(conn)))
-            for i, v in enumerate(prev):
-                conn[gap + i] = (conn[gap + i] - coef * v) % p
-            gap += 1
-    return _connection_to_generator(field, conn, length)
-
-
-def _bm_arrays(field: PrimeField, seq: list[int]) -> Poly:
-    p = field.p
-    n_total = len(seq)
-    s = np.asarray(seq, dtype=np.int64)
-    cap = n_total + 2
-    conn = np.zeros(cap, dtype=np.int64)
-    prev = np.zeros(cap, dtype=np.int64)
-    conn[0] = 1
-    prev[0] = 1
-    conn_len, prev_len = 1, 1
-    length = 0
-    gap = 1
-    prev_disc = 1
-    for n in range(n_total):
-        d = int(s[n])
+    for n in range(len(s)):
         w = min(length, conn_len - 1)
-        if w > 0:
-            # products stay below (p-1)^2 < 2**63; reduce before summing
-            d += int((conn[1 : w + 1] * s[n - w : n][::-1] % p).sum() % p)
-        d %= p
+        d = (int(s[n]) + _dot(p, conn[1 : w + 1], s[n - w : n][::-1])) % p
         if d == 0:
             gap += 1
             continue
         coef = d * pow(prev_disc, -1, p) % p
-        if 2 * length <= n:
+        grow = 2 * length <= n
+        if grow:
             saved = conn[:conn_len].copy()
-            saved_len = conn_len
-            new_len = max(conn_len, gap + prev_len)
-            conn[conn_len:new_len] = 0
-            conn[gap : gap + prev_len] = (
-                conn[gap : gap + prev_len] - coef * prev[:prev_len]
-            ) % p
-            conn_len = new_len
+        conn[gap : gap + prev_len] = (conn[gap : gap + prev_len] - coef * prev[:prev_len]) % p
+        conn_len = max(conn_len, gap + prev_len)
+        if grow:
             length = n + 1 - length
-            prev[:saved_len] = saved
-            prev_len = saved_len
+            prev[: len(saved)] = saved
+            prev_len = len(saved)
             prev_disc = d
             gap = 1
         else:
-            new_len = max(conn_len, gap + prev_len)
-            conn[conn_len:new_len] = 0
-            conn[gap : gap + prev_len] = (
-                conn[gap : gap + prev_len] - coef * prev[:prev_len]
-            ) % p
-            conn_len = new_len
             gap += 1
-    return _connection_to_generator(field, [int(v) for v in conn[:conn_len]], length)
-
-
-def _connection_to_generator(field: PrimeField, conn: list[int], length: int) -> Poly:
     # conn encodes s[k+L] + conn[1]*s[k+L-1] + ... + conn[L]*s[k] = 0;
     # reversing (with zero padding up to L) gives the monic generator.
-    padded = list(conn) + [0] * (length + 1 - len(conn))
-    return Poly(field, list(reversed(padded[: length + 1])))
+    return Poly(field, conn[: length + 1][::-1])
 
 
 def numerator_from_sequence(gen: Poly, seq: Sequence[int]) -> Poly:
@@ -542,8 +472,6 @@ def numerator_from_sequence(gen: Poly, seq: Sequence[int]) -> Poly:
     drive the window.
     """
     field = gen.field
-    p = field.p
-    seq = [int(v) % p for v in seq]
     m = gen.degree
     if m < 0:
         raise GeneratorMismatch("generator must be nonzero")
@@ -551,32 +479,25 @@ def numerator_from_sequence(gen: Poly, seq: Sequence[int]) -> Poly:
         raise GeneratorMismatch("window shorter than generator degree")
     if not generates(gen, seq):
         raise GeneratorMismatch("polynomial does not generate the sequence")
-    if _use_arrays(field, m):
-        h = np.asarray(gen.coeffs, dtype=np.int64)
-        s = np.asarray(seq, dtype=np.int64)
-        out = []
-        for j in range(m):
-            hi = h[j + 1 : m + 1]
-            out.append(int((hi * s[: m - j] % p).sum() % p))
-        return Poly(field, out)
-    out = [0] * m
-    for j in range(m):
-        acc = 0
-        for k in range(m - j):
-            acc += gen.coeff(j + 1 + k) * seq[k]
-        out[j] = acc % p
-    return Poly(field, out)
+    h = _residues(field, gen.coeffs)
+    s = _residues(field, seq)
+    return Poly(field, [_dot(field.p, h[j + 1 :], s[: m - j]) for j in range(m)])
 
 
 # ---------------------------------------------------------------------------
-# numpy fast paths (exact; only taken when int64 products cannot wrap)
+# Coefficient-array kernels (int64 or object; see the module docstring)
 # ---------------------------------------------------------------------------
 
-_ARRAY_MIN_DEGREE = 32
+
+def _residues(field: PrimeField, values: Sequence[int]) -> np.ndarray:
+    """Canonical coefficient array of ``field.dtype``."""
+    p = field.p
+    return np.array([int(v) % p for v in values], dtype=field.dtype)
 
 
-def _use_arrays(field: PrimeField, size: int) -> bool:
-    return field.dtype is np.int64 and size >= _ARRAY_MIN_DEGREE
+def _dot(p: int, a: np.ndarray, b: np.ndarray) -> int:
+    """sum a[i] * b[i] mod p, each product reduced before the sum."""
+    return int((a * b % p).sum()) % p
 
 
 def _trim_arr(a: np.ndarray) -> np.ndarray:
@@ -586,65 +507,47 @@ def _trim_arr(a: np.ndarray) -> np.ndarray:
     return a[:n]
 
 
-def _mul_arrays(p: int, chunk: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros(0, dtype=np.int64)
+def _mul_arrays(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two canonical coefficient arrays, reduced mod p."""
     if len(a) > len(b):
         a, b = b, a
-    if len(a) <= max(chunk, 1):
+    if len(a) == 0:
+        return field.zeros(0)
+    p = field.p
+    step = field.dot_chunk() or len(a)
+    if len(a) <= step:
         return np.convolve(a, b) % p
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-    step = max(chunk, 1)
+    # each piece sums at most ``step`` unreduced products per coefficient
+    out = field.zeros(len(a) + len(b) - 1)
     for lo in range(0, len(a), step):
         seg = a[lo : lo + step]
         out[lo : lo + len(seg) + len(b) - 1] += np.convolve(seg, b) % p
-        out %= p
-    return out
+    return out % p
+
+
+def _sub_mul(field: PrimeField, x: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x - q*y, trimmed."""
+    qy = _mul_arrays(field, q, y)
+    out = field.zeros(max(len(x), len(qy)))
+    out[: len(x)] = x
+    out[: len(qy)] -= qy
+    return _trim_arr(out % field.p)
 
 
 def _divmod_arrays(
-    p: int, num: np.ndarray, den: np.ndarray
+    field: PrimeField, num: np.ndarray, den: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and trimmed remainder of canonical arrays; den is trimmed."""
+    p = field.p
     dn, dd = len(num) - 1, len(den) - 1
     if dn < dd:
-        return np.zeros(0, dtype=np.int64), num.copy()
+        return field.zeros(0), num.copy()
     inv_lead = pow(int(den[-1]), -1, p)
     rem = num.copy()
-    q = np.zeros(dn - dd + 1, dtype=np.int64)
+    q = field.zeros(dn - dd + 1)
     for k in range(dn - dd, -1, -1):
         c = int(rem[dd + k]) * inv_lead % p
         if c:
             q[k] = c
             rem[k : k + dd + 1] = (rem[k : k + dd + 1] - c * den) % p
     return q, _trim_arr(rem)
-
-
-def _xgcd_arrays(field: PrimeField, fc: list[int], gc: list[int]):
-    p = field.p
-    chunk = field.dot_chunk()
-    r0 = _trim_arr(np.asarray(fc, dtype=np.int64))
-    r1 = _trim_arr(np.asarray(gc, dtype=np.int64))
-    one = np.ones(1, dtype=np.int64)
-    nil = np.zeros(0, dtype=np.int64)
-    s0, s1 = one.copy(), nil.copy()
-    t0, t1 = nil.copy(), one.copy()
-
-    def axpy(x, q, y):  # x - q*y, all arrays
-        qy = _mul_arrays(p, chunk, q, y)
-        n = max(len(x), len(qy))
-        out = np.zeros(n, dtype=np.int64)
-        out[: len(x)] = x
-        out[: len(qy)] = (out[: len(qy)] - qy) % p
-        return _trim_arr(out)
-
-    while len(r1):
-        q, r = _divmod_arrays(p, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, axpy(s0, q, s1)
-        t0, t1 = t1, axpy(t0, q, t1)
-    inv_lead = pow(int(r0[-1]), -1, p)
-    return (
-        [int(v) * inv_lead % p for v in r0],
-        [int(v) * inv_lead % p for v in s0],
-        [int(v) * inv_lead % p for v in t0],
-    )

@@ -9,9 +9,11 @@ on int64 limbs instead.
 
 The int64 overflow argument: canonical operands are below p, so a single
 product is below p^2 < 2^63.  A kernel that sums ``dot_chunk()`` or fewer
-unreduced products at a time cannot wrap.  Anything wider reduces each
-product mod p before summing, which is exact while width * p < 2^63: for
-p < 2^31.5 that is any width a vector in memory can have.
+unreduced products at a time cannot wrap; ``_mul_mod``, the one dense
+product behind matrix-vector and matrix-matrix products, splits the inner
+dimension into such chunks.  Anything wider reduces each product mod p
+before summing, which is exact while width * p < 2^63: for p < 2^31.5
+that is any width a vector in memory can have.
 """
 
 from __future__ import annotations
@@ -195,8 +197,7 @@ class SparseMatrix:
 
     def to_dense(self) -> DenseMatrix:
         a = self.field.zeros(self.shape)
-        for i, j, v in self.triples():
-            a[i, j] = v
+        a[self.ri, self.ci] = self.vals
         return DenseMatrix(self.field, a)
 
     def __repr__(self) -> str:
@@ -211,23 +212,21 @@ class SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _dense_apply(field: PrimeField, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    rows, cols = a.shape
-    if len(x) != cols:
-        raise DimensionMismatch(f"matvec: {a.shape} by {len(x)}")
-    if rows == 0 or cols == 0:
-        return field.zeros(rows)
+def _mul_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b mod p for a canonical matrix a and a canonical vector or matrix b.
+
+    Over int64 each partial product sums at most ``dot_chunk()`` unreduced
+    products; object fields multiply in one piece.
+    """
     p = field.p
-    if field.dtype is object:
-        return a.dot(x) % p
-    chunk = field.dot_chunk()
-    if cols <= chunk:
-        return (a @ x) % p
-    acc = np.zeros(rows, dtype=np.int64)
-    for lo in range(0, cols, chunk):
-        hi = min(cols, lo + chunk)
-        acc = (acc + (a[:, lo:hi] @ x[lo:hi]) % p) % p
-    return acc
+    k = a.shape[1]
+    step = field.dot_chunk() or k
+    if k <= step:
+        return a.dot(b) % p
+    acc = field.zeros(a.shape[:1] + b.shape[1:])
+    for lo in range(0, k, step):
+        acc += a[:, lo : lo + step].dot(b[lo : lo + step]) % p
+    return acc % p
 
 
 def matvec(m, x, counter: CostCounter | None = None) -> np.ndarray:
@@ -252,7 +251,7 @@ def _matvec_canonical(m, x: np.ndarray) -> np.ndarray:
     still reduces its own input: its outputs carry no such promise.
     """
     if isinstance(m, DenseMatrix):
-        return _dense_apply(m.field, m.a, x)
+        return _mul_mod(m.field, m.a, x)
     if isinstance(m, SparseMatrix):
         return _sparse_apply(m, x, transpose=False)
     return m.apply(x)
@@ -284,19 +283,7 @@ def dense_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
         raise DimensionMismatch("fields differ")
     if a.cols != b.rows:
         raise DimensionMismatch(f"matmul: {a.shape} by {b.shape}")
-    field = a.field
-    p = field.p
-    if field.dtype is object:
-        return DenseMatrix(field, a.a.dot(b.a) % p)
-    k = a.cols
-    chunk = field.dot_chunk()
-    if k <= chunk:
-        return DenseMatrix(field, (a.a @ b.a) % p)
-    acc = np.zeros((a.rows, b.cols), dtype=np.int64)
-    for lo in range(0, k, chunk):
-        hi = min(k, lo + chunk)
-        acc = (acc + (a.a[:, lo:hi] @ b.a[lo:hi, :]) % p) % p
-    return DenseMatrix(field, acc)
+    return DenseMatrix(a.field, _mul_mod(a.field, a.a, b.a))
 
 
 # Products over object-dtype fields (p above 2^31.5) run on int64 limbs: an
@@ -344,7 +331,7 @@ def limb_operator(m: DenseMatrix) -> Blackbox:
         return y % p
 
     return Blackbox(
-        field, rows, cols, m.mu, apply, lambda x: _dense_apply(field, m.a.T, x)
+        field, rows, cols, m.mu, apply, lambda x: _mul_mod(field, m.a.T, x)
     )
 
 
@@ -408,8 +395,8 @@ def as_blackbox(m) -> Blackbox:
             m.rows,
             m.cols,
             m.mu,
-            lambda x: _dense_apply(m.field, m.a, x),
-            lambda x: _dense_apply(m.field, m.a.T, x),
+            lambda x: _mul_mod(m.field, m.a, x),
+            lambda x: _mul_mod(m.field, m.a.T, x),
         )
     if isinstance(m, SparseMatrix):
         return Blackbox(

@@ -20,6 +20,8 @@ FRAME_HELLO = 2
 HELLO_OK = b"\x02OK"
 
 MAX_FRAME = 1 << 30
+# A hello is 41 bytes plus the protocol id and the parameter blob, both short.
+MAX_HELLO = 1 << 12
 
 
 class SocketTransport:
@@ -59,11 +61,13 @@ class SocketTransport:
             got += len(part)
         return b"".join(chunks)
 
-    def recv_frame(self) -> bytes:
+    def recv_frame(self, limit: int = MAX_FRAME) -> bytes:
+        """The next frame's payload; a frame announcing more than limit
+        bytes is refused before any of it is read."""
         start = time.monotonic()
         try:
             (length,) = struct.unpack(">I", self._recv_exact(4))
-            if length > MAX_FRAME:
+            if length > limit:
                 raise TransportError(f"frame of {length} bytes refused")
             return self._recv_exact(length)
         finally:

@@ -312,7 +312,8 @@ def instance_digest(protocol_id: str, parts: Sequence[bytes]) -> bytes:
     h = hashlib.sha256(b"vlac.instance.v1")
     h.update(lp(protocol_id.encode()))
     for part in parts:
-        h.update(lp(part))
+        h.update(_u32(len(part)))
+        h.update(part)
     return h.digest()
 
 

@@ -2,6 +2,7 @@
 
 import re
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -10,9 +11,10 @@ import time
 import pytest
 
 from vlac.cli import main
-from vlac.errors import Malformed
+from vlac.errors import Malformed, TransportError
 from vlac.ff import Poly
 from vlac.la import DenseMatrix, SparseMatrix, dense_matmul
+from vlac.net import MAX_HELLO, SocketTransport
 from vlac.lift import IntMatrix, PolyMatrix
 from vlac.matrixmarket import (
     parse_matrix_market,
@@ -406,6 +408,35 @@ def test_cli_concurrent_delegations(tmp_path, gf101):
         assert [c for c, _ in codes] == [0, 0], codes
     finally:
         proc.kill()
+        proc.wait(timeout=10)
+
+
+def test_socket_transport_refuses_a_frame_over_its_limit():
+    a, b = socket.socketpair()
+    tr = SocketTransport(a, timeout=30)
+    try:
+        b.sendall(struct.pack(">I", MAX_HELLO + 1))
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="refused"):
+            tr.recv_frame(MAX_HELLO)
+        assert time.monotonic() - start < 5
+        # the default limit still takes the same frame
+        b.sendall(struct.pack(">I", MAX_HELLO + 1) + bytes(MAX_HELLO + 1))
+        assert tr.recv_frame() == bytes(MAX_HELLO + 1)
+    finally:
+        tr.close()
+        b.close()
+
+
+def test_cli_serve_drops_an_oversized_hello_at_once(tmp_path, gf101):
+    path = sparse_det_file(tmp_path, gf101, n=4)
+    proc, port = spawn_server(["serve", "--problem", "det", path, "--once", "--timeout", "60"])
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+            # announces a frame far past a hello, then sends nothing more
+            s.sendall(struct.pack(">I", MAX_HELLO + 1))
+            assert s.recv(1) == b""
+    finally:
         proc.wait(timeout=10)
 
 

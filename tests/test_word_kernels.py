@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 
 from vlac import la
 from vlac.certs_sparse import _dot, det_certify, det_verify, projected_sequence, sparse_bytes
-from vlac.ff import field_new, is_probable_prime
+from vlac.errors import BothZero, GeneratorMismatch
+from vlac.ff import (
+    Poly,
+    berlekamp_massey,
+    field_new,
+    is_probable_prime,
+    numerator_from_sequence,
+    poly_xgcd,
+)
 from vlac.la import (
     DenseMatrix,
     SparseMatrix,
@@ -29,7 +37,7 @@ from vlac.la import (
     stack_cap,
 )
 from vlac.lift import IntMatrix, hadamard_bound, int_det_crt
-from vlac.oracle import brute_det_field, brute_det_int, projected_powers
+from vlac.oracle import brute_det_field, brute_det_int, brute_minpoly_fuv, projected_powers
 from vlac.proto import KIND_BIGINT, FiatShamirSource, encode_payload
 
 P_DET = 536870909  # dot_chunk() == 32
@@ -522,3 +530,172 @@ def test_intmatrix_encode_empty():
     m = IntMatrix([])
     assert m.encode() == _encode_by_entries(m) == b"I" + struct.pack("<II", 0, 0)
 
+
+
+# -- the sequence and polynomial kernels -----------------------------------------
+#
+# Lengths 0, 1, 31, 32, 33 straddle dot_chunk() == 32 at P_DET, and the
+# kernels must agree with plain Python ints at every one of them.
+
+KERNEL_LENGTHS = (0, 1, 31, 32, 33)
+
+
+def _companion(p: int, f: list) -> list:
+    """Companion matrix (plain rows) of the monic f, coefficients low-first."""
+    k = len(f) - 1
+    c = [[0] * k for _ in range(k)]
+    for i in range(k):
+        if i + 1 < k:
+            c[i + 1][i] = 1
+        c[i][k - 1] = -f[i] % p
+    return c
+
+
+def _random_monic(p: int, degree: int, rng: Random) -> list:
+    return [rng.randrange(p) for _ in range(degree)] + [1]
+
+
+def _unit(i: int, size: int) -> list:
+    return [int(j == i) for j in range(size)]
+
+
+def _sequence_cases(p: int, n: int):
+    """(kind, matrix rows, u, v) whose sequences have known generator degrees."""
+    rng = Random(p % 997 + n)
+    full = _companion(p, _random_monic(p, n, rng))
+    yield "zero", [[rng.randrange(p) for _ in range(n)] for _ in range(n)], [0] * n, [1] * n
+    if n:
+        # the sequence lives in a k-dimensional block, k < n
+        k = n // 2
+        block = _companion(p, _random_monic(p, k, rng))
+        a = [[block[i][j] if i < k and j < k else 0 for j in range(n)] for i in range(n)]
+        u = [rng.randrange(p) if i < k else 0 for i in range(n)]
+        yield "deficient", a, u, _unit(0, n) if k else [0] * n
+    yield "full", full, _unit(n - 1, n), _unit(0, n)
+    yield "random", full, [rng.randrange(p) for _ in range(n)], _unit(0, n)
+
+
+def _numerator_by_definition(gen: list, seq: list, p: int) -> list:
+    m = len(gen) - 1
+    out = [sum(gen[j + 1 + k] * seq[k] for k in range(m - j)) % p for j in range(m)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", KERNEL_LENGTHS)
+def test_berlekamp_massey_and_numerator_match_definitions(p, n):
+    field = field_new(p)
+    for kind, a, u, v in _sequence_cases(p, n):
+        seq = projected_powers(field, a, u, v, 2 * n)
+        gen = berlekamp_massey(field, seq)
+        assert gen == brute_minpoly_fuv(field, a, u, v), kind
+        assert gen.is_monic
+        if kind == "zero":
+            assert gen == Poly.one(field)
+        elif kind == "deficient":
+            assert gen.degree < n
+        elif kind == "full":
+            assert gen.degree == n
+        num = numerator_from_sequence(gen, seq)
+        assert num.coeffs == _numerator_by_definition(gen.coeffs, seq, p), kind
+        assert num.degree < max(gen.degree, 1)
+        if seq:
+            broken = seq[:-1] + [(seq[-1] + 1) % p]
+            with pytest.raises(GeneratorMismatch):
+                numerator_from_sequence(gen, broken)
+
+
+def test_numerator_rejects_a_window_shorter_than_the_generator():
+    field = field_new(P_DET)
+    with pytest.raises(GeneratorMismatch):
+        numerator_from_sequence(Poly(field, [1, 2, 3, 1]), [1, 2])
+
+
+def _naive_mul(a: list, b: list, p: int) -> list:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [v % p for v in out]
+
+
+def _naive_add(a: list, b: list, p: int) -> list:
+    n = max(len(a), len(b))
+    out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _random_poly(p: int, length: int, rng: Random) -> list:
+    if length == 0:
+        return []
+    return [rng.randrange(p) for _ in range(length - 1)] + [rng.randrange(1, p)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("lf", KERNEL_LENGTHS)
+@pytest.mark.parametrize("lg", KERNEL_LENGTHS)
+def test_poly_xgcd_identity_monic_gcd_and_degree_bounds(p, lf, lg):
+    field = field_new(p)
+    rng = Random(1000 * lf + lg + p % 991)
+    pairs = [(_random_poly(p, lf, rng), _random_poly(p, lg, rng), [1])]
+    if lf > 3 and lg > 3:
+        common = _random_monic(p, 3, rng)
+        pairs.append(
+            (_naive_mul(common, _random_poly(p, lf - 3, rng), p),
+             _naive_mul(common, _random_poly(p, lg - 3, rng), p),
+             common)
+        )
+    for fc, gc, common in pairs:
+        f, g = Poly(field, fc), Poly(field, gc)
+        if f.is_zero and g.is_zero:
+            with pytest.raises(BothZero):
+                poly_xgcd(f, g)
+            continue
+        d, s, t = poly_xgcd(f, g)
+        assert d.is_monic
+        lhs = _naive_add(_naive_mul(s.coeffs, f.coeffs, p), _naive_mul(t.coeffs, g.coeffs, p), p)
+        assert lhs == d.coeffs
+        # d divides f and g and is a combination of them: it is their gcd
+        for x in (f, g):
+            assert x.divmod_by(d)[1].is_zero
+        assert d.divmod_by(Poly(field, common))[1].is_zero
+        if f.degree > d.degree and g.degree > d.degree:
+            # these bounds make the Bezout pair unique
+            assert s.degree < g.degree - d.degree
+            assert t.degree < f.degree - d.degree
+
+
+# -- dense products at zero width and the chunk edges ---------------------------
+
+
+@pytest.mark.parametrize("p", (P_DET, P_WORD, P_BIG))
+@pytest.mark.parametrize(
+    "rows,inner,cols",
+    [(0, 0, 0), (1, 0, 1), (1, 0, 3), (2, 1, 0), (0, 3, 2), (1, 1, 1),
+     (2, 31, 2), (2, 32, 2), (2, 33, 3)],
+)
+def test_dense_matmul_and_matvec_edges(p, rows, inner, cols):
+    field = field_new(p)
+    rng = Random(rows * 100 + inner * 10 + cols)
+    # row 0 of a and column 0 of b hold p - 1: the worst case for unreduced sums
+    a = [[p - 1 if i == 0 else rng.randrange(p) for _ in range(inner)] for i in range(rows)]
+    b = [[p - 1 if j == 0 else rng.randrange(p) for j in range(cols)] for _ in range(inner)]
+    am = DenseMatrix(field, np.array(a, dtype=object).reshape(rows, inner))
+    bm = DenseMatrix(field, np.array(b, dtype=object).reshape(inner, cols))
+    got = la.dense_matmul(am, bm)
+    assert got.shape == (rows, cols)
+    assert got.a.dtype == field.dtype
+    want = [[sum(a[i][t] * b[t][j] for t in range(inner)) % p for j in range(cols)]
+            for i in range(rows)]
+    assert [[int(v) for v in row] for row in got.a] == want
+    x = [p - 1] * inner
+    want_x = [sum(a[i][t] * x[t] for t in range(inner)) % p for i in range(rows)]
+    sm = SparseMatrix(field, rows, inner, [(i, j, a[i][j]) for i in range(rows) for j in range(inner)])
+    for m in (am, sm):
+        y = matvec(m, x)
+        assert y.dtype == field.dtype
+        assert [int(v) for v in y] == want_x
