@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from random import Random
-from typing import Optional
 
 from .certs_dense import dense_bytes, matmul_certify
 from .certs_sparse import PROTOCOL_DET, _det_parts, det_verify
@@ -135,6 +134,25 @@ def bench_matmul(
     )
 
 
+def _prove_then_verify(name, n, protocol_id, make_parts, verify, detail) -> BenchResult:
+    """Time fs_prove from make_parts(), then verify(transcript) on a freshly
+    built copy of the instance; detail is formatted with value and ops."""
+    t0 = time.perf_counter()
+    params, digest, prover, _ = make_parts()
+    transcript = fs_prove(protocol_id, params, digest, prover)
+    prover_s = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    verdict, value = verify(transcript)
+    verifier_s = time.perf_counter() - t0
+    return BenchResult(
+        name, n, prover_s, verifier_s, verdict.accepted,
+        cert_bytes=len(transcript_serialize(transcript)),
+        epsilon=str(verdict.error_bound),
+        detail=detail.format(value=value, ops=verdict.verifier_ops),
+    )
+
+
 def bench_sparse_det(
     n: int = BENCH_DET_SIZE,
     modulus: int = BENCH_DET_MODULUS,
@@ -142,28 +160,13 @@ def bench_sparse_det(
     seed: int = 1,
 ) -> BenchResult:
     field = field_new(modulus)
-    rng = Random(seed)
-    a = random_sparse(field, n, per_row, rng)
-
-    t0 = time.perf_counter()
-    params, digest, prover, _ = _det_parts(a, None, None, seed)
-    transcript = fs_prove(PROTOCOL_DET, params, digest, prover)
-    prover_s = time.perf_counter() - t0
-
-    # the verifier gets its own copy of the instance, with no cached CSR
-    fresh = SparseMatrix(field, n, n, a.triples())
-    t0 = time.perf_counter()
-    verdict, value = det_verify(fresh, transcript)
-    verifier_s = time.perf_counter() - t0
-    return BenchResult(
-        "sparse-det",
-        n,
-        prover_s,
-        verifier_s,
-        verdict.accepted,
-        cert_bytes=len(transcript_serialize(transcript)),
-        epsilon=str(verdict.error_bound),
-        detail=f"det={value} ops={verdict.verifier_ops}",
+    a = random_sparse(field, n, per_row, Random(seed))
+    fresh = SparseMatrix(field, n, n, a.triples())  # with no cached CSR
+    return _prove_then_verify(
+        "sparse-det", n, PROTOCOL_DET,
+        lambda: _det_parts(a, None, None, seed),
+        lambda t: det_verify(fresh, t),
+        "det={value} ops={ops}",
     )
 
 
@@ -173,24 +176,14 @@ def bench_intdet(n: int = BENCH_INTDET_SIZE, seed: int = 1) -> BenchResult:
         [rng.randint(-BENCH_INTDET_ENTRY, BENCH_INTDET_ENTRY) for _ in range(n)]
         for _ in range(n)
     ]
-    m = IntMatrix(rows)
-
-    t0 = time.perf_counter()
-    params, digest, prover, _ = _intdet_parts(m, DEFAULT_PRIME_BITS, seed)
-    transcript = fs_prove(PROTOCOL_INTDET, params, digest, prover)
-    prover_s = time.perf_counter() - t0
-
-    fresh = IntMatrix(rows)
-    t0 = time.perf_counter()
-    verdict, value = intdet_verify(fresh, transcript, DEFAULT_PRIME_BITS)
-    verifier_s = time.perf_counter() - t0
-    return BenchResult(
-        "intdet",
-        n,
-        prover_s,
-        verifier_s,
-        verdict.accepted,
-        cert_bytes=len(transcript_serialize(transcript)),
-        epsilon=str(verdict.error_bound),
-        detail=f"ops={verdict.verifier_ops}",
+    m, fresh = IntMatrix(rows), IntMatrix(rows)
+    return _prove_then_verify(
+        "intdet", n, PROTOCOL_INTDET,
+        lambda: _intdet_parts(m, DEFAULT_PRIME_BITS, seed),
+        lambda t: intdet_verify(fresh, t, DEFAULT_PRIME_BITS),
+        "ops={ops}",
     )
+
+
+# suite name -> timing run, for ``vlac bench --suite``
+SUITES = {"matmul": bench_matmul, "sparse-det": bench_sparse_det, "intdet": bench_intdet}

@@ -11,6 +11,10 @@ Subcommands:
 Exit codes: 0 accepted, 1 rejected or protocol violation, 2 unreadable
 input, 3 prover failure, 4 instance digest mismatch, 5 transport error
 or timeout.
+
+Each ``--problem`` is one row of ``PROBLEMS``: the protocol id, the number
+of instance files, a builder of the session parts (and of the error bound,
+when it is known before proving) and the renderer of the verified result.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .errors import (
     TransportError,
     VlacError,
 )
-from .ff import Poly, SampleSet, field_new, full_sample_set
+from .ff import Poly, SampleSet, full_sample_set
 from .la import DenseMatrix, SparseMatrix
 from .lift import (
     PROTOCOL_INTDET,
@@ -68,7 +72,6 @@ from .lift import (
 from .matrixmarket import MatrixFile, parse_matrix_market
 from .net import HELLO_OK, MAX_HELLO, SocketTransport, hello_frame, parse_hello
 from .proto import (
-    FiatShamirSource,
     InteractiveSource,
     Verdict,
     _abort_frame,
@@ -87,25 +90,13 @@ EXIT_PROVER = 3
 EXIT_DIGEST = 4
 EXIT_TRANSPORT = 5
 
-PROBLEMS = (
-    "matmul",
-    "inverse",
-    "nonsingular",
-    "rank",
-    "minpoly",
-    "det",
-    "intdet",
-    "polydet",
-)
-
-_ARITY = {"matmul": 3, "inverse": 2}
-
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="vlac", description=__doc__)
+    # the module docstring, less its last paragraph, is the top-level help
+    top = argparse.ArgumentParser(prog="vlac", description=__doc__.rsplit("\n\n", 1)[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, files=True):
+    def common(p):
         p.add_argument("--problem", required=True, choices=PROBLEMS)
         p.add_argument("--modulus", type=int, help="assert the field modulus")
         p.add_argument(
@@ -138,8 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--prime-bits", type=int, default=62, help="prime size for intdet"
         )
-        if files:
-            p.add_argument("files", nargs="+", help="Matrix Market instance files")
+        p.add_argument("files", nargs="+", help="Matrix Market instance files")
 
     prove = sub.add_parser("prove", help="write a hash-compiled transcript")
     common(prove)
@@ -161,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     delegate.add_argument("--port", type=int, required=True)
 
     bench = sub.add_parser("bench", help="run a timing workload")
-    bench.add_argument("--suite", choices=("matmul", "sparse-det", "intdet"), required=True)
+    bench.add_argument("--suite", choices=bench_mod.SUITES, required=True)
     bench.add_argument("--size", type=int)
     bench.add_argument("--bench-seed", type=int, default=1)
     return top
@@ -202,111 +192,59 @@ def _field_operands(args, files: list[MatrixFile], what: str):
     return mats, SampleSet(field, args.sample_size)
 
 
-def _instance_seed(args) -> int:
-    return args.seed if args.seed is not None else 0
+def _matmul(args, files):
+    mats, s = _field_operands(args, files, "matmul operand")
+    a, b, c = (_as_dense(m, "matmul operand") for m in mats)
+    eps = matmul_epsilon(args.variant, c.cols, s, args.rounds)
+    return _matmul_parts(a, b, c, s, args.variant, args.rounds), eps
 
 
-class _Problem:
-    """Bundle of protocol id, session parts, and result rendering."""
-
-    def __init__(self, protocol_id, parts, render=None, eps_worst=None):
-        self.protocol_id = protocol_id
-        self.parts = parts
-        self.params, self.digest, self.prover, self.verifier = parts
-        self.render = render or (lambda r: None)
-        # instance-independent error bound, when one is known up front
-        self.eps_worst = eps_worst
+def _inverse(args, files):
+    mats, s = _field_operands(args, files, "inverse operand")
+    a, w = (_as_dense(m, "inverse operand") for m in mats)
+    eps = inverse_epsilon(a.rows, s)
+    return _inverse_parts(a, w, s), eps
 
 
-def _refuse_unachievable(args, problem: _Problem) -> _Problem:
-    limit = _epsilon_limit(args)
-    if (
-        limit is not None
-        and problem.eps_worst is not None
-        and problem.eps_worst > limit
-    ):
-        raise Malformed(
-            f"--epsilon {limit} is unachievable here: "
-            f"this instance's error bound is {problem.eps_worst}"
-        )
-    return problem
+def _nonsingular(args, files):
+    (a,), s = _field_operands(args, files, "operator")
+    eps = nonsingular_epsilon(s)
+    return _nonsingular_parts(a, s, None), eps
 
 
-def _build_problem(args) -> _Problem:
-    name = args.problem
-    files = _read_files(args.files)
-    want = _ARITY.get(name, 1)
-    if len(files) != want:
-        raise Malformed(f"{name} expects {want} matrix file(s), got {len(files)}")
-
-    if name == "matmul":
-        mats, s = _field_operands(args, files, "matmul operand")
-        a, b, c = (_as_dense(m, "matmul operand") for m in mats)
-        eps = matmul_epsilon(args.variant, c.cols, s, args.rounds)
-        return _Problem(
-            PROTOCOL_MATMUL,
-            _matmul_parts(a, b, c, s, args.variant, args.rounds),
-            eps_worst=eps,
-        )
-    if name == "inverse":
-        mats, s = _field_operands(args, files, "inverse operand")
-        a, w = (_as_dense(m, "inverse operand") for m in mats)
-        eps = inverse_epsilon(a.rows, s)
-        return _Problem(PROTOCOL_INVERSE, _inverse_parts(a, w, s), eps_worst=eps)
-    if name == "nonsingular":
-        (a,), s = _field_operands(args, files, "operator")
-        eps = nonsingular_epsilon(s)
-        return _Problem(
-            PROTOCOL_NONSINGULAR, _nonsingular_parts(a, s, None), eps_worst=eps
-        )
-    if name == "rank":
-        if args.rank is None:
-            raise Malformed("rank problem needs --rank")
-        (a,), s = _field_operands(args, files, "operator")
-        eps = rank_epsilon(a.rows, a.cols, args.rank, s)
-        return _Problem(
-            PROTOCOL_RANK, _rank_parts(a, args.rank, s, None), eps_worst=eps
-        )
-    if name == "minpoly":
-        (a,), s = _field_operands(args, files, "operator")
-        rng = Random(_instance_seed(args))
-        u = [rng.randrange(a.field.p) for _ in range(a.rows)]
-        v = [rng.randrange(a.field.p) for _ in range(a.rows)]
-        return _Problem(
-            PROTOCOL_MINPOLY,
-            _minpoly_parts(a, u, v, s, None),
-            render=_render_poly,
-        )
-    if name == "det":
-        (a,), s = _field_operands(args, files, "operator")
-        return _Problem(
-            PROTOCOL_DET,
-            _det_parts(a, s, None, args.seed),
-            render=_render_det,
-        )
-    if name == "intdet":
-        m = files[0].matrix
-        if not isinstance(m, IntMatrix):
-            raise Malformed("intdet expects an integer matrix file (no %%modulus)")
-        return _Problem(
-            PROTOCOL_INTDET,
-            _intdet_parts(m, args.prime_bits, args.seed),
-            render=_render_det,
-        )
-    if name == "polydet":
-        mf = files[0]
-        if not isinstance(mf.matrix, PolyMatrix):
-            raise Malformed("polydet expects %%modulus and %%polydegree")
-        return _Problem(
-            PROTOCOL_POLYDET,
-            _polydet_parts(mf.matrix, mf.polydegree, args.seed),
-            render=_render_poly,
-        )
-    raise Malformed(f"unknown problem {name!r}")
+def _rank(args, files):
+    if args.rank is None:
+        raise Malformed("rank problem needs --rank")
+    (a,), s = _field_operands(args, files, "operator")
+    eps = rank_epsilon(a.rows, a.cols, args.rank, s)
+    return _rank_parts(a, args.rank, s, None), eps
 
 
-def _assemble(args) -> _Problem:
-    return _refuse_unachievable(args, _build_problem(args))
+def _minpoly(args, files):
+    (a,), s = _field_operands(args, files, "operator")
+    rng = Random(args.seed or 0)
+    u = [rng.randrange(a.field.p) for _ in range(a.rows)]
+    v = [rng.randrange(a.field.p) for _ in range(a.rows)]
+    return _minpoly_parts(a, u, v, s, None), None
+
+
+def _det(args, files):
+    (a,), s = _field_operands(args, files, "operator")
+    return _det_parts(a, s, None, args.seed), None
+
+
+def _intdet(args, files):
+    m = files[0].matrix
+    if not isinstance(m, IntMatrix):
+        raise Malformed("intdet expects an integer matrix file (no %%modulus)")
+    return _intdet_parts(m, args.prime_bits, args.seed), None
+
+
+def _polydet(args, files):
+    mf = files[0]
+    if not isinstance(mf.matrix, PolyMatrix):
+        raise Malformed("polydet expects %%modulus and %%polydegree")
+    return _polydet_parts(mf.matrix, mf.polydegree, args.seed), None
 
 
 def _render_det(r) -> None:
@@ -316,6 +254,40 @@ def _render_det(r) -> None:
 def _render_poly(r) -> None:
     if isinstance(r, Poly):
         print(f"coefficients (constant first) = {r.coeffs}")
+
+
+# name -> (protocol id, file count, builder, renderer).  A builder maps
+# (args, files) to (parts, eps_worst): the _X_parts 4-tuple, and the error
+# bound known before proving, or None.  It calls _X_parts by its module-global
+# name, so a caller that swaps that global swaps it here too.
+PROBLEMS = {
+    "matmul": (PROTOCOL_MATMUL, 3, _matmul, None),
+    "inverse": (PROTOCOL_INVERSE, 2, _inverse, None),
+    "nonsingular": (PROTOCOL_NONSINGULAR, 1, _nonsingular, None),
+    "rank": (PROTOCOL_RANK, 1, _rank, None),
+    "minpoly": (PROTOCOL_MINPOLY, 1, _minpoly, _render_poly),
+    "det": (PROTOCOL_DET, 1, _det, _render_det),
+    "intdet": (PROTOCOL_INTDET, 1, _intdet, _render_det),
+    "polydet": (PROTOCOL_POLYDET, 1, _polydet, _render_poly),
+}
+
+
+def _assemble(args):
+    """(protocol id, parts, renderer) from the problem's PROBLEMS row: read
+    and count the files, build, and refuse an --epsilon the known bound
+    cannot meet."""
+    protocol_id, count, build, render = PROBLEMS[args.problem]
+    files = _read_files(args.files)
+    if len(files) != count:
+        raise Malformed(f"{args.problem} expects {count} matrix file(s), got {len(files)}")
+    parts, eps_worst = build(args, files)
+    limit = _epsilon_limit(args)
+    if limit is not None and eps_worst is not None and eps_worst > limit:
+        raise Malformed(
+            f"--epsilon {limit} is unachievable here: "
+            f"this instance's error bound is {eps_worst}"
+        )
+    return protocol_id, parts, render
 
 
 # -- verdict handling ----------------------------------------------------------
@@ -330,7 +302,7 @@ def _epsilon_limit(args) -> Optional[Fraction]:
         raise Malformed(f"unreadable --epsilon {args.epsilon!r}")
 
 
-def _finish(verdict: Verdict, result, problem: _Problem, limit) -> int:
+def _finish(verdict: Verdict, result, render, limit) -> int:
     if not verdict.accepted:
         print(f"REJECT reason={verdict.reason}")
         if verdict.reason == "InstanceDigestMismatch":
@@ -344,8 +316,8 @@ def _finish(verdict: Verdict, result, problem: _Problem, limit) -> int:
         return EXIT_REJECT
     tags = f" heuristics={','.join(verdict.heuristics)}" if verdict.heuristics else ""
     print(f"ACCEPT eps={verdict.error_bound} ops={verdict.verifier_ops}{tags}")
-    if result is not None:
-        problem.render(result)
+    if result is not None and render is not None:
+        render(result)
     return EXIT_ACCEPT
 
 
@@ -363,21 +335,20 @@ def _prover_fault(reason: Optional[str]) -> bool:
 
 def _cmd_prove(args) -> int:
     _want_mode(args, "fiat-shamir")
-    problem = _assemble(args)
+    protocol_id, parts, render = _assemble(args)
+    params, digest, prover, _ = parts
     try:
-        transcript = fs_prove(
-            problem.protocol_id, problem.params, problem.digest, problem.prover
-        )
+        transcript = fs_prove(protocol_id, params, digest, prover)
     except VlacError:
         raise
     except Exception as exc:
         print(f"prover failed: {exc}", file=sys.stderr)
         return EXIT_PROVER
-    verdict, result = replay(transcript, problem.protocol_id, problem.parts)
+    verdict, result = replay(transcript, protocol_id, parts)
     if not verdict.accepted and _prover_fault(verdict.reason):
         print(f"prover failed: {verdict.reason}", file=sys.stderr)
         return EXIT_PROVER
-    code = _finish(verdict, result, problem, _epsilon_limit(args))
+    code = _finish(verdict, result, render, _epsilon_limit(args))
     if code == EXIT_ACCEPT:
         data = transcript_serialize(transcript)
         Path(args.output).write_bytes(data)
@@ -387,15 +358,15 @@ def _cmd_prove(args) -> int:
 
 def _cmd_verify(args) -> int:
     _want_mode(args, "fiat-shamir")
-    problem = _assemble(args)
+    protocol_id, parts, render = _assemble(args)
     transcript = transcript_deserialize(Path(args.transcript).read_bytes())
-    verdict, result = replay(transcript, problem.protocol_id, problem.parts)
-    return _finish(verdict, result, problem, _epsilon_limit(args))
+    verdict, result = replay(transcript, protocol_id, parts)
+    return _finish(verdict, result, render, _epsilon_limit(args))
 
 
 def _cmd_serve(args) -> int:
     _want_mode(args, "interactive")
-    problem = _assemble(args)
+    protocol_id, (params, digest, prover, _), _ = _assemble(args)
     server = socket.create_server((args.host, args.port))
     host, port = server.getsockname()[:2]
     print(f"serving {args.problem} on {host}:{port}", flush=True)
@@ -404,11 +375,11 @@ def _cmd_serve(args) -> int:
         tr = SocketTransport(conn, args.timeout)
         try:
             their = parse_hello(tr.recv_frame(MAX_HELLO))
-            if their != (problem.protocol_id, problem.params, problem.digest):
+            if their != (protocol_id, params, digest):
                 tr.send_frame(_abort_frame("instance or protocol mismatch"))
                 return
             tr.send_frame(HELLO_OK)
-            serve_session(tr, problem.prover)
+            serve_session(tr, prover)
         except (Timeout, TransportError, ProtocolViolation) as exc:
             print(f"session failed: {exc}", file=sys.stderr)
         finally:
@@ -427,17 +398,15 @@ def _cmd_serve(args) -> int:
 
 def _cmd_delegate(args) -> int:
     _want_mode(args, "interactive")
-    problem = _assemble(args)
+    protocol_id, (params, digest, _, verifier), render = _assemble(args)
     try:
         sock = socket.create_connection((args.host, args.port), timeout=args.timeout)
     except OSError as exc:
         raise TransportError(f"cannot reach {args.host}:{args.port}: {exc}") from exc
     tr = SocketTransport(sock, args.timeout)
     try:
-        tr.send_frame(
-            hello_frame(problem.protocol_id, problem.params, problem.digest)
-        )
-        reply = tr.recv_frame()
+        tr.send_frame(hello_frame(protocol_id, params, digest))
+        reply = tr.recv_frame(MAX_HELLO)
         if reply != HELLO_OK:
             if reply and reply[0] == 1:
                 print(
@@ -449,10 +418,10 @@ def _cmd_delegate(args) -> int:
         source = InteractiveSource(args.seed)
         start = time.monotonic()
         verdict, result, _ = run_remote_session(
-            problem.protocol_id, problem.params, problem.digest, tr, problem.verifier, source
+            protocol_id, params, digest, tr, verifier, source
         )
         total = time.monotonic() - start
-        code = _finish(verdict, result, problem, _epsilon_limit(args))
+        code = _finish(verdict, result, render, _epsilon_limit(args))
         prover_s = tr.recv_seconds
         print(f"prover {prover_s:.3f}s, verifier {max(total - prover_s, 0.0):.3f}s")
         return code
@@ -464,12 +433,7 @@ def _cmd_bench(args) -> int:
     kwargs = {"seed": args.bench_seed}
     if args.size:
         kwargs["n"] = args.size
-    run = {
-        "matmul": bench_mod.bench_matmul,
-        "sparse-det": bench_mod.bench_sparse_det,
-        "intdet": bench_mod.bench_intdet,
-    }[args.suite]
-    result = run(**kwargs)
+    result = bench_mod.SUITES[args.suite](**kwargs)
     print(bench_mod.CSV_HEADER)
     print(result.csv())
     print(result.render(), file=sys.stderr)

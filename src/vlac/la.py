@@ -555,7 +555,7 @@ class Butterfly:
         self.n_padded = butterfly_padding(n)
         self.layers = self.n_padded.bit_length() - 1
         half = self.n_padded // 2
-        need = 2 * self.layers * half
+        need = butterfly_param_count(n)
         th = field.arr(list(thetas))
         if th.ndim != 1 or len(th) != need:
             raise DimensionMismatch(f"butterfly wants {need} parameters")
@@ -573,10 +573,6 @@ class Butterfly:
             hi.append(idx[mask] + stride)
         self._lo = lo
         self._hi = hi
-
-    @property
-    def param_count(self) -> int:
-        return 2 * self.layers * (self.n_padded // 2)
 
     @property
     def mu(self) -> int:
@@ -640,12 +636,10 @@ def butterfly_param_count(n: int) -> int:
 
 
 def _rref(field: PrimeField, m: np.ndarray):
-    """In-place reduced row echelon; returns (pivot_cols, swap_sign, pivprod)."""
+    """In-place reduced row echelon; returns the pivot columns."""
     p = field.p
     rows, cols = m.shape
     r = 0
-    sign = 1
-    pivprod = 1
     pivots = []
     for c in range(cols):
         if r == rows:
@@ -659,10 +653,7 @@ def _rref(field: PrimeField, m: np.ndarray):
             continue
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-            sign = -sign
-        piv = int(m[r, c])
-        pivprod = pivprod * piv % p
-        m[r] = m[r] * field.inv(piv) % p
+        m[r] = m[r] * field.inv(int(m[r, c])) % p
         col = m[:, c].copy()
         col[r] = 0
         nz = np.nonzero(col)[0]
@@ -670,7 +661,7 @@ def _rref(field: PrimeField, m: np.ndarray):
             m[nz] = (m[nz] - np.outer(col[nz], m[r])) % p
         pivots.append(c)
         r += 1
-    return pivots, sign, pivprod
+    return pivots
 
 
 def solve_dense(a: DenseMatrix, b) -> np.ndarray | None:
@@ -682,7 +673,7 @@ def solve_dense(a: DenseMatrix, b) -> np.ndarray | None:
     aug = field.zeros((a.rows, a.cols + 1))
     aug[:, : a.cols] = a.a
     aug[:, a.cols] = bv
-    pivots, _, _ = _rref(field, aug)
+    pivots = _rref(field, aug)
     if pivots and pivots[-1] == a.cols:
         return None
     x = field.zeros(a.cols)
@@ -700,7 +691,7 @@ def invert_dense(a: DenseMatrix) -> DenseMatrix | None:
     aug = field.zeros((n, 2 * n))
     aug[:, :n] = a.a
     aug[:, n:] = np.eye(n, dtype=np.int64) % field.p
-    pivots, _, _ = _rref(field, aug)
+    pivots = _rref(field, aug)
     if len(pivots) < n or any(c >= n for c in pivots):
         return None
     return DenseMatrix(field, aug[:, n:])
@@ -710,7 +701,7 @@ def kernel_vector(a: DenseMatrix) -> np.ndarray | None:
     """A nonzero kernel vector, or None when the matrix has full column rank."""
     field = a.field
     m = a.a.copy()
-    pivots, _, _ = _rref(field, m)
+    pivots = _rref(field, m)
     if len(pivots) == a.cols:
         return None
     free = next(c for c in range(a.cols) if c not in set(pivots))
@@ -720,10 +711,9 @@ def kernel_vector(a: DenseMatrix) -> np.ndarray | None:
         x[c] = -m[row, free] % field.p
     return x
 
+
 def rank_dense(a: DenseMatrix) -> int:
-    m = a.a.copy()
-    pivots, _, _ = _rref(a.field, m)
-    return len(pivots)
+    return len(_rref(a.field, a.a.copy()))
 
 
 def det_dense(a: DenseMatrix) -> int:

@@ -474,7 +474,8 @@ class QueueTransport:
     def send_frame(self, data: bytes) -> None:
         self._send.put(data)
 
-    def recv_frame(self) -> bytes:
+    def recv_frame(self, limit: Optional[int] = None) -> bytes:
+        # frames come from this process, so the size limit is not needed
         try:
             return self._recv.get(timeout=self.timeout)
         except queue.Empty:
@@ -639,8 +640,14 @@ class LiveVerifierChannel(_ChallengeChannel):
         return value
 
 
+# Past its payload, a challenge frame holds the frame type and the role,
+# tag and kind bytes; the rest leaves room for a short abort reason.
+_CHALLENGE_SLACK = 4 + 256
+
+
 class LiveProverChannel:
-    """Interactive prover half over a transport."""
+    """Interactive prover half over a transport; each challenge frame is
+    read under a limit sized from the challenge it waits for."""
 
     is_fiat_shamir = False
 
@@ -652,8 +659,10 @@ class LiveProverChannel:
             _msg_frame(Message(ROLE_PROVER, tag, kind, _canon_value(kind, value)))
         )
 
-    def _challenge(self, kind: int):
-        m = _parse_frame(self._tr.recv_frame())
+    def _challenge(self, kind: int, count: int = 0):
+        # a scalar or prime is 8 bytes; a vector, a 4-byte count and 8 bytes an entry
+        size = 4 + 8 * count if kind == KIND_VEC else 8
+        m = _parse_frame(self._tr.recv_frame(size + _CHALLENGE_SLACK))
         if m.role != ROLE_VERIFIER or m.tag != TAG_CHALLENGE or m.kind != kind:
             raise ProtocolViolation("expected a challenge")
         return m.value
@@ -665,7 +674,7 @@ class LiveProverChannel:
         return v
 
     def challenge_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
-        v = self._challenge(KIND_VEC)
+        v = self._challenge(KIND_VEC, count)
         if len(v) != count or any(x not in s for x in v):
             raise ProtocolViolation("malformed vector challenge")
         return v

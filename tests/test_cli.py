@@ -10,11 +10,12 @@ import time
 
 import pytest
 
+from vlac.certs_sparse import PROTOCOL_DET, _det_parts
 from vlac.cli import main
 from vlac.errors import Malformed, TransportError
-from vlac.ff import Poly
+from vlac.ff import Poly, full_sample_set
 from vlac.la import DenseMatrix, SparseMatrix, dense_matmul
-from vlac.net import MAX_HELLO, SocketTransport
+from vlac.net import HELLO_OK, MAX_HELLO, SocketTransport, hello_frame
 from vlac.lift import IntMatrix, PolyMatrix
 from vlac.matrixmarket import (
     parse_matrix_market,
@@ -438,6 +439,56 @@ def test_cli_serve_drops_an_oversized_hello_at_once(tmp_path, gf101):
             assert s.recv(1) == b""
     finally:
         proc.wait(timeout=10)
+
+
+def test_cli_serve_drops_an_oversized_frame_after_the_hello(tmp_path, gf101):
+    path = sparse_det_file(tmp_path, gf101, n=4)
+    a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
+    params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
+    proc, port = spawn_server(["serve", "--problem", "det", path, "--once", "--timeout", "60"])
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+            tr = SocketTransport(s, timeout=10)
+            tr.send_frame(hello_frame(PROTOCOL_DET, params, digest))
+            assert tr.recv_frame(MAX_HELLO) == HELLO_OK
+            # where a challenge is due, announce a frame of 2^30 - 1 bytes
+            # and send nothing more; the prover's frames are read to EOF
+            start = time.monotonic()
+            s.sendall(struct.pack(">I", (1 << 30) - 1))
+            while s.recv(1 << 16):
+                pass
+            assert time.monotonic() - start < 5
+    finally:
+        proc.wait(timeout=10)
+
+
+def test_cli_delegate_refuses_an_oversized_hello_reply(tmp_path, gf101, capsys):
+    path = sparse_det_file(tmp_path, gf101, n=4)
+    server = socket.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+    done = threading.Event()
+
+    def fake_prover():
+        conn, _ = server.accept()
+        with conn:
+            SocketTransport(conn, timeout=30).recv_frame(MAX_HELLO)
+            conn.sendall(struct.pack(">I", (1 << 30) - 1))
+            done.wait(30)
+
+    worker = threading.Thread(target=fake_prover, daemon=True)
+    worker.start()
+    try:
+        start = time.monotonic()
+        code = main(
+            ["delegate", "--problem", "det", path, "--port", str(port), "--timeout", "30"]
+        )
+        assert time.monotonic() - start < 5
+        assert code == 5
+        assert "frame of 1073741823 bytes refused" in capsys.readouterr().err
+    finally:
+        done.set()
+        worker.join(timeout=10)
+        server.close()
 
 
 # -- bench ------------------------------------------------------------------------
