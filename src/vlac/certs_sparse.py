@@ -192,7 +192,7 @@ def _nonsingular_parts(a, s: Optional[SampleSet], instance_tag: Optional[bytes])
 
     def verifier(ch):
         target = field.arr(ch.challenge_vector("nonsingular.b", s, n))
-        kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field)
+        kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=n)
         if kind == KIND_EMPTY:
             return Verdict.reject("ProverFailed"), None
         if len(wv) != n:
@@ -275,7 +275,7 @@ def _rank_upper_verifier(ch, field, a, m, n, r, s, label: str):
     """Returns a reject reason or None."""
     u_th = ch.challenge_nonzero_vector(f"{label}.u", s, butterfly_param_count(m))
     v_th = ch.challenge_nonzero_vector(f"{label}.v", s, butterfly_param_count(n))
-    kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field)
+    kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=r + 1)
     if kind == KIND_EMPTY:
         return "ProverFailed"
     if len(wv) != r + 1:
@@ -404,14 +404,14 @@ def _rank_parts(
     def verifier(ch):
         labels = ()
         if r > 0:
-            _, u_th = ch.recv(TAG_COMMIT, (KIND_VEC,), field)
-            _, v_th = ch.recv(TAG_COMMIT, (KIND_VEC,), field)
+            _, u_th = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=butterfly_param_count(m))
+            _, v_th = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=butterfly_param_count(n))
             if len(u_th) != butterfly_param_count(m) or len(v_th) != butterfly_param_count(n):
                 return Verdict.reject("Malformed:vector-length"), None
             if any(t == 0 for t in u_th) or any(t == 0 for t in v_th):
                 return Verdict.reject("Malformed:zero-theta"), None
             target = field.arr(ch.challenge_vector("rank.low.b", s, r))
-            kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field)
+            kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=r)
             if kind == KIND_EMPTY:
                 return Verdict.reject("ProverFailed"), None
             if len(wv) != r:
@@ -518,7 +518,8 @@ def _verify_minpoly_exchange(
     single matrix-vector product.
     """
     counter = ch.counter
-    _, gen_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field)
+    # each committed polynomial has degree at most n
+    _, gen_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field, count=n + 1)
     gen = Poly(field, gen_coeffs)
     if gen.is_zero or not gen.is_monic:
         return "DegreeViolation", None, None
@@ -526,15 +527,15 @@ def _verify_minpoly_exchange(
         return "DegreeViolation", None, None
     if full_degree and gen.degree != n:
         return "DegreeDeficient", None, None
-    _, num_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field)
+    _, num_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field, count=n + 1)
     num = Poly(field, num_coeffs)
     if num.degree >= gen.degree:
         return "DegreeViolation", None, None
-    _, phi_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field)
+    _, phi_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field, count=n + 1)
     phi = Poly(field, phi_coeffs)
     if phi.degree > max(num.degree - 1, 0):
         return "DegreeViolation", None, None
-    _, psi_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field)
+    _, psi_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field, count=n + 1)
     psi = Poly(field, psi_coeffs)
     if psi.degree > max(gen.degree - 1, 0):
         return "DegreeViolation", None, None
@@ -550,7 +551,7 @@ def _verify_minpoly_exchange(
 
     for attempt in range(SHIFT_DRAWS):
         r1 = ch.challenge_scalar(f"minpoly.r1.{attempt}", s)
-        kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field)
+        kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=n)
         if kind == KIND_EMPTY:
             continue
         if len(wv) != n:
@@ -717,15 +718,15 @@ def det_verifier_flow(ch, field: PrimeField, operator, s: SampleSet, n: int):
     accepted, in which case value is the certified determinant.
     """
     p = field.p
-    kind, scale = ch.recv(TAG_COMMIT, (KIND_VEC, KIND_EMPTY), field)
+    kind, scale = ch.recv(TAG_COMMIT, (KIND_VEC, KIND_EMPTY), field, count=n)
     if kind == KIND_EMPTY:
         return "DegreeDeficient", None, None
     if len(scale) != n:
         return "Malformed:vector-length", None, None
     if any(x == 0 for x in scale):
         return "CheckFailed:scaling", None, None
-    _, uv = ch.recv(TAG_COMMIT, (KIND_VEC,), field)
-    _, vv = ch.recv(TAG_COMMIT, (KIND_VEC,), field)
+    _, uv = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=n)
+    _, vv = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=n)
     if len(uv) != n or len(vv) != n:
         return "Malformed:vector-length", None, None
     u_arr, v_arr = field.arr(uv), field.arr(vv)

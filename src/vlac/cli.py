@@ -90,6 +90,10 @@ EXIT_PROVER = 3
 EXIT_DIGEST = 4
 EXIT_TRANSPORT = 5
 
+# Live sessions one ``vlac serve`` runs at a time; a connection past them
+# is closed at once.
+MAX_SESSIONS = 4
+
 
 def _build_parser() -> argparse.ArgumentParser:
     # the module docstring, less its last paragraph, is the top-level help
@@ -385,13 +389,25 @@ def _cmd_serve(args) -> int:
         finally:
             tr.close()
 
+    slots = threading.BoundedSemaphore(MAX_SESSIONS)
+
+    def session(conn) -> None:
+        try:
+            handle(conn)
+        finally:
+            slots.release()
+
     try:
         while True:
             conn, _ = server.accept()
             if args.once:
                 handle(conn)
                 return EXIT_ACCEPT
-            threading.Thread(target=handle, args=(conn,), daemon=True).start()
+            if not slots.acquire(blocking=False):
+                print(f"session refused: {MAX_SESSIONS} sessions running", file=sys.stderr)
+                conn.close()
+                continue
+            threading.Thread(target=session, args=(conn,), daemon=True).start()
     finally:
         server.close()
 

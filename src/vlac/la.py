@@ -109,24 +109,32 @@ class SparseMatrix:
     __slots__ = ("field", "rows", "cols", "ri", "ci", "vals", "_csr", "_csc", "_widest")
 
     def __init__(self, field: PrimeField, rows: int, cols: int, triples):
+        t = list(triples)
+        self._fill(field, rows, cols, *(int_array([e[k] for e in t]) for k in range(3)))
+
+    @classmethod
+    def from_arrays(
+        cls, field: PrimeField, rows: int, cols: int, ri, ci, vals
+    ) -> "SparseMatrix":
+        """The matrix with entries ``vals[k]`` at ``(ri[k], ci[k])``.
+
+        The columns are integer arrays (int64, or ``object`` for values
+        past int64) and are checked like the triples of ``__init__``.
+        """
+        m = cls.__new__(cls)
+        m._fill(field, rows, cols, ri, ci, vals)
+        return m
+
+    def _fill(self, field, rows, cols, ri, ci, vals) -> None:
+        ri, ci, order = coordinate_order(rows, cols, ri, ci)
+        vals = (vals[order] % field.p).astype(field.dtype)
+        keep = vals != 0
         self.field = field
         self.rows = rows
         self.cols = cols
-        seen = set()
-        clean = []
-        for i, j, v in triples:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise DimensionMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
-            if (i, j) in seen:
-                raise DimensionMismatch(f"duplicate entry at ({i},{j})")
-            seen.add((i, j))
-            v = int(v) % field.p
-            if v:
-                clean.append((i, j, v))
-        clean.sort()
-        self.ri = np.array([t[0] for t in clean], dtype=np.int64)
-        self.ci = np.array([t[1] for t in clean], dtype=np.int64)
-        self.vals = np.array([t[2] for t in clean], dtype=field.dtype)
+        self.ri = ri[keep]
+        self.ci = ci[keep]
+        self.vals = vals[keep]
         self._csr = None
         self._csc = None
         self._widest = None
@@ -188,11 +196,8 @@ class SparseMatrix:
         return self._csc
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.field,
-            self.cols,
-            self.rows,
-            [(j, i, v) for i, j, v in self.triples()],
+        return SparseMatrix.from_arrays(
+            self.field, self.cols, self.rows, self.ci, self.ri, self.vals
         )
 
     def to_dense(self) -> DenseMatrix:
@@ -205,6 +210,37 @@ class SparseMatrix:
             f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz},"
             f" GF({self.field.p}))"
         )
+
+
+def int_array(values: list) -> np.ndarray:
+    """Integers as an int64 array, or as exact Python ints (``object``)
+    when one does not fit.  A value ``int()`` refuses raises ValueError."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([int(v) for v in values], dtype=object)
+
+
+def coordinate_order(rows: int, cols: int, ri, ci):
+    """The positions ``(ri[k], ci[k])`` sorted row-major, as int64 arrays,
+    and the permutation that sorts them.
+
+    Raises DimensionMismatch for the first position, in the given order,
+    that lies outside rows x cols or repeats an earlier one.
+    """
+    outside = np.flatnonzero((ri < 0) | (ri >= rows) | (ci < 0) | (ci >= cols))
+    stop = outside[0] if len(outside) else len(ri)
+    r = np.asarray(ri[:stop], dtype=np.int64)
+    c = np.asarray(ci[:stop], dtype=np.int64)
+    order = np.lexsort((c, r))  # stable: a repeat sorts after its first
+    r, c = r[order], c[order]
+    again = (r[1:] == r[:-1]) & (c[1:] == c[:-1])
+    if again.any():
+        k = order[1:][again].min()
+        raise DimensionMismatch(f"duplicate entry at ({ri[k]},{ci[k]})")
+    if len(outside):
+        raise DimensionMismatch(f"entry ({ri[stop]},{ci[stop]}) outside {rows}x{cols}")
+    return r, c, order
 
 
 # ---------------------------------------------------------------------------

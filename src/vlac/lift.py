@@ -63,6 +63,9 @@ class IntMatrix:
     __slots__ = ("a",)
 
     def __init__(self, data):
+        if isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype.kind in "iu":
+            self.a = data.astype(object)  # exact Python ints, any shape
+            return
         arr = np.empty((len(data), len(data[0]) if len(data) else 0), dtype=object)
         for i, row in enumerate(data):
             if len(row) != arr.shape[1]:
@@ -259,7 +262,8 @@ def _intdet_parts(m: IntMatrix, bits: int, prover_seed: Optional[int]):
         det_prover_flow(ch, field, m.reduce(field), full_sample_set(field), rng, n)
 
     def verifier(ch):
-        _, claimed = ch.recv(TAG_COMMIT, (KIND_BIGINT,))
+        # |claimed| <= bound takes at most this many 8-byte words
+        _, claimed = ch.recv(TAG_COMMIT, (KIND_BIGINT,), count=(bound.bit_length() + 63) // 64)
         if abs(claimed) > bound:
             return Verdict.reject("CommitmentOutOfBounds"), None
         q = ch.challenge_prime("intdet.q", bits)
@@ -419,7 +423,7 @@ def _polydet_parts(m: PolyMatrix, deg_bound: Optional[int], prover_seed: Optiona
         det_prover_flow(ch, field, m.evaluate(alpha), s, rng, n)
 
     def verifier(ch):
-        _, f_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field)
+        _, f_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field, count=n * deg_bound + 1)
         f = Poly(field, f_coeffs)
         if f.degree > n * deg_bound:
             return Verdict.reject("DegreeOutOfBounds"), None

@@ -18,15 +18,22 @@ Files without a modulus parse as arbitrary-precision integer matrices.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
-from .errors import Malformed
+import numpy as np
+
+from .errors import DimensionMismatch, Malformed
 from .ff import Poly, PrimeField, field_new
-from .la import DenseMatrix, SparseMatrix
+from .la import DenseMatrix, SparseMatrix, coordinate_order, int_array
 from .lift import IntMatrix, PolyMatrix
 
 Parsed = Union[DenseMatrix, SparseMatrix, IntMatrix, PolyMatrix]
+
+# The line breaks of str.splitlines, so that lines end where a splitlines()
+# of the whole text would end them.
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @dataclass
@@ -41,11 +48,35 @@ def _tokens(line: str) -> list[str]:
     return line.split()
 
 
+def _lines(text: str) -> Iterator[tuple[str, int]]:
+    """Each line of text with the offset just past its break, found lazily."""
+    start = 0
+    for m in _LINE_BREAK.finditer(text):
+        yield text[start : m.start()], m.end()
+        start = m.end()
+    if start < len(text):
+        yield text[start:], len(text)
+
+
+def _data_lines(lines: list[str]) -> list[str]:
+    """The stripped lines that are neither blank nor comments."""
+    return [s for s in map(str.strip, lines) if s and not s.startswith("%")]
+
+
 def parse_matrix_market(text: str) -> MatrixFile:
-    lines = text.splitlines()
-    if not lines:
+    """Read a Matrix Market text.
+
+    Only the header is walked line by line.  A body of scalar entries is
+    read in one pass: one split, one int64 conversion (exact Python ints
+    when an entry does not fit int64) and array checks.  A body that fails
+    a check goes to the per-line checks, which raise the Malformed naming
+    its first faulty line; polynomial entries are read by those lines.
+    """
+    lines = _lines(text)
+    first = next(lines, None)
+    if first is None:
         raise Malformed("empty file")
-    head = _tokens(lines[0])
+    head = _tokens(first[0])
     if len(head) != 5 or head[0] != "%%MatrixMarket":
         raise Malformed("missing MatrixMarket banner")
     obj, layout, entry_type, symmetry = (w.lower() for w in head[1:])
@@ -62,8 +93,8 @@ def parse_matrix_market(text: str) -> MatrixFile:
 
     modulus: Optional[int] = None
     polydegree: Optional[int] = None
-    body_at = None
-    for idx, raw in enumerate(lines[1:], start=1):
+    size = None
+    for raw, end in lines:
         line = raw.strip()
         if not line:
             continue
@@ -81,23 +112,14 @@ def parse_matrix_market(text: str) -> MatrixFile:
                     polydegree = num
                 # unknown structured comments are plain comments
             continue
-        body_at = idx
+        size, rest = _tokens(line), text[end:]
         break
-    if body_at is None:
+    if size is None:
         raise Malformed("missing size line")
     if polydegree is not None and modulus is None:
         raise Malformed("polynomial entries need a modulus")
     if polydegree is not None and polydegree < 0:
         raise Malformed("polynomial degree bound must be nonnegative")
-
-    body = []
-    for raw in lines[body_at:]:
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        body.append(line)
-    size = _tokens(body[0])
-    rows_body = body[1:]
 
     field = field_new(modulus) if modulus is not None else None
     if layout == "coordinate":
@@ -106,15 +128,23 @@ def parse_matrix_market(text: str) -> MatrixFile:
         rows, cols, nnz = (_int(t) for t in size)
         if rows < 0 or cols < 0 or nnz < 0:
             raise Malformed("negative size")
-        if len(rows_body) != nnz:
-            raise Malformed(f"expected {nnz} entries, found {len(rows_body)}")
-        return _parse_coordinate(rows, cols, rows_body, field, polydegree, modulus)
+        if polydegree is None:
+            return MatrixFile(
+                _read_coordinate(rows, cols, nnz, rest, field), modulus, None, "coordinate"
+            )
+        triples = _coordinate_entries(rows, cols, _coordinate_lines(nnz, rest), polydegree)
+        entries = [[Poly.zero(field)] * cols for _ in range(rows)]
+        for i, j, vals in triples:
+            entries[i][j] = Poly(field, [v % field.p for v in vals])
+        return MatrixFile(PolyMatrix(field, entries), modulus, polydegree, "coordinate")
     if len(size) != 2:
         raise Malformed("array size line wants rows cols")
     rows, cols = (_int(t) for t in size)
     if rows < 0 or cols < 0:
         raise Malformed("negative size")
-    return _parse_array(rows, cols, rows_body, field, polydegree, modulus)
+    if polydegree is None:
+        return MatrixFile(_read_array(rows, cols, rest, field), modulus, None, "array")
+    return _parse_poly_array(rows, cols, _data_lines(rest.splitlines()), field, polydegree, modulus)
 
 
 def _int(tok: str) -> int:
@@ -124,6 +154,64 @@ def _int(tok: str) -> int:
         raise Malformed(f"bad integer {tok!r}")
 
 
+def _read_array(rows: int, cols: int, rest: str, field: Optional[PrimeField]):
+    count = rows * cols
+    if "%" in rest:  # comment lines hold no entries
+        rest = "\n".join(_data_lines(rest.splitlines()))
+    tokens = rest.split()
+    try:
+        vals = int_array(tokens)
+    except ValueError:
+        vals = None
+    if vals is None or len(tokens) != count:
+        for tok in tokens:  # the first token that is not an integer, else the count
+            _int(tok)
+        raise Malformed(f"expected {count} values, found {len(tokens)}")
+    # array entries run down columns, per the format
+    cells = np.ascontiguousarray(vals.reshape(cols, rows).T)
+    if field is None:
+        return IntMatrix(cells)
+    return DenseMatrix(field, cells % field.p)
+
+
+def _read_coordinate(rows: int, cols: int, nnz: int, rest: str, field: Optional[PrimeField]):
+    lines = rest.splitlines()
+    if "%" in rest or len(lines) != nnz:  # comment or blank lines
+        lines = _data_lines(lines)
+    try:
+        i, j, v = _coordinate_columns(nnz, lines)
+        if field is not None:
+            return SparseMatrix.from_arrays(field, rows, cols, i - 1, j - 1, v)
+        r, c, order = coordinate_order(rows, cols, i - 1, j - 1)
+    except (ValueError, DimensionMismatch):
+        # the per-line checks name the first faulty line
+        _coordinate_entries(rows, cols, _coordinate_lines(nnz, rest), None)
+        raise AssertionError("a coordinate body the per-line checks accept was refused")
+    cells = np.zeros((rows, cols), dtype=v.dtype)
+    cells[r, c] = v[order]
+    return IntMatrix(cells)
+
+
+def _coordinate_columns(nnz: int, lines: list[str]) -> np.ndarray:
+    """Columns i, j, v of nnz lines of three integers each; ValueError when
+    the lines are not that."""
+    if len(lines) != nnz:
+        raise ValueError(f"{len(lines)} lines for {nnz} entries")
+    # '%' is never part of an entry, so it can mark each line's end
+    tokens = " % ".join(lines + [""]).split()
+    if len(tokens) != 4 * nnz or tokens[3::4].count("%") != nnz:
+        raise ValueError("a line does not hold i j v")
+    del tokens[3::4]
+    return int_array(tokens).reshape(nnz, 3).T
+
+
+def _coordinate_lines(nnz: int, rest: str) -> list[str]:
+    body = _data_lines(rest.splitlines())
+    if len(body) != nnz:
+        raise Malformed(f"expected {nnz} entries, found {len(body)}")
+    return body
+
+
 def _entry_tokens(parts: list[str], polydegree: Optional[int], where: str) -> list[int]:
     want = 1 if polydegree is None else polydegree + 1
     if len(parts) != want:
@@ -131,7 +219,9 @@ def _entry_tokens(parts: list[str], polydegree: Optional[int], where: str) -> li
     return [_int(t) for t in parts]
 
 
-def _parse_coordinate(rows, cols, body, field, polydegree, modulus) -> MatrixFile:
+def _coordinate_entries(rows, cols, body, polydegree) -> list:
+    """Checked (i, j, values) of each line, 0-based; raises the Malformed
+    of the first faulty line."""
     triples = []
     seen = set()
     for line in body:
@@ -146,45 +236,18 @@ def _parse_coordinate(rows, cols, body, field, polydegree, modulus) -> MatrixFil
         seen.add((i, j))
         vals = _entry_tokens(parts[2:], polydegree, f"entry ({i},{j})")
         triples.append((i - 1, j - 1, vals))
-
-    if field is None:
-        dense = [[0] * cols for _ in range(rows)]
-        for i, j, vals in triples:
-            dense[i][j] = vals[0]
-        return MatrixFile(IntMatrix(dense), None, None, "coordinate")
-    if polydegree is not None:
-        entries = [[Poly.zero(field)] * cols for _ in range(rows)]
-        for i, j, vals in triples:
-            entries[i][j] = Poly(field, [v % field.p for v in vals])
-        return MatrixFile(
-            PolyMatrix(field, entries), modulus, polydegree, "coordinate"
-        )
-    reduced = [(i, j, vals[0] % field.p) for i, j, vals in triples]
-    return MatrixFile(
-        SparseMatrix(field, rows, cols, reduced), modulus, None, "coordinate"
-    )
+    return triples
 
 
-def _parse_array(rows, cols, body, field, polydegree, modulus) -> MatrixFile:
-    # array entries run down columns, per the format
+def _parse_poly_array(rows, cols, body, field, polydegree, modulus) -> MatrixFile:
     count = rows * cols
-    if polydegree is None:
-        vals = []
-        for line in body:
-            vals.extend(_int(t) for t in _tokens(line))
-        if len(vals) != count:
-            raise Malformed(f"expected {count} values, found {len(vals)}")
-        cells = [[vals[j * rows + i] for j in range(cols)] for i in range(rows)]
-        if field is None:
-            return MatrixFile(IntMatrix(cells), None, None, "array")
-        return MatrixFile(DenseMatrix(field, [[v % field.p for v in row] for row in cells]),
-                          modulus, None, "array")
     if len(body) != count:
         raise Malformed(f"expected {count} entry lines, found {len(body)}")
     flat = []
     for k, line in enumerate(body):
         coeffs = _entry_tokens(_tokens(line), polydegree, f"entry {k + 1}")
         flat.append(Poly(field, [v % field.p for v in coeffs]))
+    # array entries run down columns, per the format
     entries = [[flat[j * rows + i] for j in range(cols)] for i in range(rows)]
     return MatrixFile(PolyMatrix(field, entries), modulus, polydegree, "array")
 
@@ -192,38 +255,40 @@ def _parse_array(rows, cols, body, field, polydegree, modulus) -> MatrixFile:
 # -- writers -------------------------------------------------------------------
 
 
+def _text(head: list[str], lines) -> str:
+    return "\n".join([*head, *lines]) + "\n"
+
+
+def _column_major(a: np.ndarray):
+    # array entries run down columns, per the format
+    return map(str, a.T.ravel().tolist())
+
+
 def write_dense(m: DenseMatrix) -> str:
-    out = [
+    head = [
         "%%MatrixMarket matrix array integer general",
         f"%%modulus={m.field.p}",
         f"{m.rows} {m.cols}",
     ]
-    for j in range(m.cols):
-        for i in range(m.rows):
-            out.append(str(m.entry(i, j)))
-    return "\n".join(out) + "\n"
+    return _text(head, _column_major(m.a))
 
 
 def write_sparse(m: SparseMatrix) -> str:
-    out = [
+    head = [
         "%%MatrixMarket matrix coordinate integer general",
         f"%%modulus={m.field.p}",
         f"{m.rows} {m.cols} {m.nnz}",
     ]
-    for i, j, v in m.triples():
-        out.append(f"{i + 1} {j + 1} {v}")
-    return "\n".join(out) + "\n"
+    rows, cols = (m.ri + 1).tolist(), (m.ci + 1).tolist()
+    return _text(head, map("{} {} {}".format, rows, cols, m.vals.tolist()))
 
 
 def write_int(m: IntMatrix) -> str:
-    out = [
+    head = [
         "%%MatrixMarket matrix array integer general",
         f"{m.rows} {m.cols}",
     ]
-    for j in range(m.cols):
-        for i in range(m.rows):
-            out.append(str(m.entry(i, j)))
-    return "\n".join(out) + "\n"
+    return _text(head, _column_major(m.a))
 
 
 def write_poly(m: PolyMatrix, deg_bound: Optional[int] = None) -> str:

@@ -593,7 +593,9 @@ class ReplayVerifierChannel(_ChallengeChannel):
         self._pos += 1
         return m
 
-    def recv(self, tag: int, kinds: tuple[int, ...], field: Optional[PrimeField] = None):
+    def recv(self, tag: int, kinds: tuple[int, ...], field: Optional[PrimeField] = None,
+             count: int = 1):
+        # a recorded message is already in memory: count bounds no read
         m = self._next()
         if m.role != ROLE_PROVER or m.tag != tag or m.kind not in kinds:
             raise _ReplayReject("ProtocolViolation:unexpected-message")
@@ -615,6 +617,17 @@ class ReplayVerifierChannel(_ChallengeChannel):
             raise _ReplayReject("ProtocolViolation:trailing-messages")
 
 
+# Past its payload, a message frame holds the frame type and the role,
+# tag and kind bytes; the rest leaves room for a short abort reason.
+_FRAME_SLACK = 4 + 256
+
+
+def _frame_limit(count: int) -> int:
+    """Largest frame of a message of up to count 8-byte entries: a 4-byte
+    length, the entries and the slack above."""
+    return 4 + 8 * count + _FRAME_SLACK
+
+
 class LiveVerifierChannel(_ChallengeChannel):
     """Interactive verifier half over a transport."""
 
@@ -623,8 +636,12 @@ class LiveVerifierChannel(_ChallengeChannel):
         self._tr = transport
         self._t = transcript
 
-    def recv(self, tag: int, kinds: tuple[int, ...], field: Optional[PrimeField] = None):
-        m = _parse_frame(self._tr.recv_frame())
+    def recv(self, tag: int, kinds: tuple[int, ...], field: Optional[PrimeField] = None,
+             count: int = 1):
+        """The next prover message, read under a limit sized from count:
+        the most 8-byte entries (vector or polynomial entries, or words of
+        a big integer) an honest message of this step holds."""
+        m = _parse_frame(self._tr.recv_frame(_frame_limit(count)))
         if m.role != ROLE_PROVER or m.tag != tag or m.kind not in kinds:
             raise ProtocolViolation("unexpected message from prover")
         if field is not None and not _payload_in_field(m.kind, m.value, field.p):
@@ -638,11 +655,6 @@ class LiveVerifierChannel(_ChallengeChannel):
         self._t.messages.append(m)
         self._tr.send_frame(_msg_frame(m))
         return value
-
-
-# Past its payload, a challenge frame holds the frame type and the role,
-# tag and kind bytes; the rest leaves room for a short abort reason.
-_CHALLENGE_SLACK = 4 + 256
 
 
 class LiveProverChannel:
@@ -660,9 +672,8 @@ class LiveProverChannel:
         )
 
     def _challenge(self, kind: int, count: int = 0):
-        # a scalar or prime is 8 bytes; a vector, a 4-byte count and 8 bytes an entry
-        size = 4 + 8 * count if kind == KIND_VEC else 8
-        m = _parse_frame(self._tr.recv_frame(size + _CHALLENGE_SLACK))
+        # a scalar or prime is one 8-byte entry
+        m = _parse_frame(self._tr.recv_frame(_frame_limit(count if kind == KIND_VEC else 1)))
         if m.role != ROLE_VERIFIER or m.tag != TAG_CHALLENGE or m.kind != kind:
             raise ProtocolViolation("expected a challenge")
         return m.value

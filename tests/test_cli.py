@@ -11,10 +11,10 @@ import time
 import pytest
 
 from vlac.certs_sparse import PROTOCOL_DET, _det_parts
-from vlac.cli import main
+from vlac.cli import MAX_SESSIONS, main
 from vlac.errors import Malformed, TransportError
-from vlac.ff import Poly, full_sample_set
-from vlac.la import DenseMatrix, SparseMatrix, dense_matmul
+from vlac.ff import Poly, field_new, full_sample_set
+from vlac.la import DenseMatrix, SparseMatrix, dense_matmul, rank_dense
 from vlac.net import HELLO_OK, MAX_HELLO, SocketTransport, hello_frame
 from vlac.lift import IntMatrix, PolyMatrix
 from vlac.matrixmarket import (
@@ -360,6 +360,49 @@ def test_cli_delegate_round_trip(tmp_path, gf101, capsys):
         proc.wait(timeout=10)
 
 
+def live_instance(tmp_path, name):
+    """Files and flags of an instance whose honest prover messages hold
+    more entries than the slack of a frame limit covers."""
+    from random import Random
+
+    rng = Random(name)
+    gf101 = field_new(101)
+    if name in ("det", "minpoly"):
+        return [sparse_det_file(tmp_path, gf101, n=40)], []
+    if name == "rank":
+        triples = [(i, i, rng.randrange(1, 101)) for i in range(39)]
+        text, flags = write_sparse(SparseMatrix(gf101, 40, 40, triples)), ["--rank", "39"]
+    elif name == "nonsingular":
+        a = DenseMatrix(gf101, [[rng.randrange(101) for _ in range(40)] for _ in range(40)])
+        while rank_dense(a) < 40:
+            a = DenseMatrix(gf101, [[rng.randrange(101) for _ in range(40)] for _ in range(40)])
+        text, flags = write_dense(a), []
+    elif name == "intdet":
+        rows = [[rng.randrange(-100, 101) for _ in range(40)] for _ in range(40)]
+        text, flags = write_int(IntMatrix(rows)), []
+    else:  # polydet: a determinant of degree up to 6 * 6
+        gf = field_new(10007)
+        entries = [[Poly(gf, [rng.randrange(10007) for _ in range(7)]) for _ in range(6)]
+                   for _ in range(6)]
+        text, flags = write_poly(PolyMatrix(gf, entries)), []
+    path = tmp_path / f"{name}.mtx"
+    path.write_text(text)
+    return [str(path)], flags
+
+
+@pytest.mark.parametrize("name", ["det", "minpoly", "rank", "nonsingular", "intdet", "polydet"])
+def test_cli_delegate_long_messages_fit_their_frame_limits(tmp_path, name, capsys):
+    files, flags = live_instance(tmp_path, name)
+    args = ["--problem", name, *files, *flags, "--seed", "3"]
+    proc, port = spawn_server(["serve", *args, "--once"])
+    try:
+        code = main(["delegate", *args, "--port", str(port)])
+        text = capsys.readouterr().out
+        assert code == 0 and "ACCEPT" in text, text
+    finally:
+        proc.wait(timeout=30)
+
+
 def test_cli_delegate_instance_mismatch(tmp_path, gf101, capsys):
     path = sparse_det_file(tmp_path, gf101)
     proc, port = spawn_server(["serve", "--problem", "det", path, "--once"])
@@ -462,7 +505,9 @@ def test_cli_serve_drops_an_oversized_frame_after_the_hello(tmp_path, gf101):
         proc.wait(timeout=10)
 
 
-def test_cli_delegate_refuses_an_oversized_hello_reply(tmp_path, gf101, capsys):
+def delegate_against(tmp_path, gf101, capsys, before: bytes):
+    """Run ``vlac delegate`` against a fake prover that, after reading the
+    hello, sends ``before`` and then announces a 2^30 - 1 byte frame."""
     path = sparse_det_file(tmp_path, gf101, n=4)
     server = socket.create_server(("127.0.0.1", 0))
     port = server.getsockname()[1]
@@ -472,7 +517,7 @@ def test_cli_delegate_refuses_an_oversized_hello_reply(tmp_path, gf101, capsys):
         conn, _ = server.accept()
         with conn:
             SocketTransport(conn, timeout=30).recv_frame(MAX_HELLO)
-            conn.sendall(struct.pack(">I", (1 << 30) - 1))
+            conn.sendall(before + struct.pack(">I", (1 << 30) - 1))
             done.wait(30)
 
     worker = threading.Thread(target=fake_prover, daemon=True)
@@ -489,6 +534,49 @@ def test_cli_delegate_refuses_an_oversized_hello_reply(tmp_path, gf101, capsys):
         done.set()
         worker.join(timeout=10)
         server.close()
+
+
+def test_cli_delegate_refuses_an_oversized_hello_reply(tmp_path, gf101, capsys):
+    delegate_against(tmp_path, gf101, capsys, b"")
+
+
+def test_cli_delegate_refuses_an_oversized_prover_message(tmp_path, gf101, capsys):
+    # the verifier's first read after the hello is a length-4 vector
+    delegate_against(tmp_path, gf101, capsys, struct.pack(">I", len(HELLO_OK)) + HELLO_OK)
+
+
+def test_cli_serve_caps_live_sessions(tmp_path, gf101):
+    path = sparse_det_file(tmp_path, gf101, n=4)
+    a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
+    params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
+    proc, port = spawn_server(["serve", "--problem", "det", path, "--timeout", "60"])
+    idle = []
+    try:
+        # each idle client holds a session, waiting for its hello
+        idle = [socket.create_connection(("127.0.0.1", port), timeout=10)
+                for _ in range(MAX_SESSIONS)]
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as extra:
+            start = time.monotonic()
+            assert extra.recv(1) == b""
+            assert time.monotonic() - start < 5
+        idle.pop().close()  # its session ends on the early EOF
+        deadline = time.monotonic() + 10
+        while True:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+                tr = SocketTransport(s, timeout=10)
+                tr.send_frame(hello_frame(PROTOCOL_DET, params, digest))
+                try:
+                    assert tr.recv_frame(MAX_HELLO) == HELLO_OK
+                    break
+                except TransportError:
+                    # closed before the freed session slot was seen
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+    finally:
+        for s in idle:
+            s.close()
+        proc.kill()
+        proc.wait(timeout=10)
 
 
 # -- bench ------------------------------------------------------------------------

@@ -120,6 +120,36 @@ def test_sparse_validation(gf101):
     assert s.nnz == 1
 
 
+@pytest.mark.parametrize(
+    "triples, message",
+    [
+        ([(0, 0, 1), (0, 0, 2)], "duplicate entry at (0,0)"),
+        ([(1, 1, 1), (2, 0, 1)], "entry (2,0) outside 2x2"),
+        ([(0, -1, 1)], "entry (0,-1) outside 2x2"),
+        ([(2**70, 0, 1)], f"entry ({2**70},0) outside 2x2"),
+        # the first faulty triple, in the given order, is named
+        ([(0, 1, 1), (5, 5, 1), (0, 1, 2)], "entry (5,5) outside 2x2"),
+        ([(0, 1, 1), (1, 0, 3), (0, 1, 2), (5, 5, 1)], "duplicate entry at (0,1)"),
+        ([(1, 1, 1), (0, 0, 1), (1, 1, 0), (0, 0, 0)], "duplicate entry at (1,1)"),
+    ],
+)
+def test_sparse_first_fault_is_named(gf101, triples, message):
+    with pytest.raises(DimensionMismatch) as info:
+        SparseMatrix(gf101, 2, 2, triples)
+    assert str(info.value) == message
+
+
+def test_sparse_entries_sorted_reduced_and_transposed(gf101):
+    s = SparseMatrix(gf101, 3, 2, [(2, 1, -1), (0, 1, 2**70), (0, 0, 202), (1, 0, 5)])
+    assert list(s.triples()) == [(0, 1, 2**70 % 101), (1, 0, 5), (2, 1, 100)]
+    assert s.ri.dtype == s.ci.dtype == np.int64 and s.vals.dtype == np.int64
+    t = s.transpose()
+    assert t.shape == (2, 3)
+    assert list(t.triples()) == [(0, 1, 5), (1, 0, 2**70 % 101), (1, 2, 100)]
+    same = SparseMatrix.from_arrays(gf101, 3, 2, s.ri, s.ci, s.vals)
+    assert list(same.triples()) == list(s.triples())
+
+
 # -- blackbox combinators -------------------------------------------------------
 
 

@@ -37,7 +37,14 @@ from vlac.la import (
     stack_cap,
 )
 from vlac.lift import IntMatrix, hadamard_bound, int_det_crt
-from vlac.oracle import brute_det_field, brute_det_int, brute_minpoly_fuv, projected_powers
+from vlac.oracle import (
+    _solve_field,
+    brute_det_field,
+    brute_det_int,
+    brute_minpoly_fuv,
+    brute_rank,
+    projected_powers,
+)
 from vlac.proto import KIND_BIGINT, FiatShamirSource, encode_payload
 
 P_DET = 536870909  # dot_chunk() == 32
@@ -699,3 +706,63 @@ def test_dense_matmul_and_matvec_edges(p, rows, inner, cols):
         y = matvec(m, x)
         assert y.dtype == field.dtype
         assert [int(v) for v in y] == want_x
+
+
+# -- dense elimination: solve, invert, kernel and rank ----------------------------
+
+
+def _times(p, a, x):
+    """a x mod p in Python ints, for a list of rows and a vector."""
+    return [sum(v * w for v, w in zip(row, x)) % p for row in a]
+
+
+def _rank_r_rows(p, rng, rows, cols, r):
+    """A rows x cols list of rows of rank at most r: (rows x r)(r x cols)."""
+    left = [[rng.choice([1, p - 1, rng.randrange(p)]) for _ in range(r)] for _ in range(rows)]
+    right = [[rng.choice([1, p - 1, rng.randrange(p)]) for _ in range(cols)] for _ in range(r)]
+    return [[sum(left[i][t] * right[t][j] for t in range(r)) % p for j in range(cols)]
+            for i in range(rows)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("rows,cols", [(0, 0), (1, 1), (0, 2), (2, 0), (4, 4), (3, 5), (5, 3)])
+@pytest.mark.parametrize("deficit", [0, 1, 9])
+def test_elimination_consumers_match_oracle(p, rows, cols, deficit):
+    field = field_new(p)
+    rng = Random(p + rows * 31 + cols * 7 + deficit)
+    cells = _rank_r_rows(p, rng, rows, cols, max(min(rows, cols) - deficit, 0))
+    a = DenseMatrix(field, np.array(cells, dtype=object).reshape(rows, cols))
+    rank = brute_rank(field, cells)
+    assert la.rank_dense(a) == rank
+
+    # a consistent system: any solution found must solve it
+    x0 = [rng.randrange(p) for _ in range(cols)]
+    b = _times(p, cells, x0)
+    assert _solve_field(p, cells, b) is not None
+    x = la.solve_dense(a, b)
+    assert x is not None and x.dtype == field.dtype and len(x) == cols
+    assert _times(p, cells, [int(v) for v in x]) == b
+
+    # an inconsistent one, when the column space misses some vector
+    if rank < rows:
+        b = next(c for c in ([rng.randrange(p) for _ in range(rows)] for _ in range(200))
+                 if _solve_field(p, cells, c) is None)
+        assert la.solve_dense(a, b) is None
+
+    k = la.kernel_vector(a)
+    if rank == cols:
+        assert k is None
+    else:
+        ks = [int(v) for v in k]
+        assert any(ks) and _times(p, cells, ks) == [0] * rows
+
+    if rows == cols:
+        inv = la.invert_dense(a)
+        if rank < rows:
+            assert inv is None
+        else:
+            assert inv.shape == (rows, rows) and inv.a.dtype == field.dtype
+            w = [[int(v) for v in row] for row in inv.a]
+            cols_of_w = [list(c) for c in zip(*w)] if rows else []
+            product = [_times(p, cells, c) for c in cols_of_w]  # columns of a w
+            assert product == [[int(i == j) for i in range(rows)] for j in range(rows)]
