@@ -24,10 +24,9 @@ from .errors import BrokenReference, DimensionMismatch, FieldMismatch, NotSquare
 from .ff import PrimeField, SampleSet, _check_sample_set
 from .la import CostCounter, DenseMatrix, matvec
 from .proto import (
-    KIND_MATRIX,
     Verdict,
     certify,
-    encode_payload,
+    encode_matrix,
     instance_digest,
     replay,
     _u32,
@@ -46,7 +45,7 @@ DEFAULT_ZERO_ONE_ROUNDS = 32
 
 def dense_bytes(m: DenseMatrix) -> bytes:
     """Canonical instance encoding of a dense matrix."""
-    return b"D" + encode_payload(KIND_MATRIX, m)
+    return encode_matrix(m, b"D")
 
 
 def _require_same_field(*ms) -> PrimeField:

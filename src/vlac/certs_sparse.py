@@ -61,6 +61,7 @@ from .proto import (
     TAG_RESPONSE,
     Verdict,
     certify,
+    encode_matrix,
     encode_payload,
     instance_digest,
     replay,
@@ -108,7 +109,7 @@ def operator_bytes(m, instance_tag: Optional[bytes] = None) -> bytes:
     if instance_tag is not None:
         return b"T" + instance_tag
     if isinstance(m, DenseMatrix):
-        return b"D" + encode_payload(5, m)
+        return encode_matrix(m, b"D")
     if isinstance(m, SparseMatrix):
         return sparse_bytes(m)
     raise ValueError("a black-box operator needs an explicit instance tag")

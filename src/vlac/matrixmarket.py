@@ -67,8 +67,8 @@ def parse_matrix_market(text: str) -> MatrixFile:
     """Read a Matrix Market text.
 
     Only the header is walked line by line.  A body of scalar entries is
-    read in one pass: one split, one int64 conversion (exact Python ints
-    when an entry does not fit int64) and array checks.  A body that fails
+    read in one pass: split and int64 conversion (exact Python ints when
+    an entry does not fit int64) and array checks.  A body that fails
     a check goes to the per-line checks, which raise the Malformed naming
     its first faulty line; polynomial entries are read by those lines.
     """
@@ -158,20 +158,51 @@ def _read_array(rows: int, cols: int, rest: str, field: Optional[PrimeField]):
     count = rows * cols
     if "%" in rest:  # comment lines hold no entries
         rest = "\n".join(_data_lines(rest.splitlines()))
-    tokens = rest.split()
     try:
-        vals = int_array(tokens)
+        vals = _int_values(rest, count)
     except ValueError:
-        vals = None
-    if vals is None or len(tokens) != count:
+        tokens = rest.split()
         for tok in tokens:  # the first token that is not an integer, else the count
             _int(tok)
         raise Malformed(f"expected {count} values, found {len(tokens)}")
     # array entries run down columns, per the format
     cells = np.ascontiguousarray(vals.reshape(cols, rows).T)
+    del vals
     if field is None:
         return IntMatrix(cells)
-    return DenseMatrix(field, cells % field.p)
+    np.remainder(cells, field.p, out=cells)
+    return DenseMatrix(field, cells)
+
+
+# Characters of body text split and converted at a time: the strings of
+# one piece are freed before the next is split, so a read holds a few MB
+# of them rather than one object per entry of the whole file.
+_PIECE_CHARS = 1 << 18
+
+
+def _int_values(text: str, count: int) -> np.ndarray:
+    """The whitespace-separated integers of text, which must number count,
+    as one array (see ``int_array``).  Raises ValueError otherwise."""
+    out = np.empty(count, dtype=np.int64)
+    done = start = 0
+    while start < len(text):
+        # a piece ends just past a line break, so no token straddles two
+        stop = text.find("\n", start + _PIECE_CHARS) + 1 or len(text)
+        tokens = text[start:stop].split()
+        if done + len(tokens) > count:
+            raise ValueError(f"more than {count} values")
+        try:
+            out[done : done + len(tokens)] = np.array(tokens, dtype=np.int64)
+        except OverflowError:
+            vals = int_array(text.split())  # exact Python ints
+            if len(vals) != count:
+                raise ValueError(f"{len(vals)} values for {count}")
+            return vals
+        done += len(tokens)
+        start = stop
+    if done != count:
+        raise ValueError(f"{done} values for {count}")
+    return out
 
 
 def _read_coordinate(rows: int, cols: int, nnz: int, rest: str, field: Optional[PrimeField]):

@@ -144,18 +144,7 @@ def encode_payload(kind: int, value) -> bytes:
             raise Malformed("polynomial encoding must be trimmed")
         return _u32(len(vals)) + b"".join(_u64(v) for v in vals)
     if kind == KIND_MATRIX:
-        if isinstance(value, tuple) and len(value) == 3:
-            # canonical (rows, cols, flat) form, as produced by decoding
-            rows, cols, flat = value
-            return (
-                _u32(int(rows))
-                + _u32(int(cols))
-                + np.asarray(flat, dtype="<u8").tobytes()
-            )
-        a = value.a if hasattr(value, "a") else value
-        arr = np.asarray(a)
-        rows, cols = (int(arr.shape[0]), int(arr.shape[1])) if arr.ndim == 2 else (0, 0)
-        return _u32(rows) + _u32(cols) + arr.astype("<u8").tobytes()
+        return encode_matrix(value)
     if kind == KIND_BIGINT:
         v = int(value)
         sign = 1 if v < 0 else 0
@@ -165,6 +154,28 @@ def encode_payload(kind: int, value) -> bytes:
     if kind == KIND_BYTES:
         return bytes(value)
     raise Malformed(f"unknown payload kind {kind}")
+
+
+def encode_matrix(value, tag: bytes = b"") -> bytes:
+    """``tag`` followed by the KIND_MATRIX encoding of ``value``.
+
+    The entries are copied once, into the returned bytes: a little-endian
+    int64 array is read through a u64 view of its buffer, which holds the
+    same bytes as a cast to u64.
+    """
+    if isinstance(value, tuple) and len(value) == 3:
+        # canonical (rows, cols, flat) form, as produced by decoding
+        rows, cols, flat = value
+        arr = np.asarray(flat, dtype="<u8")
+    else:
+        arr = np.asarray(value.a if hasattr(value, "a") else value)
+        rows, cols = (arr.shape[0], arr.shape[1]) if arr.ndim == 2 else (0, 0)
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    if flat.dtype == np.dtype("<i8"):
+        flat = flat.view("<u8")
+    elif flat.dtype != np.dtype("<u8"):
+        flat = flat.astype("<u8")
+    return b"".join((tag, _u32(int(rows)), _u32(int(cols)), flat.view(np.uint8)))
 
 
 def decode_payload(kind: int, buf: bytes):

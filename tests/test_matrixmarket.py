@@ -11,6 +11,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from vlac import matrixmarket
 from vlac.errors import Malformed
 from vlac.ff import field_new
 from vlac.la import DenseMatrix, SparseMatrix
@@ -420,3 +421,14 @@ def test_same_outcome_as_the_per_line_reader():
     for _ in range(3000):
         text = random_text(rng)
         assert outcome(parse_matrix_market, text) == outcome(reference_parse, text), text
+
+
+@pytest.mark.parametrize("piece_chars", [1, 5])
+def test_same_outcome_when_the_body_is_read_in_pieces(monkeypatch, piece_chars):
+    # pieces of a few characters put most piece edges inside an array body
+    monkeypatch.setattr(matrixmarket, "_PIECE_CHARS", piece_chars)
+    rng = Random(9)
+    for _ in range(1000):
+        text = random_text(rng)
+        assert outcome(parse_matrix_market, text) == outcome(reference_parse, text), text
+

@@ -4,6 +4,7 @@ import queue
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from vlac.errors import (
@@ -42,6 +43,7 @@ from vlac.proto import (
     decode_message,
     decode_payload,
     draw_prime,
+    encode_matrix,
     encode_payload,
     fs_prove,
     instance_digest,
@@ -111,6 +113,20 @@ def test_matrix_payload_from_dense(gf101):
     m = DenseMatrix(gf101, [[1, 2], [3, 4]])
     blob = encode_payload(KIND_MATRIX, m)
     assert decode_payload(KIND_MATRIX, blob) == (2, 2, [1, 2, 3, 4])
+
+
+def test_matrix_encoding_is_the_same_for_every_array_layout():
+    rows = [[5, 0, 7], [2**62, 1, 9]]
+    want = (b"D" + (2).to_bytes(4, "little") + (3).to_bytes(4, "little")
+            + b"".join(v.to_bytes(8, "little") for row in rows for v in row))
+    a = np.array(rows, dtype=np.int64)
+    for value in (a, a.astype(object), np.asfortranarray(a), a.T.copy().T,
+                  [list(r) for r in rows], (2, 3, [v for row in rows for v in row])):
+        assert encode_matrix(value, b"D") == want
+        assert encode_payload(KIND_MATRIX, value) == want[1:]
+    # an int64 entry reads as its two's-complement u64, as a cast gives
+    assert encode_matrix(np.array([[-1]]))[8:] == b"\xff" * 8
+    assert encode_matrix(np.zeros((0, 4), dtype=np.int64)) == b"\0\0\0\0\x04\0\0\0"
 
 
 def test_message_round_trip():
