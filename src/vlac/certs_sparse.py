@@ -29,9 +29,7 @@ from .ff import (
     PrimeField,
     SampleSet,
     _check_sample_set,
-    berlekamp_massey,
-    numerator_from_sequence,
-    poly_xgcd,
+    minpoly_package,
 )
 from .la import (
     Blackbox,
@@ -475,14 +473,16 @@ def minpoly_epsilon(deg_gen: int, deg_num: int, s: SampleSet) -> Fraction:
     return coprime + identity
 
 
-def _send_minpoly_package(ch, gen: Poly, seq) -> None:
-    """Prover-side: commit the generator of seq, its numerator, and a
-    Bezout pair for them."""
-    num = numerator_from_sequence(gen, seq)
-    g, phi, psi = poly_xgcd(gen, num)
-    if g.degree != 0:
-        raise AssertionError("generator and numerator must be coprime")
-    for poly in (gen, num, phi, psi):
+def _send_minpoly_package(ch, package: tuple) -> None:
+    """Prover-side: commit the generator of the sequence, its numerator and
+    their Bezout pair, in that order.
+
+    ``ff.minpoly_package`` computes all four in one extended-Euclid pass
+    over the reversed window; each is unique under the degree bounds the
+    verifier enforces, so the commitments do not depend on how they were
+    found.
+    """
+    for poly in package:
         ch.send(TAG_COMMIT, KIND_POLY, poly)
 
 
@@ -589,7 +589,7 @@ def _minpoly_parts(a, u, v, s: Optional[SampleSet], instance_tag: Optional[bytes
     def prover(ch):
         dense = _densify(a)
         seq = projected_sequence(field, a, u_arr, v_arr, 2 * n)
-        _send_minpoly_package(ch, berlekamp_massey(field, seq), seq)
+        _send_minpoly_package(ch, minpoly_package(field, seq))
         ch.challenge_scalar("minpoly.r0", s)
 
         def solve_shift(r1):
@@ -696,20 +696,19 @@ def det_prover_flow(ch, field: PrimeField, operator, s: SampleSet, rng: Random, 
         else:
             scaled = compose(diagonal_scaling(field, scale), operator)
         u_arr, v_arr = field.arr(u), field.arr(v)
-        seq = projected_sequence(field, scaled, u_arr, v_arr, 2 * n)
-        gen = berlekamp_massey(field, seq)
-        if gen.degree == n:
-            found = (scale, u_arr, v_arr, scaled, seq, gen)
+        package = minpoly_package(field, projected_sequence(field, scaled, u_arr, v_arr, 2 * n))
+        if package[0].degree == n:
+            found = (scale, u_arr, v_arr, scaled, package)
             break
     if found is None:
         ch.send(TAG_COMMIT, KIND_EMPTY)
         return
-    scale, u_arr, v_arr, scaled, seq, gen = found
+    scale, u_arr, v_arr, scaled, package = found
     for vec in (scale, u_arr, v_arr):
         ch.send(TAG_COMMIT, KIND_VEC, vec)
-    _send_minpoly_package(ch, gen, seq)
+    _send_minpoly_package(ch, package)
     ch.challenge_scalar("minpoly.r0", s)
-    _prove_shifted_solves(ch, field, s, _shift_solver(field, scaled, gen, v_arr))
+    _prove_shifted_solves(ch, field, s, _shift_solver(field, scaled, package[0], v_arr))
 
 
 def det_verifier_flow(ch, field: PrimeField, operator, s: SampleSet, n: int):

@@ -70,7 +70,14 @@ from .lift import (
     _polydet_parts,
 )
 from .matrixmarket import MatrixFile, parse_matrix_market
-from .net import HELLO_OK, MAX_HELLO, SocketTransport, hello_frame, parse_hello
+from .net import (
+    HELLO_OK,
+    HELLO_SECONDS,
+    MAX_HELLO,
+    SocketTransport,
+    hello_frame,
+    parse_hello,
+)
 from .proto import (
     InteractiveSource,
     Verdict,
@@ -376,9 +383,10 @@ def _cmd_serve(args) -> int:
     print(f"serving {args.problem} on {host}:{port}", flush=True)
 
     def handle(conn) -> None:
-        tr = SocketTransport(conn, args.timeout)
+        tr = SocketTransport(conn, min(args.timeout, HELLO_SECONDS))
         try:
             their = parse_hello(tr.recv_frame(MAX_HELLO))
+            conn.settimeout(args.timeout)
             if their != (protocol_id, params, digest):
                 tr.send_frame(_abort_frame("instance or protocol mismatch"))
                 return

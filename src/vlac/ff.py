@@ -5,13 +5,20 @@ extended gcd) that the certificate protocols are built on.
 Scalars are canonical Python ints in [0, p).  Keeping them as plain ints
 lets the matrix layer batch arithmetic through numpy without boxing.
 
+The provers take a sequence window's whole minimal-polynomial package
+(generator, numerator and their Bezout pair) from ``minpoly_package``:
+one extended-Euclid pass on (x^N, reversed window) that stops halfway
+down, in place of Berlekamp-Massey, the numerator and ``poly_xgcd`` run
+one after the other.  Those three stay public and give the same four
+polynomials.
+
 The sequence and gcd kernels run on coefficient arrays of ``field.dtype``
 at every size: one path for both word dtypes.  Over int64 every operand
 is canonical, so one product is below p^2 < 2^63.  ``_dot`` reduces each
 product before summing, so its sum stays below len * p < 2^63;
-``_mul_arrays`` sums at most ``dot_chunk()`` unreduced products per
-coefficient.  Over ``object`` arrays the same numpy calls carry exact
-Python ints, and nothing can overflow.
+``_mul_arrays`` and ``_sub_mul`` sum at most ``dot_chunk()`` unreduced
+products per coefficient.  Over ``object`` arrays the same numpy calls
+carry exact Python ints, and nothing can overflow.
 """
 
 from __future__ import annotations
@@ -386,16 +393,9 @@ def poly_xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
         raise BothZero("gcd(0, 0) is undefined")
     field = f.field
     p = field.p
-    r0, r1 = _residues(field, f.coeffs), _residues(field, g.coeffs)
-    s0, s1 = _residues(field, [1]), _residues(field, [])
-    t0, t1 = s1, s0
-    while len(r1):
-        q, r = _divmod_arrays(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub_mul(field, s0, q, s1)
-        t0, t1 = t1, _sub_mul(field, t0, q, t1)
-    lead_inv = pow(int(r0[-1]), -1, p)
-    return tuple(Poly(field, c * lead_inv % p) for c in (r0, s0, t0))
+    d, _, rows, _, _ = _euclid(field, _residues(field, f.coeffs), _residues(field, g.coeffs), 0)
+    lead_inv = pow(int(d[-1]), -1, p)
+    return tuple(Poly(field, c * lead_inv % p) for c in (d, rows[0], rows[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +484,50 @@ def numerator_from_sequence(gen: Poly, seq: Sequence[int]) -> Poly:
     return Poly(field, [_dot(field.p, h[j + 1 :], s[: m - j]) for j in range(m)])
 
 
+def minpoly_package(field: PrimeField, seq: Sequence[int]) -> tuple[Poly, Poly, Poly, Poly]:
+    """(gen, num, phi, psi) for a sequence window, in one extended-Euclid pass.
+
+    gen is the monic minimal generator (what ``berlekamp_massey`` returns),
+    num its numerator (what ``numerator_from_sequence`` returns), and
+    phi*gen + psi*num = 1 with deg phi < deg num and deg psi < deg gen
+    (what ``poly_xgcd(gen, num)`` returns as cofactors).  Each of the four
+    is unique under those bounds.
+
+    With N = len(seq) and S = sum_i seq[i] x^(N-1-i) the reversed window,
+    Euclid runs on (x^N, S) and stops at the first remainder r_k of degree
+    below N - N//2.  Its cofactors satisfy s_k x^N + t_k S = r_k, so
+    t_k S = -s_k x^N + r_k: with lc the leading coefficient of t_k,
+    gen = t_k / lc, num = -s_k / lc, and the window recurrence holds
+    exactly when deg r_k < deg t_k (Dornstetter 1987; von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 5 and 12).  The cofactor rows
+    before it satisfy s_{k-1} t_k - s_k t_{k-1} = (-1)^k, which gives
+    phi = (-1)^k lc s_{k-1} and psi = (-1)^k lc t_{k-1}.  The zero window
+    gives (1, 0, 1, 0).
+
+    Raises GeneratorMismatch when the window has no generator of degree at
+    most N//2; a Krylov window of length 2n from an n x n operator always
+    has one.
+    """
+    p = field.p
+    total = len(seq)
+    top = field.zeros(total + 1)
+    top[total] = 1
+    window = _trim_arr(_residues(field, seq)[::-1])
+    _, rem, before, last, steps = _euclid(field, top, window, total - total // 2)
+    t = _trim_arr(last[1])
+    if len(rem) >= len(t):
+        raise GeneratorMismatch("window has no generator of degree at most len(seq) // 2")
+    lc = int(t[-1])
+    inv = pow(lc, -1, p)
+    sign = -lc if steps % 2 else lc
+    return (
+        Poly(field, t * inv % p),
+        Poly(field, -last[0] * inv % p),
+        Poly(field, sign * before[0] % p),
+        Poly(field, sign * before[1] % p),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Coefficient-array kernels (int64 or object; see the module docstring)
 # ---------------------------------------------------------------------------
@@ -525,29 +569,79 @@ def _mul_arrays(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out % p
 
 
-def _sub_mul(field: PrimeField, x: np.ndarray, q: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x - q*y, trimmed."""
-    qy = _mul_arrays(field, q, y)
-    out = field.zeros(max(len(x), len(qy)))
-    out[: len(x)] = x
-    out[: len(qy)] -= qy
-    return _trim_arr(out % field.p)
+def _sub_mul(
+    field: PrimeField, x: np.ndarray, q: np.ndarray, y: np.ndarray, size: int | None = None
+) -> np.ndarray:
+    """The first ``size`` coefficients (default: all) of x - q*y, reduced.
 
-
-def _divmod_arrays(
-    field: PrimeField, num: np.ndarray, den: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient and trimmed remainder of canonical arrays; den is trimmed."""
+    x and y may be stacks of rows, coefficients along the last axis.  The
+    products c*y of the short q are subtracted unreduced, ``dot_chunk()``
+    of them between reductions, so a degree-one quotient costs one
+    reduction over int64 below 2^31 and over object arrays.
+    """
+    if size is None:
+        size = max(x.shape[-1], len(q) + y.shape[-1] - 1)
     p = field.p
-    dn, dd = len(num) - 1, len(den) - 1
-    if dn < dd:
-        return field.zeros(0), num.copy()
+    out = field.zeros(x.shape[:-1] + (size,))
+    keep = min(x.shape[-1], size)
+    out[..., :keep] = x[..., :keep]
+    budget = field.dot_chunk() or len(q)
+    pending = 0
+    for j in range(min(len(q), size)):
+        c = int(q[j])
+        if c:
+            seg = out[..., j : j + y.shape[-1]]
+            seg -= c * y[..., : seg.shape[-1]]
+            pending += 1
+            if pending == budget:
+                out %= p
+                pending = 0
+    if pending:
+        out %= p
+    return out
+
+
+def _quotient(field: PrimeField, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Quotient of canonical arrays; den is trimmed.
+
+    A quotient of degree d depends only on the top d + 1 coefficients of
+    den and the top 2d + 1 of num, so the long division runs on those.
+    """
+    p = field.p
+    d = len(num) - len(den)
+    if d < 0:
+        return field.zeros(0)
+    low = max(len(den) - 1 - d, 0)
+    rem = num[low:].copy()
+    den = den[low:]
+    dd = len(den) - 1
     inv_lead = pow(int(den[-1]), -1, p)
-    rem = num.copy()
-    q = field.zeros(dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
+    q = field.zeros(d + 1)
+    for k in range(d, -1, -1):
         c = int(rem[dd + k]) * inv_lead % p
         if c:
             q[k] = c
-            rem[k : k + dd + 1] = (rem[k : k + dd + 1] - c * den) % p
-    return q, _trim_arr(rem)
+            seg = rem[k : k + dd + 1]
+            seg -= c * den
+            seg %= p
+    return q
+
+
+def _euclid(field: PrimeField, r0: np.ndarray, r1: np.ndarray, stop: int):
+    """Extended Euclid on trimmed arrays a = r0, b = r1 until deg r1 < stop.
+
+    Returns (r0, r1, rows0, rows1, steps): the last two remainders, their
+    cofactor rows (rows[0] * a + rows[1] * b = r, both cofactors in one
+    array so a step updates them together) and the number of divisions.
+    """
+    rows0 = field.zeros((2, 1))
+    rows1 = field.zeros((2, 1))
+    rows0[0, 0] = rows1[1, 0] = 1
+    steps = 0
+    while len(r1) > stop:
+        q = _quotient(field, r0, r1)
+        # r0 - q*r1 vanishes from degree deg r1 up: compute only below it
+        r0, r1 = r1, _trim_arr(_sub_mul(field, r0, q, r1, len(r1) - 1))
+        rows0, rows1 = rows1, _sub_mul(field, rows0, q, rows1)
+        steps += 1
+    return r0, r1, rows0, rows1, steps

@@ -50,10 +50,12 @@ class DenseMatrix:
 
     def __init__(self, field: PrimeField, data):
         self.field = field
-        a = np.array(data, dtype=field.dtype)
+        a = np.asarray(data, dtype=field.dtype)
         if a.ndim != 2:
             raise DimensionMismatch("dense matrix needs a 2-d array")
-        self.a = a % field.p
+        # a fresh C-ordered array whatever the input's layout, so equal
+        # matrices run the product kernels at the same speed
+        self.a = np.remainder(a, field.p, order="C")
 
     @property
     def rows(self) -> int:
@@ -639,7 +641,8 @@ class Butterfly:
         for t in reversed(range(self.layers)):
             a = x[self._lo[t]]
             b = x[self._hi[t]]
-            x[self._lo[t]] = self.alphas[t] * (a + b) % p
+            # a + b is below 2p: reduce it first, or the product can pass 2^63
+            x[self._lo[t]] = self.alphas[t] * ((a + b) % p) % p
             x[self._hi[t]] = self.betas[t] * (a - b) % p
         return x
 

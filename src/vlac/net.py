@@ -22,6 +22,10 @@ HELLO_OK = b"\x02OK"
 MAX_FRAME = 1 << 30
 # A hello is 41 bytes plus the protocol id and the parameter blob, both short.
 MAX_HELLO = 1 << 12
+# A client sends its hello as soon as it connects; a server waits at most
+# this long for it, so an idle connection cannot hold a session slot for a
+# whole round deadline.
+HELLO_SECONDS = 5.0
 
 
 class SocketTransport:

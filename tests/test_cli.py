@@ -579,6 +579,35 @@ def test_cli_serve_caps_live_sessions(tmp_path, gf101):
         proc.wait(timeout=10)
 
 
+def test_cli_serve_drops_a_silent_client_after_the_hello_wait(tmp_path, gf101):
+    from vlac import net
+
+    path = sparse_det_file(tmp_path, gf101, n=4)
+    a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
+    params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
+    proc, port = spawn_server(["serve", "--problem", "det", path, "--timeout", "60"])
+    idle = []
+    try:
+        # every slot is taken by a client that never sends its hello
+        start = time.monotonic()
+        idle = [socket.create_connection(("127.0.0.1", port), timeout=net.HELLO_SECONDS + 10)
+                for _ in range(MAX_SESSIONS)]
+        for s in idle:
+            assert s.recv(1) == b""  # dropped by the server, not by this timeout
+        assert time.monotonic() - start < net.HELLO_SECONDS + 5
+        time.sleep(0.5)  # a session releases its slot just after it closes
+        # the freed slots serve the next client, while the round timeout is 60 s
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+            tr = SocketTransport(s, timeout=10)
+            tr.send_frame(hello_frame(PROTOCOL_DET, params, digest))
+            assert tr.recv_frame(MAX_HELLO) == HELLO_OK
+    finally:
+        for s in idle:
+            s.close()
+        proc.kill()
+        proc.wait(timeout=10)
+
+
 # -- bench ------------------------------------------------------------------------
 
 

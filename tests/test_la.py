@@ -110,6 +110,21 @@ def test_dense_matmul_wide_accumulation(gf_big):
             assert got.entry(i, j) == want
 
 
+@pytest.mark.parametrize("p", (101, 3037000507))
+def test_dense_matrix_is_c_ordered_whatever_the_input(p):
+    field = field_new(p)
+    rng = Random(p)
+    cells = [[rng.randrange(3 * p) for _ in range(5)] for _ in range(3)]
+    m = DenseMatrix(field, cells)
+    fortran = DenseMatrix(field, np.asfortranarray(np.array(cells, dtype=field.dtype)))
+    for d in (m, fortran, m.transpose(), fortran.transpose()):
+        assert d.a.flags.c_contiguous
+        assert d.a.dtype == field.dtype
+    want = [[v % p for v in row] for row in cells]
+    assert fortran.a.tolist() == want
+    assert m.transpose().a.tolist() == [list(col) for col in zip(*want)]
+
+
 def test_sparse_validation(gf101):
     with pytest.raises(DimensionMismatch):
         SparseMatrix(gf101, 2, 2, [(0, 0, 1), (0, 0, 2)])

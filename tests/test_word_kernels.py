@@ -23,13 +23,16 @@ from vlac.ff import (
     berlekamp_massey,
     field_new,
     is_probable_prime,
+    minpoly_package,
     numerator_from_sequence,
     poly_xgcd,
 )
 from vlac.la import (
+    Butterfly,
     DenseMatrix,
     SparseMatrix,
     as_blackbox,
+    butterfly_param_count,
     det_dense,
     det_stack,
     limb_operator,
@@ -674,6 +677,120 @@ def test_poly_xgcd_identity_monic_gcd_and_degree_bounds(p, lf, lg):
             # these bounds make the Bezout pair unique
             assert s.degree < g.degree - d.degree
             assert t.degree < f.degree - d.degree
+
+
+# -- the minimal-polynomial package in one Euclid pass -----------------------------
+#
+# Windows of length 0, 2, 62, 64 and 66 (n = 0, 1, 31, 32, 33) straddle
+# dot_chunk() == 32 at P_DET; the single pass must give what the three public
+# functions give, one after the other.
+
+PACKAGE_SIZES = (0, 1, 31, 32, 33)
+
+
+def _package_cases(p: int, n: int):
+    """(kind, matrix rows, u, v): zero, deficient, gen(0) = 0 and full degree."""
+    rng = Random(p % 991 + 7 * n)
+    yield from _sequence_cases(p, n)
+    if n:
+        # strictly upper triangular: nilpotent, so its generator is x^k
+        nil = [[rng.randrange(p) if j > i else 0 for j in range(n)] for i in range(n)]
+        yield "nilpotent", nil, [rng.randrange(p) for _ in range(n)], _unit(n - 1, n)
+        # a zero eigenvalue next to nonzero ones: gen(0) = 0 with full degree
+        f = _random_monic(p, n - 1, rng)
+        singular = _naive_mul(f, [0, 1], p)
+        yield "singular", _companion(p, singular), _unit(n - 1, n), _unit(0, n)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", PACKAGE_SIZES)
+def test_minpoly_package_equals_the_three_passes(p, n):
+    field = field_new(p)
+    for kind, a, u, v in _package_cases(p, n):
+        seq = projected_powers(field, a, u, v, 2 * n)
+        gen, num, phi, psi = minpoly_package(field, seq)
+        want_gen = berlekamp_massey(field, seq)
+        want_num = numerator_from_sequence(want_gen, seq)
+        d, want_phi, want_psi = poly_xgcd(want_gen, want_num)
+        assert d == Poly.one(field), kind
+        assert (gen, num, phi, psi) == (want_gen, want_num, want_phi, want_psi), kind
+        assert gen.is_monic
+        if kind == "zero":
+            assert (gen, num, phi, psi) == (Poly.one(field), Poly.zero(field),
+                                            Poly.one(field), Poly.zero(field))
+        elif kind == "deficient":
+            assert gen.degree < n
+        elif kind == "nilpotent":
+            assert gen.coeffs == [0] * gen.degree + [1]
+        elif kind in ("full", "singular"):
+            assert gen.degree == n, kind
+        if kind == "singular":
+            assert gen.coeff(0) == 0
+        # the Bezout identity and the strict bounds the verifier enforces
+        lhs = _naive_add(_naive_mul(phi.coeffs, gen.coeffs, p),
+                         _naive_mul(psi.coeffs, num.coeffs, p), p)
+        assert lhs == [1], kind
+        assert num.degree < gen.degree or (gen.degree == 0 and num.is_zero)
+        assert phi.degree <= max(num.degree - 1, 0)
+        assert psi.degree <= max(gen.degree - 1, 0)
+
+
+def test_minpoly_package_refuses_a_window_without_a_short_generator():
+    field = field_new(P_DET)
+    # linear complexity 4 in a window of 4: no generator of degree <= 2
+    with pytest.raises(GeneratorMismatch):
+        minpoly_package(field, [0, 0, 0, 1])
+
+
+# -- butterflies against the materialised matrix ---------------------------------
+#
+# 2147483659 and P_WORD are int64 primes whose sums a + b of two residues,
+# times a third, pass 2^63; P_BIG runs on object arrays.
+
+BUTTERFLY_PRIMES = (3, P_DET, 2147483659, P_WORD, P_BIG)
+
+
+def _butterfly_rows(p: int, n_padded: int, thetas: list) -> list:
+    """The butterfly's matrix in Python ints: layer t pairs i with i + 2^t
+    (bit t of i clear) and maps (a, b) to (alpha a + beta b, alpha a - beta b)."""
+    half = n_padded // 2
+    layers = n_padded.bit_length() - 1
+    m = [_unit(i, n_padded) for i in range(n_padded)]
+    for t in range(layers):
+        alphas = thetas[2 * half * t : 2 * half * t + half]
+        betas = thetas[2 * half * t + half : 2 * half * (t + 1)]
+        lows = [i for i in range(n_padded) if not i & (1 << t)]
+        layer = [[0] * n_padded for _ in range(n_padded)]
+        for k, i in enumerate(lows):
+            j = i + (1 << t)
+            layer[i][i], layer[i][j] = alphas[k], betas[k]
+            layer[j][i], layer[j][j] = alphas[k], -betas[k] % p
+        m = [[sum(layer[i][k] * m[k][j] for k in range(n_padded)) % p for j in range(n_padded)]
+             for i in range(n_padded)]
+    return m
+
+
+@pytest.mark.parametrize("p", BUTTERFLY_PRIMES)
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 8))
+@pytest.mark.parametrize("params", ("random", "top"))
+def test_butterfly_apply_and_transpose_match_python_ints(p, n, params):
+    field = field_new(p)
+    rng = Random(p % 1009 + 10 * n + len(params))
+    count = butterfly_param_count(n)
+    thetas = [p - 1] * count if params == "top" else [rng.randrange(1, p) for _ in range(count)]
+    bf = Butterfly(field, n, thetas)
+    size = bf.n_padded
+    m = _butterfly_rows(p, size, thetas)
+    mt = [list(col) for col in zip(*m)]
+    top = [p - 1] * size
+    for x, y in ((top, top), (top, [rng.randrange(p) for _ in range(size)]),
+                 ([rng.randrange(p) for _ in range(size)], top)):
+        bx = [int(v) for v in bf.apply(x)]
+        bty = [int(v) for v in bf.apply_t(y)]
+        assert bx == _times(p, m, x)
+        assert bty == _times(p, mt, y)
+        # the adjoint identity <Bx, y> = <x, B^T y>
+        assert sum(a * b for a, b in zip(bx, y)) % p == sum(a * b for a, b in zip(x, bty)) % p
 
 
 # -- dense products at zero width and the chunk edges ---------------------------
