@@ -29,6 +29,7 @@ from .ff import (
     PrimeField,
     SampleSet,
     _check_sample_set,
+    _dot,
     minpoly_package,
 )
 from .la import (
@@ -114,15 +115,7 @@ def operator_bytes(m, instance_tag: Optional[bytes] = None) -> bytes:
 
 
 def vec_bytes(values) -> bytes:
-    return encode_payload(3, [int(v) for v in values])
-
-
-def _densify(m) -> DenseMatrix:
-    if isinstance(m, DenseMatrix):
-        return m
-    if isinstance(m, SparseMatrix):
-        return m.to_dense()
-    return materialize(m)
+    return encode_payload(KIND_VEC, [int(v) for v in values])
 
 
 def _square_dims(m) -> tuple:
@@ -145,19 +138,6 @@ def _prover_rng(digest: bytes, prover_seed: Optional[int]) -> Random:
 def _send_answer(ch, w) -> None:
     """Send the vector w, or an empty response when there is none."""
     ch.send(TAG_RESPONSE, KIND_EMPTY if w is None else KIND_VEC, w)
-
-
-def _dot(field: PrimeField, a: np.ndarray, b: np.ndarray, counter=None) -> int:
-    """Exact inner product of canonical vectors.
-
-    Over int64 every product is reduced before the sum, so the sum stays
-    below len * p < 2^63.
-    """
-    if counter is not None:
-        counter.add(2 * len(a))
-    if field.dtype is object:
-        return int(np.dot(a, b)) % field.p if len(a) else 0
-    return int((a * b % field.p).sum()) % field.p
 
 
 def projected_sequence(field: PrimeField, operator, u: np.ndarray, v: np.ndarray, count: int):
@@ -185,7 +165,7 @@ def _nonsingular_parts(a, s: Optional[SampleSet], instance_tag: Optional[bytes])
     digest = instance_digest(PROTOCOL_NONSINGULAR, (operator_bytes(a, instance_tag),))
 
     def prover(ch):
-        dense = _densify(a)
+        dense = materialize(a)
         target = ch.challenge_vector("nonsingular.b", s, n)
         _send_answer(ch, solve_dense(dense, field.arr(target)))
 
@@ -252,22 +232,11 @@ def _preconditioned(field, a, m, n, u_thetas, v_thetas) -> Blackbox:
     return compose(left, padded(a, mp, np_), right)
 
 
-def _leading_block(field, op: Blackbox, k: int) -> DenseMatrix:
-    # prover-side: probe the leading k x k corner column by column
-    proj = leading_projection(op, k)
-    cols = field.zeros((k, k))
-    for j in range(k):
-        e = field.zeros(k)
-        e[j] = 1
-        cols[:, j] = proj.apply(e)
-    return DenseMatrix(field, cols)
-
-
 def _rank_upper_prover(ch, field, a, m, n, r, s, label: str):
     u_th = ch.challenge_nonzero_vector(f"{label}.u", s, butterfly_param_count(m))
     v_th = ch.challenge_nonzero_vector(f"{label}.v", s, butterfly_param_count(n))
     op = _preconditioned(field, a, m, n, u_th, v_th)
-    _send_answer(ch, kernel_vector(_leading_block(field, op, r + 1)))
+    _send_answer(ch, kernel_vector(materialize(leading_projection(op, r + 1))))
 
 
 def _rank_upper_verifier(ch, field, a, m, n, r, s, label: str):
@@ -388,9 +357,8 @@ def _rank_parts(
             for _ in range(DET_MAX_ATTEMPTS):
                 u_th = _mixing_thetas(rng, s, butterfly_param_count(m))
                 v_th = _mixing_thetas(rng, s, butterfly_param_count(n))
-                block = _leading_block(
-                    field, _preconditioned(field, a, m, n, u_th, v_th), r
-                )
+                op = _preconditioned(field, a, m, n, u_th, v_th)
+                block = materialize(leading_projection(op, r))
                 if kernel_vector(block) is None:
                     break
             ch.send(TAG_COMMIT, KIND_VEC, u_th)
@@ -562,7 +530,8 @@ def _verify_minpoly_exchange(
         counter.add(2 * n)
         if not np.array_equal(shifted, v):
             return "CheckFailed:resolvent", None, None
-        uw = _dot(field, u, w, counter)
+        uw = _dot(field, u, w)
+        counter.add(2 * n)
         left = uw * _eval(field, gen, r1, counter) % field.p
         right = _eval(field, num, r1, counter)
         counter.add(1)
@@ -587,7 +556,7 @@ def _minpoly_parts(a, u, v, s: Optional[SampleSet], instance_tag: Optional[bytes
     )
 
     def prover(ch):
-        dense = _densify(a)
+        dense = materialize(a)
         seq = projected_sequence(field, a, u_arr, v_arr, 2 * n)
         _send_minpoly_package(ch, minpoly_package(field, seq))
         ch.challenge_scalar("minpoly.r0", s)

@@ -60,7 +60,7 @@ from .errors import (
     VlacError,
 )
 from .ff import Poly, SampleSet, full_sample_set
-from .la import DenseMatrix, SparseMatrix
+from .la import materialize
 from .lift import (
     PROTOCOL_INTDET,
     PROTOCOL_POLYDET,
@@ -175,14 +175,6 @@ def _read_files(paths) -> list[MatrixFile]:
     return [parse_matrix_market(Path(p).read_text()) for p in paths]
 
 
-def _as_dense(m, what: str) -> DenseMatrix:
-    if isinstance(m, DenseMatrix):
-        return m
-    if isinstance(m, SparseMatrix):
-        return m.to_dense()
-    raise Malformed(f"{what}: expected a field matrix")
-
-
 def _field_operands(args, files: list[MatrixFile], what: str):
     """The files' matrices, all over one GF(p) that agrees with --modulus,
     and the sample set: --sample-size elements, or the whole field."""
@@ -205,14 +197,14 @@ def _field_operands(args, files: list[MatrixFile], what: str):
 
 def _matmul(args, files):
     mats, s = _field_operands(args, files, "matmul operand")
-    a, b, c = (_as_dense(m, "matmul operand") for m in mats)
+    a, b, c = (materialize(m) for m in mats)
     eps = matmul_epsilon(args.variant, c.cols, s, args.rounds)
     return _matmul_parts(a, b, c, s, args.variant, args.rounds), eps
 
 
 def _inverse(args, files):
     mats, s = _field_operands(args, files, "inverse operand")
-    a, w = (_as_dense(m, "inverse operand") for m in mats)
+    a, w = (materialize(m) for m in mats)
     eps = inverse_epsilon(a.rows, s)
     return _inverse_parts(a, w, s), eps
 
@@ -383,9 +375,10 @@ def _cmd_serve(args) -> int:
     print(f"serving {args.problem} on {host}:{port}", flush=True)
 
     def handle(conn) -> None:
-        tr = SocketTransport(conn, min(args.timeout, HELLO_SECONDS))
+        tr = SocketTransport(conn, args.timeout)
         try:
-            their = parse_hello(tr.recv_frame(MAX_HELLO))
+            deadline = time.monotonic() + min(args.timeout, HELLO_SECONDS)
+            their = parse_hello(tr.recv_frame(MAX_HELLO, deadline))
             conn.settimeout(args.timeout)
             if their != (protocol_id, params, digest):
                 tr.send_frame(_abort_frame("instance or protocol mismatch"))

@@ -12,13 +12,14 @@ down, in place of Berlekamp-Massey, the numerator and ``poly_xgcd`` run
 one after the other.  Those three stay public and give the same four
 polynomials.
 
-The sequence and gcd kernels run on coefficient arrays of ``field.dtype``
-at every size: one path for both word dtypes.  Over int64 every operand
-is canonical, so one product is below p^2 < 2^63.  ``_dot`` reduces each
-product before summing, so its sum stays below len * p < 2^63;
-``_mul_arrays`` and ``_sub_mul`` sum at most ``dot_chunk()`` unreduced
-products per coefficient.  Over ``object`` arrays the same numpy calls
-carry exact Python ints, and nothing can overflow.
+The sequence and gcd kernels, and ``Poly`` product and division, run on
+coefficient arrays of ``field.dtype``: one path for both word dtypes.
+Over int64 every operand is canonical, so one product is below
+p^2 < 2^63.  ``_dot`` reduces each product before summing, so its sum
+stays below len * p < 2^63; ``_mul_arrays`` and ``_sub_mul`` sum at most
+``dot_chunk()`` unreduced products per coefficient.  Over ``object``
+arrays the same numpy calls carry exact Python ints and cannot overflow;
+``_dot`` there sums one ``np.dot`` and reduces once.
 """
 
 from __future__ import annotations
@@ -303,17 +304,9 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         _check_same_field(self.field, other.field)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(self.field)
-        p = self.field.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, av in enumerate(a):
-            if av == 0:
-                continue
-            for j, bv in enumerate(b):
-                out[i + j] = (out[i + j] + av * bv) % p
-        return Poly(self.field, out)
+        field = self.field
+        a, b = _residues(field, self.coeffs), _residues(field, other.coeffs)
+        return Poly(field, _mul_arrays(field, a, b))
 
     def scale(self, c: int) -> "Poly":
         p = self.field.p
@@ -335,20 +328,11 @@ class Poly:
         _check_same_field(self.field, den.field)
         if den.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        p = self.field.p
-        dd = den.degree
-        inv_lead = self.field.inv(den.coeffs[-1])
-        rem = list(self.coeffs)
-        if len(rem) <= dd:
-            return Poly.zero(self.field), self
-        q = [0] * (len(rem) - dd)
-        for k in range(len(rem) - dd - 1, -1, -1):
-            c = rem[dd + k] * inv_lead % p
-            if c:
-                q[k] = c
-                for i, dv in enumerate(den.coeffs):
-                    rem[k + i] = (rem[k + i] - c * dv) % p
-        return Poly(self.field, q), Poly(self.field, rem)
+        field = self.field
+        num, d = _residues(field, self.coeffs), _residues(field, den.coeffs)
+        q = _quotient(field, num, d)
+        # num - q*d vanishes from degree deg d up: compute only below it
+        return Poly(field, q), Poly(field, _sub_mul(field, num, q, d, len(d) - 1))
 
     def __call__(self, x: int) -> int:
         """Horner evaluation at a scalar."""
@@ -440,7 +424,7 @@ def berlekamp_massey(field: PrimeField, seq: Sequence[int]) -> Poly:
     prev_disc = 1
     for n in range(len(s)):
         w = min(length, conn_len - 1)
-        d = (int(s[n]) + _dot(p, conn[1 : w + 1], s[n - w : n][::-1])) % p
+        d = (int(s[n]) + _dot(field, conn[1 : w + 1], s[n - w : n][::-1])) % p
         if d == 0:
             gap += 1
             continue
@@ -481,7 +465,7 @@ def numerator_from_sequence(gen: Poly, seq: Sequence[int]) -> Poly:
         raise GeneratorMismatch("polynomial does not generate the sequence")
     h = _residues(field, gen.coeffs)
     s = _residues(field, seq)
-    return Poly(field, [_dot(field.p, h[j + 1 :], s[: m - j]) for j in range(m)])
+    return Poly(field, [_dot(field, h[j + 1 :], s[: m - j]) for j in range(m)])
 
 
 def minpoly_package(field: PrimeField, seq: Sequence[int]) -> tuple[Poly, Poly, Poly, Poly]:
@@ -539,9 +523,11 @@ def _residues(field: PrimeField, values: Sequence[int]) -> np.ndarray:
     return np.array([int(v) % p for v in values], dtype=field.dtype)
 
 
-def _dot(p: int, a: np.ndarray, b: np.ndarray) -> int:
-    """sum a[i] * b[i] mod p, each product reduced before the sum."""
-    return int((a * b % p).sum()) % p
+def _dot(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
+    """sum a[i] * b[i] mod p for canonical vectors: the one dot product."""
+    if field.dtype is object:
+        return int(np.dot(a, b)) % field.p if len(a) else 0
+    return int((a * b % field.p).sum()) % field.p
 
 
 def _trim_arr(a: np.ndarray) -> np.ndarray:

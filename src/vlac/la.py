@@ -5,7 +5,8 @@ Matrix data lives in numpy arrays.  For moduli whose products fit in int64
 the dtype is int64 and heavy kernels run at C speed; for larger word-sized
 moduli the dtype is ``object`` and numpy carries exact Python ints through
 identical code; ``limb_operator`` runs repeated products over such moduli
-on int64 limbs instead.
+on int64 limbs instead.  Sparse int64 products run as ``scipy.sparse`` CSR
+products; scipy is a required dependency, imported outright.
 
 The int64 overflow argument: canonical operands are below p, so a single
 product is below p^2 < 2^63.  A kernel that sums ``dot_chunk()`` or fewer
@@ -21,14 +22,10 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse as _scipy_sparse
 
 from .errors import DimensionMismatch, DivisionByZero, NotSquare
 from .ff import PrimeField
-
-try:
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _scipy_sparse = None
 
 
 class CostCounter:
@@ -299,11 +296,10 @@ def _sparse_apply(m: SparseMatrix, x: np.ndarray, transpose: bool) -> np.ndarray
     """m @ x, or m^T @ x, for a canonical vector x."""
     field = m.field
     p = field.p
-    if field.dtype is np.int64 and _scipy_sparse is not None:
-        # a CSR product sums one row of unreduced products at a time
-        if m.widest()[1 if transpose else 0] <= field.dot_chunk():
-            csr = m._as_csc() if transpose else m._as_csr()
-            return csr @ x % p
+    # a CSR product sums one row of unreduced products at a time
+    if field.dtype is np.int64 and m.widest()[1 if transpose else 0] <= field.dot_chunk():
+        csr = m._as_csc() if transpose else m._as_csr()
+        return csr @ x % p
     if transpose:
         out_idx, in_idx, size = m.ci, m.ri, m.cols
     else:
@@ -550,15 +546,15 @@ def leading_projection(m, k: int) -> Blackbox:
 
 
 def materialize(m) -> DenseMatrix:
-    """Probe an operator with identity columns (prover-side helper)."""
+    """The operator as a fresh dense matrix (prover-side): a copy of a dense
+    or sparse matrix, or a black box probed with identity columns."""
+    if isinstance(m, DenseMatrix):
+        return DenseMatrix(m.field, m.a)
+    if isinstance(m, SparseMatrix):
+        return m.to_dense()
     bb = as_blackbox(m)
-    field = bb.field
-    out = field.zeros((bb.rows, bb.cols))
-    for j in range(bb.cols):
-        e = field.zeros(bb.cols)
-        e[j] = 1
-        out[:, j] = bb.apply(e)
-    return DenseMatrix(field, out)
+    columns = [bb.apply(e) for e in np.eye(bb.cols, dtype=np.int64)]
+    return DenseMatrix(bb.field, np.reshape(columns, (bb.cols, bb.rows)).T)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +581,7 @@ class Butterfly:
     general position.
     """
 
-    __slots__ = ("field", "n", "n_padded", "layers", "alphas", "betas", "_lo", "_hi")
+    __slots__ = ("field", "n", "n_padded", "layers", "_switches")
 
     def __init__(self, field: PrimeField, n: int, thetas: Sequence[int]):
         self.field = field
@@ -599,18 +595,13 @@ class Butterfly:
             raise DimensionMismatch(f"butterfly wants {need} parameters")
         if any(int(v) == 0 for v in th):
             raise DivisionByZero("butterfly parameters must be nonzero")
-        pairs = th.reshape(self.layers, 2, half) if need else th.reshape(0, 2, 0)
-        self.alphas = pairs[:, 0, :]
-        self.betas = pairs[:, 1, :]
-        lo, hi = [], []
-        for t in range(self.layers):
-            stride = 1 << t
-            idx = np.arange(self.n_padded)
-            mask = (idx & stride) == 0
-            lo.append(idx[mask])
-            hi.append(idx[mask] + stride)
-        self._lo = lo
-        self._hi = hi
+        pairs = th.reshape(self.layers, 2, half)
+        # layer t acts on the (-1, 2, 2^t) view of a vector (below): its
+        # switch parameters, alphas then betas, in the same shape
+        self._switches = [
+            np.ascontiguousarray(pairs[t].reshape(2, -1, 1 << t).swapaxes(0, 1))
+            for t in range(self.layers)
+        ]
 
     @property
     def mu(self) -> int:
@@ -623,12 +614,13 @@ class Butterfly:
         x = np.asarray(x, dtype=field.dtype) % p
         if len(x) != self.n_padded:
             raise DimensionMismatch(f"butterfly apply wants length {self.n_padded}")
-        x = x.copy()
         for t in range(self.layers):
-            a = self.alphas[t] * x[self._lo[t]] % p
-            b = self.betas[t] * x[self._hi[t]] % p
-            x[self._lo[t]] = (a + b) % p
-            x[self._hi[t]] = (a - b) % p
+            # layer t pairs i with i + 2^t (bit t of i clear) along axis 1 of v
+            v = x.reshape(-1, 2, 1 << t)
+            ab = v * self._switches[t] % p
+            v[:, 0] = ab[:, 0] + ab[:, 1]
+            v[:, 1] = ab[:, 0] - ab[:, 1]
+            v %= p
         return x
 
     def apply_t(self, x) -> np.ndarray:
@@ -637,13 +629,15 @@ class Butterfly:
         x = np.asarray(x, dtype=field.dtype) % p
         if len(x) != self.n_padded:
             raise DimensionMismatch(f"butterfly apply wants length {self.n_padded}")
-        x = x.copy()
         for t in reversed(range(self.layers)):
-            a = x[self._lo[t]]
-            b = x[self._hi[t]]
+            v = x.reshape(-1, 2, 1 << t)
+            a, b = v[:, 0], v[:, 1]
             # a + b is below 2p: reduce it first, or the product can pass 2^63
-            x[self._lo[t]] = self.alphas[t] * ((a + b) % p) % p
-            x[self._hi[t]] = self.betas[t] * (a - b) % p
+            total = (a + b) % p
+            v[:, 1] = a - b
+            v[:, 0] = total
+            v *= self._switches[t]
+            v %= p
         return x
 
     def as_blackbox(self) -> Blackbox:

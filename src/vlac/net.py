@@ -23,8 +23,8 @@ MAX_FRAME = 1 << 30
 # A hello is 41 bytes plus the protocol id and the parameter blob, both short.
 MAX_HELLO = 1 << 12
 # A client sends its hello as soon as it connects; a server waits at most
-# this long for it, so an idle connection cannot hold a session slot for a
-# whole round deadline.
+# this long for the whole of it, so an idle or trickling connection cannot
+# hold a session slot for a whole round deadline.
 HELLO_SECONDS = 5.0
 
 
@@ -49,11 +49,14 @@ class SocketTransport:
         except OSError as exc:
             raise TransportError(f"send failed: {exc}")
 
-    def _recv_exact(self, n: int) -> bytes:
+    def _recv_exact(self, n: int, deadline: float | None) -> bytes:
         chunks = []
         got = 0
         while got < n:
             try:
+                if deadline is not None:
+                    # a timeout of 0 would make the socket non-blocking
+                    self.sock.settimeout(max(deadline - time.monotonic(), 1e-6))
                 part = self.sock.recv(n - got)
             except socket.timeout:
                 raise Timeout("peer did not respond within the round deadline")
@@ -65,15 +68,16 @@ class SocketTransport:
             got += len(part)
         return b"".join(chunks)
 
-    def recv_frame(self, limit: int = MAX_FRAME) -> bytes:
+    def recv_frame(self, limit: int = MAX_FRAME, deadline: float | None = None) -> bytes:
         """The next frame's payload; a frame announcing more than limit
-        bytes is refused before any of it is read."""
+        bytes is refused before any of it is read, and with a deadline (a
+        ``time.monotonic()`` value) the whole frame must arrive by then."""
         start = time.monotonic()
         try:
-            (length,) = struct.unpack(">I", self._recv_exact(4))
+            (length,) = struct.unpack(">I", self._recv_exact(4, deadline))
             if length > limit:
                 raise TransportError(f"frame of {length} bytes refused")
-            return self._recv_exact(length)
+            return self._recv_exact(length, deadline)
         finally:
             self.recv_seconds += time.monotonic() - start
 

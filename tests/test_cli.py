@@ -608,6 +608,41 @@ def test_cli_serve_drops_a_silent_client_after_the_hello_wait(tmp_path, gf101):
         proc.wait(timeout=10)
 
 
+def test_cli_serve_bounds_the_whole_hello(tmp_path, gf101):
+    from vlac import net
+
+    path = sparse_det_file(tmp_path, gf101, n=4)
+    a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
+    params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
+    hello = hello_frame(PROTOCOL_DET, params, digest)
+    frame = struct.pack(">I", len(hello)) + hello
+    limit = net.HELLO_SECONDS + 2
+    assert len(frame) > 2 * limit  # one byte a second cannot finish it in time
+    proc, port = spawn_server(["serve", "--problem", "det", path, "--once", "--timeout", "60"])
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+            s.settimeout(1.0)
+            start = time.monotonic()
+            closed = False
+            # a valid hello, one byte a second: each read is prompt, the
+            # whole hello is not
+            for byte in frame:
+                try:
+                    s.sendall(bytes([byte]))
+                    closed = s.recv(1) == b""
+                except socket.timeout:
+                    pass
+                except OSError:
+                    closed = True
+                if closed or time.monotonic() - start > limit:
+                    break
+            assert closed
+            assert time.monotonic() - start < limit
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+
+
 # -- bench ------------------------------------------------------------------------
 
 

@@ -211,6 +211,38 @@ def test_blackbox_linearity_and_transpose(gf101):
             assert materialize(op) == ref
 
 
+def _probed(m) -> np.ndarray:
+    """The operator's matrix, one identity column at a time."""
+    bb = as_blackbox(m)
+    out = bb.field.zeros(bb.shape)
+    for j in range(bb.cols):
+        e = bb.field.zeros(bb.cols)
+        e[j] = 1
+        out[:, j] = bb.apply(e)
+    return out
+
+
+@pytest.mark.parametrize("p", (101, 3037000507))
+@pytest.mark.parametrize("shape", ((0, 0), (1, 1), (3, 5)))
+def test_materialize_matrices_is_a_fresh_copy(p, shape):
+    field = field_new(p)
+    rng = Random(p % 97 + shape[1])
+    rows, cols = shape
+    flat = [rng.randrange(p) for _ in range(rows * cols)]
+    dense = DenseMatrix(field, field.arr(flat).reshape(rows, cols))
+    sparse = SparseMatrix(
+        field, rows, cols,
+        [(i, j, rng.randrange(1, p)) for i in range(rows) for j in range(cols) if (i + j) % 2 == 0],
+    )
+    for m in (dense, sparse, as_blackbox(dense)):
+        before = _probed(m)
+        out = materialize(m)
+        assert out.shape == shape
+        assert np.array_equal(out.a, before)
+        out.a[...] = 1
+        assert np.array_equal(_probed(m), before)
+
+
 def test_compose_shapes_and_cost(gf101):
     rng = Random(13)
     a = rand_dense(gf101, rng, 3, 4)

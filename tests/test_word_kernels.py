@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from vlac import la
 from vlac.certs_sparse import _dot, det_certify, det_verify, projected_sequence, sparse_bytes
-from vlac.errors import BothZero, GeneratorMismatch
+from vlac.errors import BothZero, DivisionByZero, GeneratorMismatch
 from vlac.ff import (
     Poly,
     berlekamp_massey,
@@ -677,6 +677,48 @@ def test_poly_xgcd_identity_monic_gcd_and_degree_bounds(p, lf, lg):
             # these bounds make the Bezout pair unique
             assert s.degree < g.degree - d.degree
             assert t.degree < f.degree - d.degree
+
+
+def _naive_divmod(num: list, den: list, p: int) -> tuple:
+    """Long division in Python ints, both results trimmed."""
+    rem = list(num)
+    inv = pow(den[-1], -1, p)
+    q = [0] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + len(den) - 1] * inv % p
+        q[k] = c
+        for i, d in enumerate(den):
+            rem[k + i] = (rem[k + i] - c * d) % p
+    return _naive_add(q, [], p), _naive_add(rem, [], p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", (31, 32, 33))
+def test_poly_mul_and_divmod_match_schoolbook(p, n):
+    field = field_new(p)
+    rng = Random(p % 983 + n)
+    non_monic = _random_poly(p, n - 1, rng)[:-1] + [p - 1]
+    cases = [
+        [],  # zero
+        [rng.randrange(1, p)],  # constant
+        [rng.randrange(p), p - 1],  # non-monic linear divisor
+        non_monic,
+        _random_poly(p, n, rng),
+        [p - 1] * n,  # the largest coefficients everywhere
+        _random_poly(p, n + 5, rng),  # longer than every other dividend
+    ]
+    for a in cases:
+        for b in cases:
+            f, g = Poly(field, a), Poly(field, b)
+            assert (f * g).coeffs == _naive_add(_naive_mul(a, b, p), [], p)
+            if not b:
+                with pytest.raises(DivisionByZero):
+                    f.divmod_by(g)
+                continue
+            q, r = f.divmod_by(g)
+            assert (q.coeffs, r.coeffs) == _naive_divmod(a, b, p)
+            if len(b) > len(a):
+                assert q.is_zero and r == f
 
 
 # -- the minimal-polynomial package in one Euclid pass -----------------------------
