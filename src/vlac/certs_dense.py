@@ -26,8 +26,8 @@ from .la import CostCounter, DenseMatrix, matvec
 from .proto import (
     Verdict,
     certify,
-    encode_matrix,
     instance_digest,
+    matrix_chunks,
     replay,
     _u32,
     _u64,
@@ -43,9 +43,15 @@ PROTOCOL_INVERSE = "vlac.inverse.v1"
 DEFAULT_ZERO_ONE_ROUNDS = 32
 
 
+def dense_part(m: DenseMatrix, tag: bytes = b"D"):
+    """Canonical instance encoding of a dense matrix, as the ``Chunks``
+    that ``instance_digest`` hashes without joining them."""
+    return matrix_chunks(m, tag)
+
+
 def dense_bytes(m: DenseMatrix) -> bytes:
-    """Canonical instance encoding of a dense matrix."""
-    return encode_matrix(m, b"D")
+    """Canonical instance encoding of a dense matrix, joined."""
+    return bytes(dense_part(m))
 
 
 def _require_same_field(*ms) -> PrimeField:
@@ -110,7 +116,7 @@ def _matmul_parts(
         rounds if variant == ZERO_ONE else 0
     )
     digest = instance_digest(
-        PROTOCOL_MATMUL, (dense_bytes(a), dense_bytes(b), dense_bytes(c))
+        PROTOCOL_MATMUL, (dense_part(a), dense_part(b), dense_part(c))
     )
 
     def prover(ch):
@@ -208,9 +214,9 @@ def _resolve(claims: list[MatMulClaim], i: int, side: FactorSource) -> DenseMatr
     raise TypeError(f"factor source must be Literal or Ref, got {type(side).__name__}")
 
 
-def _side_bytes(side: FactorSource) -> bytes:
+def _side_part(side: FactorSource):
     if isinstance(side, Literal):
-        return b"L" + dense_bytes(side.matrix)
+        return dense_part(side.matrix, b"LD")
     return b"R" + _u32(side.index)
 
 
@@ -249,9 +255,9 @@ def _chain_parts(claims: list[MatMulClaim], s: SampleSet | None):
 
     parts = []
     for cl in claims:
-        parts.append(_side_bytes(cl.left))
-        parts.append(_side_bytes(cl.right))
-        parts.append(dense_bytes(cl.product))
+        parts.append(_side_part(cl.left))
+        parts.append(_side_part(cl.right))
+        parts.append(dense_part(cl.product))
     digest = instance_digest(PROTOCOL_CHAIN, parts)
     params = _u64(field.p) + _u64(s.offset) + _u64(s.size) + _u32(len(claims))
 
@@ -301,7 +307,7 @@ def _inverse_parts(a: DenseMatrix, w: DenseMatrix, s: SampleSet | None):
         raise DimensionMismatch("claimed inverse has the wrong shape")
     s = _check_sample_set(field, s)
     n = a.rows
-    digest = instance_digest(PROTOCOL_INVERSE, (dense_bytes(a), dense_bytes(w)))
+    digest = instance_digest(PROTOCOL_INVERSE, (dense_part(a), dense_part(w)))
     params = _u64(field.p) + _u64(s.offset) + _u64(s.size)
 
     def prover(ch):

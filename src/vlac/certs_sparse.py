@@ -60,9 +60,9 @@ from .proto import (
     TAG_RESPONSE,
     Verdict,
     certify,
-    encode_matrix,
     encode_payload,
     instance_digest,
+    matrix_chunks,
     replay,
     _u32,
     _u64,
@@ -99,8 +99,9 @@ def sparse_bytes(m: SparseMatrix) -> bytes:
     return b"S" + _u32(m.rows) + _u32(m.cols) + _u32(m.nnz) + triples.tobytes()
 
 
-def operator_bytes(m, instance_tag: Optional[bytes] = None) -> bytes:
-    """Canonical bytes binding a run to its operator.
+def operator_bytes(m, instance_tag: Optional[bytes] = None):
+    """Canonical encoding binding a run to its operator: bytes, or the
+    ``Chunks`` of a dense matrix.
 
     Dense and sparse matrices have a natural encoding; a raw black box
     does not, so callers must tag it themselves.
@@ -108,14 +109,14 @@ def operator_bytes(m, instance_tag: Optional[bytes] = None) -> bytes:
     if instance_tag is not None:
         return b"T" + instance_tag
     if isinstance(m, DenseMatrix):
-        return encode_matrix(m, b"D")
+        return matrix_chunks(m, b"D")
     if isinstance(m, SparseMatrix):
         return sparse_bytes(m)
     raise ValueError("a black-box operator needs an explicit instance tag")
 
 
 def vec_bytes(values) -> bytes:
-    return encode_payload(KIND_VEC, [int(v) for v in values])
+    return encode_payload(KIND_VEC, values)
 
 
 def _square_dims(m) -> tuple:
@@ -617,27 +618,22 @@ def det_epsilon(n: int, deg_num: int, s: SampleSet) -> Fraction:
 def _shift_solver(field: PrimeField, operator, gen: Poly, v_arr: np.ndarray):
     """Honest responder for shifted systems when gen annihilates v.
 
-    (r I - B)^{-1} v equals q(B) v / gen(r) with q the synthetic quotient
-    of gen by (x - r), so one Horner sweep of matrix-vector products
-    solves the system without any elimination.
+    (r I - B)^{-1} v equals q(B) v / gen(r) with q the quotient of gen by
+    (x - r) and gen(r) the remainder, so one Horner sweep of matrix-vector
+    products solves the system without any elimination.
     """
-    coeffs = gen.coeffs
-    deg = gen.degree
+    p = field.p
 
     def solve(r1: int):
-        at_r1 = gen(r1)
+        quot, rem = gen.divmod_by(Poly(field, [-r1, 1]))
+        at_r1 = rem.coeff(0)
         if at_r1 == 0:
             return None
-        # synthetic division: q[deg-1] .. q[0], remainder = gen(r1)
-        q = [0] * deg
-        acc = coeffs[deg]
-        for i in range(deg - 1, -1, -1):
-            q[i] = acc
-            acc = (coeffs[i] + r1 * acc) % field.p
-        w = v_arr * q[deg - 1] % field.p
-        for i in range(deg - 2, -1, -1):
-            w = (_matvec_canonical(operator, w) + q[i] * v_arr) % field.p
-        return w * field.inv(at_r1) % field.p
+        q = quot.coeffs
+        w = v_arr * q[-1] % p
+        for c in reversed(q[:-1]):
+            w = (_matvec_canonical(operator, w) + c * v_arr) % p
+        return w * field.inv(at_r1) % p
 
     return solve
 

@@ -597,6 +597,17 @@ def _quotient(field: PrimeField, num: np.ndarray, den: np.ndarray) -> np.ndarray
     d = len(num) - len(den)
     if d < 0:
         return field.zeros(0)
+    if len(den) == 2:
+        # by d1 x + d0 = d1 (x - r): q_k = c_(k+1) / d1 + r q_(k+1), one
+        # pass over Python ints instead of a numpy slice update per term
+        inv_lead = pow(int(den[1]), -1, p)
+        r = -int(den[0]) * inv_lead % p
+        q = [0] * (d + 1)
+        acc = 0
+        for k, c in zip(range(d, -1, -1), reversed(num[1:].tolist())):
+            acc = (c * inv_lead + r * acc) % p
+            q[k] = acc
+        return np.array(q, dtype=field.dtype)
     low = max(len(den) - 1 - d, 0)
     rem = num[low:].copy()
     den = den[low:]

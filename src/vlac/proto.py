@@ -133,16 +133,29 @@ class _Reader:
 # -- message payloads ---------------------------------------------------------
 
 
+def _u64_block(values) -> bytes:
+    """Integers as one block of little-endian u64s, packed in one call.
+
+    struct checks every value against 0 <= v < 2^64 itself, where a numpy
+    cast to ``<u8`` wraps a negative value silently on numpy 1.x.
+    """
+    vals = values.reshape(-1).tolist() if isinstance(values, np.ndarray) else values
+    try:
+        return struct.pack(f"<{len(vals)}Q", *vals)
+    except struct.error as exc:
+        raise Malformed(f"entry does not fit a u64: {exc}") from None
+
+
 def encode_payload(kind: int, value) -> bytes:
     if kind == KIND_EMPTY:
         return b""
     if kind in (KIND_SCALAR, KIND_UINT):
         return _u64(int(value))
     if kind in (KIND_VEC, KIND_POLY):
-        vals = _canon_value(kind, value)
-        if kind == KIND_POLY and vals and vals[-1] == 0:
+        vals = value.coeffs if hasattr(value, "coeffs") else value
+        if kind == KIND_POLY and len(vals) and vals[-1] == 0:
             raise Malformed("polynomial encoding must be trimmed")
-        return _u32(len(vals)) + b"".join(_u64(v) for v in vals)
+        return _u32(len(vals)) + _u64_block(vals)
     if kind == KIND_MATRIX:
         return encode_matrix(value)
     if kind == KIND_BIGINT:
@@ -156,26 +169,57 @@ def encode_payload(kind: int, value) -> bytes:
     raise Malformed(f"unknown payload kind {kind}")
 
 
-def encode_matrix(value, tag: bytes = b"") -> bytes:
-    """``tag`` followed by the KIND_MATRIX encoding of ``value``.
+_WORD_DTYPES = (np.dtype("<i8"), np.dtype("<u8"))
 
-    The entries are copied once, into the returned bytes: a little-endian
-    int64 array is read through a u64 view of its buffer, which holds the
-    same bytes as a cast to u64.
+
+class Chunks:
+    """An encoding kept as the buffers whose concatenation it is.
+
+    ``instance_digest`` hashes the buffers one after another, so a matrix
+    is read where it lies rather than joined into a new bytes object
+    first.  ``len`` is the joined byte count and ``bytes()`` joins.
+    """
+
+    __slots__ = ("bufs", "nbytes")
+
+    def __init__(self, *bufs):
+        self.bufs = bufs
+        self.nbytes = sum(memoryview(b).nbytes for b in bufs)
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.bufs)
+
+
+def matrix_chunks(value, tag: bytes = b"") -> Chunks:
+    """``tag`` followed by the KIND_MATRIX encoding of ``value``, as the
+    header and the entries.
+
+    A little-endian int64 or u64 array in C order is not copied: its
+    entries are a u64 view of its buffer, which holds the same bytes as
+    a cast to u64.  Any other input is packed once.
     """
     if isinstance(value, tuple) and len(value) == 3:
         # canonical (rows, cols, flat) form, as produced by decoding
         rows, cols, flat = value
-        arr = np.asarray(flat, dtype="<u8")
     else:
-        arr = np.asarray(value.a if hasattr(value, "a") else value)
-        rows, cols = (arr.shape[0], arr.shape[1]) if arr.ndim == 2 else (0, 0)
-    flat = np.ascontiguousarray(arr).reshape(-1)
-    if flat.dtype == np.dtype("<i8"):
-        flat = flat.view("<u8")
-    elif flat.dtype != np.dtype("<u8"):
-        flat = flat.astype("<u8")
-    return b"".join((tag, _u32(int(rows)), _u32(int(cols)), flat.view(np.uint8)))
+        arr = value.a if hasattr(value, "a") else value
+        if not isinstance(arr, np.ndarray):
+            arr = np.array(arr, dtype=object)
+        rows, cols = arr.shape if arr.ndim == 2 else (0, 0)
+        flat = np.ascontiguousarray(arr).reshape(-1)
+    if isinstance(flat, np.ndarray) and flat.dtype in _WORD_DTYPES:
+        body = flat.view(np.uint8)
+    else:
+        body = _u64_block(flat)
+    return Chunks(tag + _u32(int(rows)) + _u32(int(cols)), body)
+
+
+def encode_matrix(value, tag: bytes = b"") -> bytes:
+    """``tag`` followed by the KIND_MATRIX encoding of ``value``."""
+    return bytes(matrix_chunks(value, tag))
 
 
 def decode_payload(kind: int, buf: bytes):
@@ -186,21 +230,26 @@ def decode_payload(kind: int, buf: bytes):
     return value
 
 
+def _u64_list(r: _Reader, count: int) -> list[int]:
+    # take checks the length before it slices, so a count past the end
+    # of the buffer raises without allocating
+    return np.frombuffer(r.take(8 * count), "<u8").tolist()
+
+
 def _decode_payload_inner(kind: int, r: _Reader):
     if kind == KIND_EMPTY:
         return None
     if kind in (KIND_SCALAR, KIND_UINT):
         return r.u64()
     if kind in (KIND_VEC, KIND_POLY):
-        vals = [r.u64() for _ in range(r.u32())]
+        vals = _u64_list(r, r.u32())
         if kind == KIND_POLY and vals and vals[-1] == 0:
             raise Malformed("polynomial encoding not canonical")
         return vals
     if kind == KIND_MATRIX:
         rows = r.u32()
         cols = r.u32()
-        flat = [r.u64() for _ in range(rows * cols)]
-        return (rows, cols, flat)
+        return (rows, cols, _u64_list(r, rows * cols))
     if kind == KIND_BIGINT:
         sign = r.u8()
         if sign not in (0, 1):
@@ -245,11 +294,11 @@ def decode_message(buf: bytes) -> Message:
 def _payload_in_field(kind: int, value, p: int) -> bool:
     if kind == KIND_SCALAR:
         return 0 <= value < p
-    if kind in (KIND_VEC, KIND_POLY):
-        return all(0 <= v < p for v in value)
     if kind == KIND_MATRIX:
-        return all(0 <= v < p for v in value[2])
-    return True
+        value = value[2]
+    elif kind not in (KIND_VEC, KIND_POLY):
+        return True
+    return not value or (min(value) >= 0 and max(value) < p)
 
 
 # -- transcripts --------------------------------------------------------------
@@ -318,13 +367,15 @@ def transcript_deserialize(buf: bytes) -> Transcript:
     return Transcript(protocol_id, mode_raw[0], digest, params, messages)
 
 
-def instance_digest(protocol_id: str, parts: Sequence[bytes]) -> bytes:
-    """Digest binding a run to its instance encoding."""
+def instance_digest(protocol_id: str, parts: Sequence) -> bytes:
+    """Digest binding a run to its instance encoding; a part is bytes or
+    ``Chunks``, hashed as the bytes it joins to."""
     h = hashlib.sha256(b"vlac.instance.v1")
     h.update(lp(protocol_id.encode()))
     for part in parts:
         h.update(_u32(len(part)))
-        h.update(part)
+        for buf in part.bufs if isinstance(part, Chunks) else (part,):
+            h.update(buf)
     return h.digest()
 
 

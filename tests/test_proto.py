@@ -1,6 +1,8 @@
 """Wire format, challenge sources, transcripts, and session plumbing."""
 
+import hashlib
 import queue
+import struct
 from fractions import Fraction
 from random import Random
 
@@ -15,7 +17,8 @@ from vlac.errors import (
     VersionUnsupported,
     VlacError,
 )
-from vlac.ff import SampleSet, full_sample_set
+from vlac.certs_dense import dense_bytes, dense_part
+from vlac.ff import SampleSet, field_new, full_sample_set
 from vlac.la import DenseMatrix
 from vlac.proto import (
     KIND_BIGINT,
@@ -47,6 +50,7 @@ from vlac.proto import (
     encode_payload,
     fs_prove,
     instance_digest,
+    matrix_chunks,
     run_session,
     transcript_deserialize,
     transcript_serialize,
@@ -221,6 +225,44 @@ def test_instance_digest_binds_everything():
     assert instance_digest("p.v1", (b"b", b"aa")) != base
     assert instance_digest("p.v1", (b"a", b"ab")) != base  # length prefixed
     assert instance_digest("p.v1", (b"aab",)) != base
+
+
+def _layouts():
+    """The same kind of matrix held in different ways, each with its
+    entries as the encoding reads them."""
+    base = np.array([[5, 0, 7], [2**40, 1, 9]], dtype=np.int64)
+    negative = np.array([[-1, 3], [-(2**63), 2**63 - 1]], dtype=np.int64)
+    small, big = field_new(10007), field_new(3037000507)
+    transposed = DenseMatrix.__new__(DenseMatrix)
+    transposed.field, transposed.a = small, base.T % small.p
+    assert transposed.a.flags.f_contiguous and not transposed.a.flags.c_contiguous
+    return [
+        pytest.param(DenseMatrix(small, base), base % small.p, id="c-ordered"),
+        pytest.param(transposed, base.T % small.p, id="transposed"),
+        pytest.param(base.T, base.T, id="transposed-array"),
+        pytest.param(negative, negative, id="negative-int64"),
+        pytest.param(DenseMatrix(big, base.astype(object)), base % big.p, id="object"),
+        pytest.param(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3)), id="empty"),
+    ]
+
+
+@pytest.mark.parametrize("value, entries", _layouts())
+def test_streamed_digest_equals_the_joined_encoding(value, entries):
+    rows, cols = entries.shape
+    joined = b"D" + struct.pack("<II", rows, cols) + b"".join(
+        struct.pack("<Q", int(v) % 2**64) for v in entries.reshape(-1))
+    part = dense_part(value) if isinstance(value, DenseMatrix) else matrix_chunks(value, b"D")
+    assert len(part) == len(joined)
+    assert bytes(part) == joined
+    if isinstance(value, DenseMatrix):
+        assert dense_bytes(value) == joined
+    for parts in ((part,), (b"x", part, part)):
+        plain = tuple(joined if p is part else p for p in parts)
+        want = hashlib.sha256(b"vlac.instance.v1" + struct.pack("<I", 4) + b"p.v1")
+        for p in plain:
+            want.update(struct.pack("<I", len(p)) + p)
+        assert instance_digest("p.v1", parts) == instance_digest("p.v1", plain)
+        assert instance_digest("p.v1", parts) == want.digest()
 
 
 # -- challenge sources ----------------------------------------------------------
@@ -487,3 +529,24 @@ def test_replay_out_of_range_scalar_rejected(gf101):
     assert verdict.reason.startswith("Malformed") or verdict.reason.startswith(
         "ChallengeMismatch"
     )
+
+
+@pytest.mark.parametrize("kind, value", [
+    (KIND_VEC, [3, 101, 4]),
+    (KIND_POLY, [1, 2**64 - 1]),
+    (KIND_MATRIX, (1, 2, [101, 0])),
+])
+def test_replay_out_of_field_entry_rejected(gf101, kind, value):
+    """An entry past p in a recorded vector, polynomial or matrix is
+    caught before the verifier reads the message."""
+    def verifier(ch):
+        ch.recv(TAG_COMMIT, (kind,), gf101)
+        return Verdict.accept(Fraction(0)), None
+
+    pid, params, digest = "vlac.one.v1", b"", bytes(32)
+    forged = Transcript(pid, MODE_FIAT_SHAMIR, digest, params,
+                        [Message(ROLE_PROVER, TAG_COMMIT, kind, value)])
+    back = transcript_deserialize(transcript_serialize(forged))
+    verdict, _ = verify_recorded(back, pid, digest, params, verifier)
+    assert not verdict.accepted
+    assert verdict.reason == "Malformed:scalar-out-of-range"
