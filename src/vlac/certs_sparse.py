@@ -17,6 +17,7 @@ verdict.
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction
 from random import Random
 from typing import Optional
@@ -30,6 +31,8 @@ from .ff import (
     SampleSet,
     _check_sample_set,
     _dot,
+    _powers,
+    _projector,
     minpoly_package,
 )
 from .la import (
@@ -49,6 +52,7 @@ from .la import (
     materialize,
     matvec,
     _matvec_canonical,
+    _mul_mod,
     padded,
     solve_dense,
 )
@@ -141,13 +145,42 @@ def _send_answer(ch, w) -> None:
     ch.send(TAG_RESPONSE, KIND_EMPTY if w is None else KIND_VEC, w)
 
 
-def projected_sequence(field: PrimeField, operator, u: np.ndarray, v: np.ndarray, count: int):
-    """The first ``count`` terms of i -> u . (A^i v) (prover-side)."""
-    x = v.copy()
-    out = [_dot(field, u, x)]
-    for _ in range(count - 1):
-        x = _matvec_canonical(operator, x)
-        out.append(_dot(field, u, x))
+def krylov_stride(n: int) -> int:
+    """ceil(sqrt(n)): the spacing of the Krylov checkpoints of an n x n operator."""
+    return math.isqrt(n - 1) + 1 if n > 1 else 1
+
+
+def krylov_checkpoints(field: PrimeField, n: int) -> np.ndarray:
+    """Room for the Krylov checkpoints of an n x n operator: one row of
+    length n for each multiple of ``krylov_stride(n)`` below n."""
+    return field.zeros((-(-n // krylov_stride(n)), n))
+
+
+def projected_sequence(
+    field: PrimeField,
+    operator,
+    u: np.ndarray,
+    v: np.ndarray,
+    count: int,
+    checkpoints: Optional[np.ndarray] = None,
+):
+    """The first ``count`` terms of i -> u . (A^i v) (prover-side).
+
+    Given an array from ``krylov_checkpoints``, its row m receives A^(mk) v
+    for k = ``krylov_stride(n)``, n = len(v), and mk < min(n, count): about
+    sqrt(n) vectors, from which ``_shift_solver`` evaluates a polynomial in
+    A at v.
+    """
+    project = _projector(field, u)
+    stride = krylov_stride(len(v))
+    x = v
+    out = []
+    for i in range(count):
+        if i:
+            x = _matvec_canonical(operator, x)
+        if checkpoints is not None and i < len(v) and i % stride == 0:
+            checkpoints[i // stride] = x
+        out.append(project(x))
     return out
 
 
@@ -464,9 +497,18 @@ def _prove_shifted_solves(ch, field, s, solve_fn) -> None:
             return
 
 
-def _eval(field: PrimeField, poly: Poly, x: int, counter: CostCounter) -> int:
-    counter.add(2 * max(poly.degree, 0))
-    return poly(x)
+def _evals(field: PrimeField, polys: tuple, x: int, counter: CostCounter) -> list:
+    """Each polynomial's value at x, from one table of powers of x.
+
+    Counts one Horner pass, 2 * degree operations, per polynomial.
+    """
+    powers = _powers(field, x, max(len(poly.coeffs) for poly in polys))
+    out = []
+    for poly in polys:
+        counter.add(2 * max(poly.degree, 0))
+        coeffs = np.array(poly.coeffs, dtype=field.dtype)
+        out.append(_dot(field, coeffs, powers[: len(coeffs)]))
+    return out
 
 
 def _verify_minpoly_exchange(
@@ -488,33 +530,33 @@ def _verify_minpoly_exchange(
     single matrix-vector product.
     """
     counter = ch.counter
-    # each committed polynomial has degree at most n
-    _, gen_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field, count=n + 1)
-    gen = Poly(field, gen_coeffs)
+
+    def committed():
+        # each committed polynomial has degree at most n; recv has checked
+        # every coefficient against [0, p)
+        _, coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field, count=n + 1)
+        return Poly.from_canonical(field, coeffs)
+
+    gen = committed()
     if gen.is_zero or not gen.is_monic:
         return "DegreeViolation", None, None
     if gen.degree > n:
         return "DegreeViolation", None, None
     if full_degree and gen.degree != n:
         return "DegreeDeficient", None, None
-    _, num_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field, count=n + 1)
-    num = Poly(field, num_coeffs)
+    num = committed()
     if num.degree >= gen.degree:
         return "DegreeViolation", None, None
-    _, phi_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field, count=n + 1)
-    phi = Poly(field, phi_coeffs)
+    phi = committed()
     if phi.degree > max(num.degree - 1, 0):
         return "DegreeViolation", None, None
-    _, psi_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field, count=n + 1)
-    psi = Poly(field, psi_coeffs)
+    psi = committed()
     if psi.degree > max(gen.degree - 1, 0):
         return "DegreeViolation", None, None
 
     r0 = ch.challenge_scalar("minpoly.r0", s)
-    lhs = (
-        _eval(field, phi, r0, counter) * _eval(field, gen, r0, counter)
-        + _eval(field, psi, r0, counter) * _eval(field, num, r0, counter)
-    ) % field.p
+    at_gen, at_num, at_phi, at_psi = _evals(field, (gen, num, phi, psi), r0, counter)
+    lhs = (at_phi * at_gen + at_psi * at_num) % field.p
     counter.add(3)
     if lhs != 1:
         return "BezoutFail", None, None
@@ -533,8 +575,8 @@ def _verify_minpoly_exchange(
             return "CheckFailed:resolvent", None, None
         uw = _dot(field, u, w)
         counter.add(2 * n)
-        left = uw * _eval(field, gen, r1, counter) % field.p
-        right = _eval(field, num, r1, counter)
+        at_gen, right = _evals(field, (gen, num), r1, counter)
+        left = uw * at_gen % field.p
         counter.add(1)
         if left != right:
             return "CheckFailed:spotcheck", None, None
@@ -615,24 +657,37 @@ def det_epsilon(n: int, deg_num: int, s: SampleSet) -> Fraction:
     return minpoly_epsilon(n, deg_num, s)
 
 
-def _shift_solver(field: PrimeField, operator, gen: Poly, v_arr: np.ndarray):
+def _shift_solver(field: PrimeField, operator, gen: Poly, checkpoints: np.ndarray):
     """Honest responder for shifted systems when gen annihilates v.
 
     (r I - B)^{-1} v equals q(B) v / gen(r) with q the quotient of gen by
-    (x - r) and gen(r) the remainder, so one Horner sweep of matrix-vector
-    products solves the system without any elimination.
+    (x - r) and gen(r) the remainder, so matrix-vector products solve the
+    system without any elimination.  Row m of ``checkpoints`` holds
+    C_m = B^(mk) v for k = ``krylov_stride(n)``, as ``projected_sequence``
+    keeps them.  With Q[j, m] = q[mk + j], q(B) v = sum_j B^j W[j] for
+    W = Q C, which Horner's rule over j evaluates in k - 1 products,
+    forming each row W[j] when it is added (Paterson and Stockmeyer, SIAM
+    J. Comput. 2(1), 1973).
     """
     p = field.p
+    rows, n = checkpoints.shape
+    stride = krylov_stride(n)
 
     def solve(r1: int):
         quot, rem = gen.divmod_by(Poly(field, [-r1, 1]))
         at_r1 = rem.coeff(0)
         if at_r1 == 0:
             return None
-        q = quot.coeffs
-        w = v_arr * q[-1] % p
-        for c in reversed(q[:-1]):
-            w = (_matvec_canonical(operator, w) + c * v_arr) % p
+        q = field.zeros(rows * stride)
+        q[: len(quot.coeffs)] = quot.coeffs
+        coeffs = q.reshape(rows, stride).T  # Q
+
+        def w_row(j: int) -> np.ndarray:
+            return _mul_mod(field, coeffs[j : j + 1], checkpoints)[0]
+
+        w = w_row(stride - 1)
+        for j in range(stride - 2, -1, -1):
+            w = (_matvec_canonical(operator, w) + w_row(j)) % p
         return w * field.inv(at_r1) % p
 
     return solve
@@ -661,19 +716,21 @@ def det_prover_flow(ch, field: PrimeField, operator, s: SampleSet, rng: Random, 
         else:
             scaled = compose(diagonal_scaling(field, scale), operator)
         u_arr, v_arr = field.arr(u), field.arr(v)
-        package = minpoly_package(field, projected_sequence(field, scaled, u_arr, v_arr, 2 * n))
+        checkpoints = krylov_checkpoints(field, n)
+        seq = projected_sequence(field, scaled, u_arr, v_arr, 2 * n, checkpoints)
+        package = minpoly_package(field, seq)
         if package[0].degree == n:
-            found = (scale, u_arr, v_arr, scaled, package)
+            found = (scale, u_arr, v_arr, scaled, package, checkpoints)
             break
     if found is None:
         ch.send(TAG_COMMIT, KIND_EMPTY)
         return
-    scale, u_arr, v_arr, scaled, package = found
+    scale, u_arr, v_arr, scaled, package, checkpoints = found
     for vec in (scale, u_arr, v_arr):
         ch.send(TAG_COMMIT, KIND_VEC, vec)
     _send_minpoly_package(ch, package)
     ch.challenge_scalar("minpoly.r0", s)
-    _prove_shifted_solves(ch, field, s, _shift_solver(field, scaled, package[0], v_arr))
+    _prove_shifted_solves(ch, field, s, _shift_solver(field, scaled, package[0], checkpoints))
 
 
 def det_verifier_flow(ch, field: PrimeField, operator, s: SampleSet, n: int):

@@ -16,10 +16,12 @@ The sequence and gcd kernels, and ``Poly`` product and division, run on
 coefficient arrays of ``field.dtype``: one path for both word dtypes.
 Over int64 every operand is canonical, so one product is below
 p^2 < 2^63.  ``_dot`` reduces each product before summing, so its sum
-stays below len * p < 2^63; ``_mul_arrays`` and ``_sub_mul`` sum at most
-``dot_chunk()`` unreduced products per coefficient.  Over ``object``
-arrays the same numpy calls carry exact Python ints and cannot overflow;
-``_dot`` there sums one ``np.dot`` and reduces once.
+stays below len * p < 2^63; ``_projector`` splits its fixed operand into
+limbs narrow enough that len * limb * p < 2^63; ``_mul_arrays`` and
+``_sub_mul`` sum at most ``dot_chunk()`` unreduced products per
+coefficient.  Over ``object`` arrays the same numpy calls carry exact
+Python ints and cannot overflow; ``_dot`` there sums one ``np.dot`` and
+reduces once.
 """
 
 from __future__ import annotations
@@ -255,6 +257,18 @@ class Poly:
     @classmethod
     def constant(cls, field: PrimeField, c: int) -> "Poly":
         return cls(field, [c])
+
+    @classmethod
+    def from_canonical(cls, field: PrimeField, coeffs: list) -> "Poly":
+        """A polynomial from a list of Python ints already in [0, p), such
+        as a received payload that has been range-checked: no reduction."""
+        poly = cls.__new__(cls)
+        poly.field = field
+        c = list(coeffs)
+        while c and c[-1] == 0:
+            c.pop()
+        poly.coeffs = c
+        return poly
 
     # -- structure ----------------------------------------------------------
 
@@ -528,6 +542,54 @@ def _dot(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
     if field.dtype is object:
         return int(np.dot(a, b)) % field.p if len(a) else 0
     return int((a * b % field.p).sum()) % field.p
+
+
+def _limb_width(p: int, n: int) -> int:
+    """Widest limb b, at most the bit length of p - 1, with
+    n * (2^b - 1) * (p - 1) < 2^63; 0 when not even b = 1 fits."""
+    top = p - 1
+    if n == 0:
+        return top.bit_length()
+    room = (2**63 - 1) // (n * top)  # the largest limb value allowed
+    return min(top.bit_length(), (room + 1).bit_length() - 1)
+
+
+def _projector(field: PrimeField, a: np.ndarray):
+    """x -> a . x mod p for a fixed canonical vector a and canonical x: the
+    one dot product kernel for a left operand that is used many times.
+
+    Over int64, a is split once into L rows of b-bit limbs, with b from
+    ``_limb_width``, so each row's sum against x stays below 2^63.  A
+    projection is then one (L, n) @ (n,) int64 product, with no reduction
+    per entry, and a recombination of the L sums in Python ints.  Object
+    fields (and a length no limb width fits) use ``_dot``.
+    """
+    p = field.p
+    width = _limb_width(p, len(a)) if field.dtype is np.int64 else 0
+    if width == 0:
+        return lambda x: _dot(field, a, x)
+    shifts = list(range(0, (p - 1).bit_length(), width))
+    limbs = (a >> np.array(shifts, dtype=np.int64)[:, None]) & ((1 << width) - 1)
+
+    def project(x: np.ndarray) -> int:
+        return sum(s << shift for s, shift in zip(limbs.dot(x).tolist(), shifts)) % p
+
+    return project
+
+
+def _powers(field: PrimeField, x: int, count: int) -> np.ndarray:
+    """x^0, ..., x^(count - 1) mod p, the table doubling at each step."""
+    p = field.p
+    out = field.zeros(count)
+    if count:
+        out[0] = 1
+    size, step = 1, x % p  # step is x^size
+    while size < count:
+        grow = min(size, count - size)
+        out[size : size + grow] = out[:grow] * step % p
+        size += grow
+        step = step * step % p
+    return out
 
 
 def _trim_arr(a: np.ndarray) -> np.ndarray:

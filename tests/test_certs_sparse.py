@@ -598,7 +598,7 @@ def test_det_cheating_constant_rate(gf101):
     s = full_sample_set(gf101)
 
     import numpy as np
-    from vlac.certs_sparse import _shift_solver, projected_sequence
+    from vlac.certs_sparse import _shift_solver, krylov_checkpoints, projected_sequence
     from vlac.ff import numerator_from_sequence
     from vlac.la import compose, diagonal_scaling
 
@@ -611,7 +611,8 @@ def test_det_cheating_constant_rate(gf101):
                 u = gf101.arr([local.randrange(101) for _ in range(n)])
                 v = gf101.arr([local.randrange(101) for _ in range(n)])
                 scaled = compose(diagonal_scaling(gf101, scale), a)
-                seq = projected_sequence(gf101, scaled, u, v, 2 * n)
+                checkpoints = krylov_checkpoints(gf101, n)
+                seq = projected_sequence(gf101, scaled, u, v, 2 * n, checkpoints)
                 gen = berlekamp_massey(gf101, seq)
                 if gen.degree != n:
                     continue
@@ -628,7 +629,7 @@ def test_det_cheating_constant_rate(gf101):
                 ch.send(TAG_COMMIT, KIND_POLY, phi)
                 ch.send(TAG_COMMIT, KIND_POLY, psi)
                 ch.challenge_scalar("minpoly.r0", s)
-                solver = _shift_solver(gf101, scaled, gen, v)
+                solver = _shift_solver(gf101, scaled, gen, checkpoints)
                 for attempt in range(SHIFT_DRAWS):
                     r1 = ch.challenge_scalar(f"minpoly.r1.{attempt}", s)
                     w = solver(r1)

@@ -16,10 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlac import la
-from vlac.certs_sparse import _dot, det_certify, det_verify, projected_sequence, sparse_bytes
+from vlac.certs_sparse import (
+    _dot,
+    _shift_solver,
+    det_certify,
+    det_verify,
+    krylov_checkpoints,
+    krylov_stride,
+    projected_sequence,
+    sparse_bytes,
+)
 from vlac.errors import BothZero, DivisionByZero, GeneratorMismatch
 from vlac.ff import (
     Poly,
+    _limb_width,
+    _projector,
     berlekamp_massey,
     field_new,
     is_probable_prime,
@@ -33,8 +44,10 @@ from vlac.la import (
     SparseMatrix,
     as_blackbox,
     butterfly_param_count,
+    compose,
     det_dense,
     det_stack,
+    diagonal_scaling,
     limb_operator,
     matvec,
     stack_cap,
@@ -57,6 +70,10 @@ PRIMES = (3, P_DET, P_WORD, P_BIG)
 
 # for p = 3 dot_chunk() is about 2^61; longer vectors than this are not built
 MAX_LEN = 1 << 16
+
+# u and v drawn with all entries nonzero reach a full-degree generator of a
+# diagonal operator with distinct entries in a few draws
+DRAWS_FOR_FULL_DEGREE = 20
 
 
 def _largest_63_bit_prime() -> int:
@@ -115,6 +132,67 @@ def test_dot_matches_python_ints(p, length, seed):
     a = [rng.randrange(p) for _ in range(length)]
     b = [rng.randrange(p) for _ in range(length)]
     assert _dot(field, field.arr(a), field.arr(b)) == sum(x * y for x, y in zip(a, b)) % p
+
+
+# -- the limb projection ---------------------------------------------------------
+
+
+def _width_changes(p, top):
+    """Lengths n <= top at which ``_limb_width(p, n)`` differs from n - 1's."""
+    return [n for n in range(2, top + 1) if _limb_width(p, n) != _limb_width(p, n - 1)]
+
+
+def _last_length_of_width(p, width):
+    # n (2^b - 1) (p - 1) < 2^63 holds up to this n
+    return (2**63 - 1) // (((1 << width) - 1) * (p - 1))
+
+
+@pytest.mark.parametrize("p", (3, P_DET, P_WORD))
+def test_projection_worst_case_entries_at_width_changes(p):
+    field = field_new(p)
+    changes = _width_changes(p, MAX_LEN)
+    assert changes or p == 3  # p = 3 keeps one 2-bit limb at every such length
+    lengths = {0, 1, 2, MAX_LEN} | {n for c in changes for n in (c - 1, c)}
+    for n in sorted(lengths):
+        a = field.arr([p - 1] * n)
+        assert _projector(field, a)(a.copy()) == _dot(field, a, a.copy()) == n * (p - 1) ** 2 % p
+
+
+@pytest.mark.parametrize("p", (3, P_DET, P_WORD))
+def test_limb_width_bound_and_floor(p):
+    top_bits = (p - 1).bit_length()
+    for n in (1, 2, 33, 2048, MAX_LEN):
+        b = _limb_width(p, n)
+        assert 1 <= b <= top_bits
+        assert n * ((1 << b) - 1) * (p - 1) < 2**63
+        assert b == top_bits or n * ((1 << (b + 1)) - 1) * (p - 1) >= 2**63
+    # the floor: one-bit limbs, then no width at all; no vector is built
+    last_two = _last_length_of_width(p, 2)
+    last_one = _last_length_of_width(p, 1)
+    assert _limb_width(p, last_two) == 2
+    assert _limb_width(p, last_two + 1) == 1
+    assert _limb_width(p, last_one) == 1
+    assert _limb_width(p, last_one + 1) == 0
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_projection_of_the_empty_vector(p):
+    field = field_new(p)
+    assert _projector(field, field.zeros(0))(field.zeros(0)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(0, 300), st.integers(0, 2**32))
+def test_projection_matches_dot(p, length, seed):
+    rng = Random(seed)
+    field = field_new(p)
+    a = field.arr([rng.randrange(p) for _ in range(length)])
+    project = _projector(field, a)
+    for _ in range(3):
+        x = field.arr([rng.randrange(p) for _ in range(length)])
+        got = project(x)
+        assert type(got) is int
+        assert got == _dot(field, a, x)
 
 
 # -- sparse products over wide rows and columns ----------------------------------
@@ -179,16 +257,107 @@ def test_scale_rows_one_by_one(p):
 
 
 def test_projected_sequence_of_folded_operator_matches_oracle():
-    field = field_new(P_WORD)
-    rng = Random(17)
-    n = 12
-    m = _random_sparse(field, n, n, rng, density=0.3, full_row=2)
-    d = [rng.randrange(1, P_WORD) for _ in range(n)]
-    u = [rng.randrange(P_WORD) for _ in range(n)]
-    v = [rng.randrange(P_WORD) for _ in range(n)]
-    scaled = m.scale_rows(field.arr(d))
-    got = projected_sequence(field, scaled, field.arr(u), field.arr(v), 2 * n)
-    assert got == projected_powers(field, _rows(scaled), u, v, 2 * n)
+    for p, n in [(P_WORD, 12)] + [(p, n) for p in PRIMES for n in (1, 40)]:
+        field = field_new(p)
+        rng = Random(17 + n)
+        m = _random_sparse(field, n, n, rng, density=0.3, full_row=n // 6)
+        d = [rng.randrange(1, p) for _ in range(n)]
+        u = [rng.randrange(p) for _ in range(n)]
+        v = [rng.randrange(p) for _ in range(n)]
+        scaled = m.scale_rows(field.arr(d))
+        checkpoints = krylov_checkpoints(field, n)
+        got = projected_sequence(field, scaled, field.arr(u), field.arr(v), 2 * n, checkpoints)
+        assert got == projected_powers(field, _rows(scaled), u, v, 2 * n)
+        assert got == projected_sequence(field, scaled, field.arr(u), field.arr(v), 2 * n)
+        # the checkpoints are A^(mk) v for mk < n
+        k = krylov_stride(n)
+        powers, x = [], v
+        for i in range(n):
+            if i % k == 0:
+                powers.append(x)
+            x = _ref_matvec(_rows(scaled), x, p)
+        assert [c.tolist() for c in checkpoints] == powers
+
+
+# -- the checkpointed shift solve ------------------------------------------------
+
+
+def _horner_shift_solve(field, operator, gen, v, r):
+    """(r I - B)^{-1} v as q(B) v / gen(r), one product per coefficient of q."""
+    p = field.p
+    quot, rem = gen.divmod_by(Poly(field, [-r, 1]))
+    if rem.coeff(0) == 0:
+        return None
+    q = quot.coeffs
+    w = v * q[-1] % p
+    for c in reversed(q[:-1]):
+        w = (matvec(operator, w) + c * v) % p
+    return w * field.inv(rem.coeff(0)) % p
+
+
+def _shift_operator(field, kind, n, rng):
+    p = field.p
+    if kind == "sparse":
+        m = _random_sparse(field, n, n, rng, density=0.3, full_row=0)
+        return m.scale_rows(field.arr([rng.randrange(1, p) for _ in range(n)]))
+    a = _dense(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+    if kind == "dense":
+        return compose(diagonal_scaling(field, [rng.randrange(1, p) for _ in range(n)]), a)
+    return limb_operator(a)
+
+
+# limb operators stand in for dense matrices over object-dtype fields only
+SHIFT_OPERATORS = [(p, kind) for p in PRIMES for kind in ("sparse", "dense")] + [(P_BIG, "limbs")]
+
+
+# n = k^2 and k^2 +- 1 for k = 1, 2, 4, and a Q padded with zeros elsewhere
+@pytest.mark.parametrize("p, kind", SHIFT_OPERATORS)
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 15, 16, 17, 64))
+def test_shift_solve_matches_horner(p, kind, n):
+    field = field_new(p)
+    rng = Random(p % 997 + 31 * n)
+    op = _shift_operator(field, kind, n, rng)
+    u = field.arr([rng.randrange(p) for _ in range(n)])
+    v = field.arr([rng.randrange(p) for _ in range(n)])
+    checkpoints = krylov_checkpoints(field, n)
+    gen = minpoly_package(field, projected_sequence(field, op, u, v, 2 * n, checkpoints))[0]
+    if gen.degree < 1:
+        return  # v = 0: nothing to solve
+    solve = _shift_solver(field, op, gen, checkpoints)
+    shifts = [rng.randrange(p) for _ in range(4)] + [0, 1, p - 1]
+    for r in shifts:
+        want = _horner_shift_solve(field, op, gen, v, r)
+        got = solve(r)
+        if want is None:
+            assert got is None
+            continue
+        assert got.tolist() == want.tolist()
+        if gen.degree == n:
+            # gen is the characteristic polynomial: w solves (r I - B) w = v
+            assert ((r * got - matvec(op, got)) % p).tolist() == v.tolist()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_shift_solve_at_a_root_returns_none(p):
+    field = field_new(p)
+    n = min(p - 1, 5)
+    diag = [(7 * i + 2) % p for i in range(n)]  # distinct eigenvalues
+    op = SparseMatrix(field, n, n, [(i, i, d) for i, d in enumerate(diag) if d])
+    rng = Random(p % 89)
+    for _ in range(DRAWS_FOR_FULL_DEGREE):
+        u = field.arr([rng.randrange(1, p) for _ in range(n)])
+        v = field.arr([rng.randrange(1, p) for _ in range(n)])
+        checkpoints = krylov_checkpoints(field, n)
+        gen = minpoly_package(field, projected_sequence(field, op, u, v, 2 * n, checkpoints))[0]
+        if gen.degree == n:
+            break
+    assert gen.degree == n
+    solve = _shift_solver(field, op, gen, checkpoints)
+    for d in diag:
+        assert solve(d) is None
+    off = next(r for r in range(p) if r not in diag)
+    w = solve(off)
+    assert ((off * w - matvec(op, w)) % p).tolist() == v.tolist()
 
 
 # -- determinants over wide rows -------------------------------------------------
