@@ -709,9 +709,9 @@ def det_prover_flow(ch, field: PrimeField, operator, s: SampleSet, rng: Random, 
             # D·A has A's sparsity pattern: the scaling folds into the CSR
             # values and every Krylov step stays one CSR product
             scaled = operator.scale_rows(field.arr(scale))
-        elif isinstance(operator, DenseMatrix) and field.dtype is object:
-            # D·A is scaled once and split into int64 limb planes, so no
-            # Krylov step multiplies Python ints entry by entry
+        elif isinstance(operator, DenseMatrix) and n > field.dot_chunk():
+            # D·A is scaled once and split into int64 limb planes once, so
+            # no Krylov step splits it again
             scaled = limb_operator(operator.scale_rows(field.arr(scale)))
         else:
             scaled = compose(diagonal_scaling(field, scale), operator)

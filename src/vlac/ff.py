@@ -26,6 +26,7 @@ reduces once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -544,14 +545,30 @@ def _dot(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
     return int((a * b % field.p).sum()) % field.p
 
 
-def _limb_width(p: int, n: int) -> int:
+def _limb_width(p: int, n: int, both: bool = False) -> int:
     """Widest limb b, at most the bit length of p - 1, with
-    n * (2^b - 1) * (p - 1) < 2^63; 0 when not even b = 1 fits."""
+    n * (2^b - 1) * (p - 1) < 2^63, or, for ``both`` operands split into
+    L = ceil(bits / b) limbs, L * n * (2^b - 1)^2 < 2^63, so that the L limb
+    products of one weight also sum in int64; 0 when no b fits."""
     top = p - 1
+    bits = top.bit_length()
     if n == 0:
-        return top.bit_length()
-    room = (2**63 - 1) // (n * top)  # the largest limb value allowed
-    return min(top.bit_length(), (room + 1).bit_length() - 1)
+        return bits
+    room = (2**63 - 1) // n
+    if not both:
+        return min(bits, (room // top + 1).bit_length() - 1)
+    b = min(bits, (math.isqrt(room) + 1).bit_length() - 1)
+    while b and -(-bits // b) * ((1 << b) - 1) ** 2 > room:
+        b -= 1
+    return b
+
+
+def _limb_planes(a: np.ndarray, width: int, bits: int) -> np.ndarray:
+    """Entries of a, in [0, 2^bits), as int64 limbs of ``width`` bits along a
+    new first axis: limb i holds bits [i width, (i + 1) width), so a is the
+    sum of limb i times 2^(i width)."""
+    shifts = np.arange(0, bits, width, dtype=np.int64).reshape((-1,) + (1,) * a.ndim)
+    return (a.astype(np.int64, copy=False) >> shifts) & ((1 << width) - 1)
 
 
 def _projector(field: PrimeField, a: np.ndarray):
@@ -568,8 +585,9 @@ def _projector(field: PrimeField, a: np.ndarray):
     width = _limb_width(p, len(a)) if field.dtype is np.int64 else 0
     if width == 0:
         return lambda x: _dot(field, a, x)
-    shifts = list(range(0, (p - 1).bit_length(), width))
-    limbs = (a >> np.array(shifts, dtype=np.int64)[:, None]) & ((1 << width) - 1)
+    bits = (p - 1).bit_length()
+    shifts = range(0, bits, width)
+    limbs = _limb_planes(a, width, bits)
 
     def project(x: np.ndarray) -> int:
         return sum(s << shift for s, shift in zip(limbs.dot(x).tolist(), shifts)) % p

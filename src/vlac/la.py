@@ -1,20 +1,18 @@
 """Exact linear algebra over GF(p): dense and sparse matrices, blackbox
 operators with explicit apply costs, and butterfly preconditioners.
 
-Matrix data lives in numpy arrays.  For moduli whose products fit in int64
-the dtype is int64 and heavy kernels run at C speed; for larger word-sized
-moduli the dtype is ``object`` and numpy carries exact Python ints through
-identical code; ``limb_operator`` runs repeated products over such moduli
-on int64 limbs instead.  Sparse int64 products run as ``scipy.sparse`` CSR
-products; scipy is a required dependency, imported outright.
+Matrix data lives in numpy arrays: int64 when products of residues fit it,
+else ``object`` arrays of exact Python ints.  Sparse int64 products run as
+``scipy.sparse`` CSR products; scipy is a required dependency, imported
+outright.
 
-The int64 overflow argument: canonical operands are below p, so a single
-product is below p^2 < 2^63.  A kernel that sums ``dot_chunk()`` or fewer
-unreduced products at a time cannot wrap; ``_mul_mod``, the one dense
-product behind matrix-vector and matrix-matrix products, splits the inner
-dimension into such chunks.  Anything wider reduces each product mod p
-before summing, which is exact while width * p < 2^63: for p < 2^31.5
-that is any width a vector in memory can have.
+The int64 overflow argument: a product of canonical operands is at most
+(p - 1)^2, so a sum of ``dot_chunk()`` of them cannot wrap.  ``_mul_mod``,
+the one dense product, makes longer sums on int64 limb planes, over int64
+and ``object`` fields alike: an operand split into b-bit limbs with
+k (2^b - 1)(p - 1) < 2^63 sums k products without wrapping.  The sparse
+product reduces each product before summing a row wider than
+``dot_chunk()``, which is exact while width * p < 2^63.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 from scipy import sparse as _scipy_sparse
 
 from .errors import DimensionMismatch, DivisionByZero, NotSquare
-from .ff import PrimeField
+from .ff import PrimeField, _limb_planes, _limb_width
 
 
 class CostCounter:
@@ -248,20 +246,64 @@ def coordinate_order(rows: int, cols: int, ri, ci):
 
 
 def _mul_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b mod p for a canonical matrix a and a canonical vector or matrix b.
+    """a @ b mod p for a canonical matrix a and a canonical vector or matrix
+    b: one product while its sums cannot wrap, else limb planes of the
+    operand with fewer entries (``_limb_product``)."""
+    if a.shape[1] <= field.dot_chunk() or field.p > 2**63:
+        return a.dot(b) % field.p
+    if b.size < a.size:
+        # a @ b = (b^T a^T)^T
+        out = _limb_product(field, np.atleast_2d(b.T))(a.T)
+        return out.T.reshape(a.shape[:1] + b.shape[1:])
+    return _limb_product(field, a)(b)
 
-    Over int64 each partial product sums at most ``dot_chunk()`` unreduced
-    products; object fields multiply in one piece.
+
+def _limb_product(field: PrimeField, a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> a @ x mod p for a fixed canonical (m, k) matrix a, split once.
+
+    a splits into planes A_i of b-bit limbs, b = ``_limb_width(p, k)``, so
+    each A_i @ x sums k products below (2^b - 1)(p - 1) < 2^63 / k.  When no
+    b fits, x splits too, at ``_limb_width(p, k, both=True)``.  One int64
+    product of the stacked planes gives every A_i @ X_j; those of weight
+    2^(b (i + j)) are summed, and the sums recombined mod p: by Horner's rule
+    in int64 when (p - 1)^2 < 2^63, else as one dot in Python ints.
     """
     p = field.p
-    k = a.shape[1]
-    step = field.dot_chunk() or k
-    if k <= step:
-        return a.dot(b) % p
-    acc = field.zeros(a.shape[:1] + b.shape[1:])
-    for lo in range(0, k, step):
-        acc += a[:, lo : lo + step].dot(b[lo : lo + step]) % p
-    return acc % p
+    m, k = a.shape
+    bits = (p - 1).bit_length()
+    split_x = _limb_width(p, k) == 0
+    width = _limb_width(p, k, both=split_x)
+    left = -(-bits // width)
+    right = left if split_x else 1
+    planes = _limb_planes(a, width, bits).reshape(left * m, k)
+    if field.dtype is object:
+        weights = np.array([pow(2, c * width, p) for c in range(left + right - 1)], dtype=object)
+
+    def product(x: np.ndarray) -> np.ndarray:
+        cols = x.astype(np.int64, copy=False)
+        if x.ndim == 1:
+            cols = cols[:, None]
+        n = cols.shape[1]
+        if split_x:
+            cols = _limb_planes(cols.T, width, bits).reshape(right * n, k).T
+        sums = np.einsum("ik,kj->ij", planes, cols).reshape(left, m, right, n)
+        # A_i @ X_j of equal weight 2^(b (i + j)) summed in int64
+        terms = np.zeros((left + right - 1, m, n), dtype=np.int64)
+        for j in range(right):
+            terms[j : j + left] += sums[:, :, j]
+        if field.dtype is object:
+            flat = np.ascontiguousarray(terms.reshape(len(terms), m * n).T)
+            out = (flat.astype(object).dot(weights) % p).reshape(m, n)
+        else:
+            # Horner's rule by 2^b stays below p 2^b + p < 2^63, since
+            # b < bits(p - 1) <= 32 whenever a splits
+            out = terms[-1] % p
+            for t in terms[-2::-1]:
+                out = (out << width) + t % p
+                out %= p
+        return out[:, 0] if x.ndim == 1 else out
+
+    return product
 
 
 def matvec(m, x, counter: CostCounter | None = None) -> np.ndarray:
@@ -320,52 +362,19 @@ def dense_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(a.field, _mul_mod(a.field, a.a, b.a))
 
 
-# Products over object-dtype fields (p above 2^31.5) run on int64 limbs: an
-# entry below 2^63 splits into three 21-bit limbs, a limb product is below
-# 2^42, and one partial sum adds at most 3 * cols of them, which stays exact
-# in int64 while cols <= LIMB_COLS; wider operators run in column chunks.
-LIMB_BITS = 21
-LIMB_COLS = (2**63 - 1) // (3 << (2 * LIMB_BITS))
-_LIMB_SHIFTS = np.array([0, LIMB_BITS, 2 * LIMB_BITS], dtype=np.int64)
-_LIMB_MASK = (1 << LIMB_BITS) - 1
-
-
-def _limbs(a: np.ndarray) -> np.ndarray:
-    """Canonical entries as int64 21-bit limbs along a new last axis."""
-    return (a.astype(np.int64)[..., None] >> _LIMB_SHIFTS) & _LIMB_MASK
-
-
 def limb_operator(m: DenseMatrix) -> Blackbox:
-    """A dense matrix over an object-dtype field as an int64 limb operator.
-
-    The matrix is split once into limb planes A0, A1, A2.  An apply splits
-    x into limbs x0, x1, x2, makes the nine products Ai·xj as one int64
-    product of shape (3 rows, cols) by (cols, 3), adds Ai·xj into partial
-    sum i + j, and recombines the five partial sums of each row, of weight
-    2^(21 k), mod p in Python ints.  The transpose keeps the plain object
-    product.
+    """A dense matrix as an operator whose applies run on limb planes split
+    once (``_limb_product``), for repeated products that ``_mul_mod`` would
+    split again each time.  The transpose keeps ``_mul_mod``.
     """
     field = m.field
-    p = field.p
-    rows, cols = m.shape
-    planes = _limbs(m.a).transpose(2, 0, 1).reshape(3 * rows, cols)
-    weights = np.array([pow(2, LIMB_BITS * k, p) for k in range(5)], dtype=object)
-
-    def apply(x):
-        if rows == 0 or cols == 0:
-            return field.zeros(rows)
-        xl = _limbs(x)
-        y = 0
-        for lo in range(0, cols, LIMB_COLS):
-            prod = (planes[:, lo : lo + LIMB_COLS] @ xl[lo : lo + LIMB_COLS]).reshape(3, rows, 3)
-            partial = np.zeros((rows, 5), dtype=np.int64)
-            for i in range(3):
-                partial[:, i : i + 3] += prod[i]
-            y = y + partial.astype(object).dot(weights)
-        return y % p
-
     return Blackbox(
-        field, rows, cols, m.mu, apply, lambda x: _mul_mod(field, m.a.T, x)
+        field,
+        m.rows,
+        m.cols,
+        m.mu,
+        _limb_product(field, m.a),
+        lambda x: _mul_mod(field, m.a.T, x),
     )
 
 

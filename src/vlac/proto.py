@@ -23,6 +23,7 @@ with exactly one valid encoding per transcript.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import queue
 import struct
@@ -86,12 +87,8 @@ def _u16(x: int) -> bytes:
     return struct.pack("<H", x)
 
 
-def _u32(x: int) -> bytes:
-    return struct.pack("<I", x)
-
-
-def _u64(x: int) -> bytes:
-    return struct.pack("<Q", x)
+_u32 = struct.Struct("<I").pack
+_u64 = struct.Struct("<Q").pack
 
 
 def lp(data: bytes) -> bytes:
@@ -404,6 +401,16 @@ class InteractiveSource:
         return s.offset + self.rng.randrange(s.size)
 
 
+# one SHA-256 block of a draw as four little-endian u64 candidates
+_FOUR_U64 = struct.Struct("<4Q").unpack
+
+
+@functools.lru_cache(maxsize=1024)
+def _label_tag(label: str) -> bytes:
+    """A draw label as the hash chain encodes it."""
+    return lp(label.encode())
+
+
 class FiatShamirSource:
     """SHA-256 challenge chain.
 
@@ -442,22 +449,16 @@ class FiatShamirSource:
         if not (0 < bound <= 1 << 64):
             raise ValueError("draw bound out of range")
         threshold = (1 << 64) // bound * bound
+        tag = _label_tag(label)
+        prefix = state + b"C" + tag
         ctr = 0
-        val = None
-        while val is None:
-            block = hashlib.sha256(
-                state + b"C" + lp(label.encode()) + _u32(ctr)
-            ).digest()
-            for off in range(0, 32, 8):
-                u = int.from_bytes(block[off : off + 8], "little")
+        while True:
+            for u in _FOUR_U64(hashlib.sha256(prefix + _u32(ctr)).digest()):
                 if u < threshold:
                     val = u % bound
-                    break
+                    self._state = hashlib.sha256(state + b"D" + tag + _u64(val)).digest()
+                    return val
             ctr += 1
-        self._state = hashlib.sha256(
-            state + b"D" + lp(label.encode()) + _u64(val)
-        ).digest()
-        return val
 
     def draw_scalar(self, label: str, s: SampleSet) -> int:
         return s.offset + self.draw_uint(label, s.size)

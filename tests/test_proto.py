@@ -321,6 +321,35 @@ def test_fs_uniformity(gf101):
     assert all(abs(c - expect) <= 5 * sigma for c in counts)
 
 
+def _reference_draw(state: bytes, label: str, bound: int) -> tuple[int, bytes]:
+    """One draw as the hash chain defines it: the first u64 of
+    SHA-256(state, "C", label, counter) below the largest multiple of bound,
+    reduced mod bound, and the state that draw leaves."""
+    tag = struct.pack("<I", len(label.encode())) + label.encode()
+    threshold = (1 << 64) // bound * bound
+    ctr = 0
+    while True:
+        block = hashlib.sha256(state + b"C" + tag + struct.pack("<I", ctr)).digest()
+        for off in range(0, 32, 8):
+            u = int.from_bytes(block[off : off + 8], "little")
+            if u < threshold:
+                val = u % bound
+                return val, hashlib.sha256(state + b"D" + tag + struct.pack("<Q", val)).digest()
+        ctr += 1
+
+
+def test_fs_draws_match_the_chain_definition():
+    src = bound_fs()
+    state = src._state
+    bounds = (1, 2, 3, 10007, 2**63 + 5, 2**64)
+    for i in range(300):
+        label = ("r", "minpoly.r0", "ü")[i % 3]
+        bound = bounds[i % len(bounds)]
+        want, state = _reference_draw(state, label, bound)
+        assert src.draw_uint(label, bound) == want
+        assert src._state == state
+
+
 def test_interactive_source_seeded(gf101):
     s = full_sample_set(gf101)
     a, b = InteractiveSource(99), InteractiveSource(99)

@@ -3,8 +3,9 @@
 The edges are where the int64 code changes strategy: p = 3, the largest
 int64-safe prime P_WORD (``dot_chunk() == 1``), the first object-dtype prime
 P_BIG, lengths and row widths on either side of ``dot_chunk()``, 0x0 and 1x1
-shapes, the determinant batch cap, integer entries past int64, and the
-largest 63-bit prime for the limb products.
+shapes, the determinant batch cap, integer entries past int64, the steps
+of the limb widths, the largest 63-bit prime for the limb products, and a
+prime past 2^63 for the object-product fallback.
 """
 
 import struct
@@ -29,6 +30,7 @@ from vlac.certs_sparse import (
 from vlac.errors import BothZero, DivisionByZero, GeneratorMismatch
 from vlac.ff import (
     Poly,
+    PrimeField,
     _limb_width,
     _projector,
     berlekamp_massey,
@@ -137,14 +139,20 @@ def test_dot_matches_python_ints(p, length, seed):
 # -- the limb projection ---------------------------------------------------------
 
 
-def _width_changes(p, top):
-    """Lengths n <= top at which ``_limb_width(p, n)`` differs from n - 1's."""
-    return [n for n in range(2, top + 1) if _limb_width(p, n) != _limb_width(p, n - 1)]
+def _width_changes(p, top, both=False):
+    """Lengths n <= top at which ``_limb_width(p, n, both)`` differs from n - 1's."""
+    return [
+        n for n in range(2, top + 1) if _limb_width(p, n, both) != _limb_width(p, n - 1, both)
+    ]
 
 
-def _last_length_of_width(p, width):
-    # n (2^b - 1) (p - 1) < 2^63 holds up to this n
-    return (2**63 - 1) // (((1 << width) - 1) * (p - 1))
+def _last_length_of_width(p, width, both=False):
+    # n (2^b - 1) (p - 1) < 2^63, or L n (2^b - 1)^2 < 2^63 for L limbs of
+    # p - 1 on both sides, holds up to this n
+    limb = (1 << width) - 1
+    if both:
+        return (2**63 - 1) // (-(-(p - 1).bit_length() // width) * limb * limb)
+    return (2**63 - 1) // (limb * (p - 1))
 
 
 @pytest.mark.parametrize("p", (3, P_DET, P_WORD))
@@ -306,8 +314,8 @@ def _shift_operator(field, kind, n, rng):
     return limb_operator(a)
 
 
-# limb operators stand in for dense matrices over object-dtype fields only
-SHIFT_OPERATORS = [(p, kind) for p in PRIMES for kind in ("sparse", "dense")] + [(P_BIG, "limbs")]
+# limb operators stand in for dense matrices wider than dot_chunk()
+SHIFT_OPERATORS = [(p, kind) for p in PRIMES for kind in ("sparse", "dense", "limbs")]
 
 
 # n = k^2 and k^2 +- 1 for k = 1, 2, 4, and a Q padded with zeros elsewhere
@@ -620,20 +628,41 @@ def test_limb_apply_matches_object_product(p, shape):
             assert all(type(v) is int for v in got)
 
 
-def test_limb_apply_column_chunks(monkeypatch):
-    p = P_TOP
+@pytest.mark.parametrize("p", (P_BIG, P_TOP))
+def test_limb_apply_across_width_steps(p):
+    # the widths _limb_product splits at: one side while one fits, then both
     field = field_new(p)
-    rng = Random(61)
-    a = _dense(field, [[rng.randrange(p) for _ in range(10)] for _ in range(4)])
-    x = field.arr([p - 1] * 10)
-    monkeypatch.setattr(la, "LIMB_COLS", 3)
-    assert limb_operator(a).apply(x).tolist() == (a.a.dot(x) % p).tolist()
+    rng = Random(p % 1031)
+    steps = _width_changes(p, 1 << 12) + _width_changes(p, 1 << 12, both=True)
+    for k in sorted({n for c in steps for n in (c - 1, c)}):
+        rows = [[rng.randrange(p) for _ in range(k)] for _ in range(2)]
+        a = _dense(field, rows)
+        for x in ([p - 1] * k, [rng.randrange(p) for _ in range(k)]):
+            assert limb_operator(a).apply(field.arr(x)).tolist() == _ref_matvec(rows, x, p)
 
 
-def test_limb_exactness_bound():
-    # three partial sums of cols limb products each stay below 2^63
-    assert 3 * la.LIMB_COLS * ((1 << la.LIMB_BITS) - 1) ** 2 < 2**63
-    assert 3 * (la.LIMB_COLS + 1) * (1 << 2 * la.LIMB_BITS) >= 2**63
+@pytest.mark.parametrize("p", PRIMES + (P_TOP,))
+def test_limb_width_rule_at_its_boundaries(p):
+    bits = (p - 1).bit_length()
+
+    def fits(n, b, both):
+        limb = (1 << b) - 1
+        if both:
+            return -(-bits // b) * n * limb * limb < 2**63
+        return n * limb * (p - 1) < 2**63
+
+    for both in (False, True):
+        for n in (0, 1, 2, 3, 33, 2048, MAX_LEN, 2**40):
+            b = _limb_width(p, n, both)
+            assert 0 <= b <= bits
+            assert b == 0 or fits(n, b, both)
+            assert b == bits or not fits(n, b + 1, both)
+        # each width holds up to its last length and no further
+        for b in range(1, bits):
+            last = _last_length_of_width(p, b, both)
+            if last >= 1:
+                assert _limb_width(p, last, both) == b
+                assert _limb_width(p, last + 1, both) == b - 1
 
 
 def test_limb_apply_zero_width():
@@ -1034,6 +1063,86 @@ def test_dense_matmul_and_matvec_edges(p, rows, inner, cols):
         y = matvec(m, x)
         assert y.dtype == field.dtype
         assert [int(v) for v in y] == want_x
+
+
+# -- the dense product on both sides of every regime change -----------------------
+
+
+P_PAST = 9223372036854775837  # the first prime above 2^63
+EDGE_PRIMES = PRIMES + (P_TOP, P_PAST)
+
+
+def _edge_field(p):
+    """GF(p), or for P_PAST, which ``PrimeField`` refuses, a field record
+    that takes ``_mul_mod``'s object-product fallback."""
+    if p < 2**63:
+        return field_new(p)
+    field = PrimeField.__new__(PrimeField)
+    field.p, field.dtype, field._chunk = p, object, 0
+    return field
+
+
+def _inner_edges(p, top):
+    """Inner dimensions up to top on both sides of ``dot_chunk()`` and of
+    every step of either limb width."""
+    chunk = _edge_field(p).dot_chunk()
+    edges = {0, 1, 2, chunk - 1, chunk, chunk + 1}
+    if p < 2**63:
+        for both in (False, True):
+            edges |= {n for c in _width_changes(p, top, both) for n in (c - 1, c)}
+    return sorted(k for k in edges if 0 <= k <= top)
+
+
+def _assert_canonical(field, got, want):
+    assert got.dtype == field.dtype
+    assert got.tolist() == want
+    assert all(type(v) is int for v in got.ravel().tolist())
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_dense_product_worst_case_at_every_edge(p):
+    # every entry p - 1, so every sum is as large as it can be
+    field = _edge_field(p)
+    for k in _inner_edges(p, MAX_LEN):
+        a = field.arr([[p - 1] * k] * 2).reshape(2, k)
+        x = a[0].copy()
+        b = field.arr([[p - 1] * 3] * k).reshape(k, 3)
+        full = k * (p - 1) ** 2 % p
+        _assert_canonical(field, la._mul_mod(field, a, x), [full] * 2)
+        _assert_canonical(field, la._mul_mod(field, a, b), [[full] * 3] * 2)
+        # a transposed, non-contiguous left operand
+        _assert_canonical(field, la._mul_mod(field, b.T, x), [full] * 3)
+        _assert_canonical(field, matvec(DenseMatrix(field, a), x), [full] * 2)
+        if p < 2**63:
+            op = limb_operator(DenseMatrix(field, a))
+            _assert_canonical(field, op.apply(x), [full] * 2)
+            _assert_canonical(field, op.apply_t(field.arr([p - 1] * 2)), [2 * (p - 1) ** 2 % p] * k)
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+@pytest.mark.parametrize("rows,cols", [(0, 0), (1, 1), (3, 0), (0, 3), (2, 3)])
+def test_dense_product_matches_python_ints(p, rows, cols):
+    field = _edge_field(p)
+    rng = Random(p % 1009 + 10 * rows + cols)
+    for k in _inner_edges(p, 80) + [5]:
+        a = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
+        b = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+        x = [rng.randrange(p) for _ in range(k)]
+        y = [rng.randrange(p) for _ in range(rows)]
+        am = DenseMatrix(field, np.array(a, dtype=object).reshape(rows, k))
+        bm = DenseMatrix(field, np.array(b, dtype=object).reshape(k, cols))
+        want = [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(cols)]
+                for i in range(rows)]
+        want_x = _ref_matvec(a, x, p)
+        want_t = [sum(a[i][t] * y[i] for i in range(rows)) % p for t in range(k)]
+        _assert_canonical(field, la.dense_matmul(am, bm).a, want)
+        _assert_canonical(field, la._mul_mod(field, am.a, bm.a), want)
+        _assert_canonical(field, matvec(am, x), want_x)
+        _assert_canonical(field, la._mul_mod(field, am.a.T, field.arr(y).reshape(rows)), want_t)
+        if p < 2**63:
+            op = limb_operator(am)
+            _assert_canonical(field, op.apply(x), want_x)
+            _assert_canonical(field, op.apply_t(y), want_t)
 
 
 # -- dense elimination: solve, invert, kernel and rank ----------------------------
