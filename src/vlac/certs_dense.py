@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .errors import BrokenReference, DimensionMismatch, FieldMismatch, NotSquare
-from .ff import PrimeField, SampleSet, _check_sample_set
+from .ff import PrimeField, SampleSet, _check_sample_set, _powers
 from .la import CostCounter, DenseMatrix, matvec
 from .proto import (
     Verdict,
@@ -63,15 +63,9 @@ def _require_same_field(*ms) -> PrimeField:
 
 
 def _geometric_vector(field: PrimeField, r: int, n: int, counter: CostCounter) -> np.ndarray:
-    v = field.zeros(n)
     if n:
-        acc = 1
-        v[0] = acc
-        for i in range(1, n):
-            acc = acc * r % field.p
-            v[i] = acc
         counter.add(n - 1)
-    return v
+    return _powers(field, r, n)
 
 
 def _product_holds(a, b, c, v: np.ndarray, counter: CostCounter) -> bool:

@@ -705,15 +705,14 @@ def det_prover_flow(ch, field: PrimeField, operator, s: SampleSet, rng: Random, 
         scale = [rng.randrange(1, p) for _ in range(n)]
         u = [rng.randrange(p) for _ in range(n)]
         v = [rng.randrange(p) for _ in range(n)]
-        if isinstance(operator, SparseMatrix) and field.dtype is np.int64:
-            # D·A has A's sparsity pattern: the scaling folds into the CSR
-            # values and every Krylov step stays one CSR product
+        if isinstance(operator, SparseMatrix):
+            # D·A has A's sparsity pattern, so every Krylov step stays one sparse product.
             scaled = operator.scale_rows(field.arr(scale))
-        elif isinstance(operator, DenseMatrix) and n > field.dot_chunk():
-            # D·A is scaled once and split into int64 limb planes once, so
-            # no Krylov step splits it again
+        elif isinstance(operator, DenseMatrix):
+            # D·A is scaled and split into limb planes once, not at every Krylov step.
             scaled = limb_operator(operator.scale_rows(field.arr(scale)))
         else:
+            # A black box has no entries to scale, so D applies after it.
             scaled = compose(diagonal_scaling(field, scale), operator)
         u_arr, v_arr = field.arr(u), field.arr(v)
         checkpoints = krylov_checkpoints(field, n)

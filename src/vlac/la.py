@@ -6,13 +6,13 @@ else ``object`` arrays of exact Python ints.  Sparse int64 products run as
 ``scipy.sparse`` CSR products; scipy is a required dependency, imported
 outright.
 
-The int64 overflow argument: a product of canonical operands is at most
-(p - 1)^2, so a sum of ``dot_chunk()`` of them cannot wrap.  ``_mul_mod``,
-the one dense product, makes longer sums on int64 limb planes, over int64
-and ``object`` fields alike: an operand split into b-bit limbs with
-k (2^b - 1)(p - 1) < 2^63 sums k products without wrapping.  The sparse
-product reduces each product before summing a row wider than
-``dot_chunk()``, which is exact while width * p < 2^63.
+The int64 overflow argument: ``_mul_mod``, the one dense product, runs on
+int64 limb planes over int64 and ``object`` fields alike.  An operand split
+into b-bit limbs with k (2^b - 1)(p - 1) < 2^63 sums k products without
+wrapping; where b covers p - 1, the one plane is the operand itself.  A
+product of canonical operands is at most (p - 1)^2, so the sparse product
+sums ``dot_chunk()`` of them unreduced, and reduces each product before
+summing a wider row, which is exact while width * p < 2^63.
 """
 
 from __future__ import annotations
@@ -247,10 +247,8 @@ def coordinate_order(rows: int, cols: int, ri, ci):
 
 def _mul_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b mod p for a canonical matrix a and a canonical vector or matrix
-    b: one product while its sums cannot wrap, else limb planes of the
-    operand with fewer entries (``_limb_product``)."""
-    if a.shape[1] <= field.dot_chunk() or field.p > 2**63:
-        return a.dot(b) % field.p
+    b, on limb planes of the operand with fewer entries (``_limb_product``):
+    one plane, the operand itself, while its sums cannot wrap."""
     if b.size < a.size:
         # a @ b = (b^T a^T)^T
         out = _limb_product(field, np.atleast_2d(b.T))(a.T)
@@ -266,7 +264,8 @@ def _limb_product(field: PrimeField, a: np.ndarray) -> Callable[[np.ndarray], np
     b fits, x splits too, at ``_limb_width(p, k, both=True)``.  One int64
     product of the stacked planes gives every A_i @ X_j; those of weight
     2^(b (i + j)) are summed, and the sums recombined mod p: by Horner's rule
-    in int64 when (p - 1)^2 < 2^63, else as one dot in Python ints.
+    in int64 when (p - 1)^2 < 2^63, else as one dot in Python ints.  Where b
+    covers p - 1 over int64, the one plane is a itself.
     """
     p = field.p
     m, k = a.shape
@@ -274,6 +273,9 @@ def _limb_product(field: PrimeField, a: np.ndarray) -> Callable[[np.ndarray], np
     split_x = _limb_width(p, k) == 0
     width = _limb_width(p, k, both=split_x)
     left = -(-bits // width)
+    if left == 1 and field.dtype is np.int64:
+        # one plane, a itself: one product, reduced once
+        return lambda x: np.einsum("ik,k...->i...", a, x) % p
     right = left if split_x else 1
     planes = _limb_planes(a, width, bits).reshape(left * m, k)
     if field.dtype is object:
@@ -287,10 +289,13 @@ def _limb_product(field: PrimeField, a: np.ndarray) -> Callable[[np.ndarray], np
         if split_x:
             cols = _limb_planes(cols.T, width, bits).reshape(right * n, k).T
         sums = np.einsum("ik,kj->ij", planes, cols).reshape(left, m, right, n)
-        # A_i @ X_j of equal weight 2^(b (i + j)) summed in int64
-        terms = np.zeros((left + right - 1, m, n), dtype=np.int64)
-        for j in range(right):
-            terms[j : j + left] += sums[:, :, j]
+        if split_x:
+            # A_i @ X_j of equal weight 2^(b (i + j)) summed in int64
+            terms = np.zeros((left + right - 1, m, n), dtype=np.int64)
+            for j in range(right):
+                terms[j : j + left] += sums[:, :, j]
+        else:
+            terms = sums[:, :, 0]
         if field.dtype is object:
             flat = np.ascontiguousarray(terms.reshape(len(terms), m * n).T)
             out = (flat.astype(object).dot(weights) % p).reshape(m, n)

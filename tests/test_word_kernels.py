@@ -4,8 +4,7 @@ The edges are where the int64 code changes strategy: p = 3, the largest
 int64-safe prime P_WORD (``dot_chunk() == 1``), the first object-dtype prime
 P_BIG, lengths and row widths on either side of ``dot_chunk()``, 0x0 and 1x1
 shapes, the determinant batch cap, integer entries past int64, the steps
-of the limb widths, the largest 63-bit prime for the limb products, and a
-prime past 2^63 for the object-product fallback.
+of the limb widths, and the largest 63-bit prime for the limb products.
 """
 
 import struct
@@ -30,7 +29,6 @@ from vlac.certs_sparse import (
 from vlac.errors import BothZero, DivisionByZero, GeneratorMismatch
 from vlac.ff import (
     Poly,
-    PrimeField,
     _limb_width,
     _projector,
     berlekamp_massey,
@@ -1069,27 +1067,22 @@ def test_dense_matmul_and_matvec_edges(p, rows, inner, cols):
 
 
 P_PAST = 9223372036854775837  # the first prime above 2^63
-EDGE_PRIMES = PRIMES + (P_TOP, P_PAST)
+EDGE_PRIMES = PRIMES + (P_TOP,)
 
 
-def _edge_field(p):
-    """GF(p), or for P_PAST, which ``PrimeField`` refuses, a field record
-    that takes ``_mul_mod``'s object-product fallback."""
-    if p < 2**63:
-        return field_new(p)
-    field = PrimeField.__new__(PrimeField)
-    field.p, field.dtype, field._chunk = p, object, 0
-    return field
+def test_field_refuses_a_modulus_past_63_bits():
+    field_new(P_TOP)
+    with pytest.raises(ValueError, match="63 bits"):
+        field_new(P_PAST)
 
 
 def _inner_edges(p, top):
     """Inner dimensions up to top on both sides of ``dot_chunk()`` and of
     every step of either limb width."""
-    chunk = _edge_field(p).dot_chunk()
+    chunk = field_new(p).dot_chunk()
     edges = {0, 1, 2, chunk - 1, chunk, chunk + 1}
-    if p < 2**63:
-        for both in (False, True):
-            edges |= {n for c in _width_changes(p, top, both) for n in (c - 1, c)}
+    for both in (False, True):
+        edges |= {n for c in _width_changes(p, top, both) for n in (c - 1, c)}
     return sorted(k for k in edges if 0 <= k <= top)
 
 
@@ -1102,7 +1095,7 @@ def _assert_canonical(field, got, want):
 @pytest.mark.parametrize("p", EDGE_PRIMES)
 def test_dense_product_worst_case_at_every_edge(p):
     # every entry p - 1, so every sum is as large as it can be
-    field = _edge_field(p)
+    field = field_new(p)
     for k in _inner_edges(p, MAX_LEN):
         a = field.arr([[p - 1] * k] * 2).reshape(2, k)
         x = a[0].copy()
@@ -1113,16 +1106,15 @@ def test_dense_product_worst_case_at_every_edge(p):
         # a transposed, non-contiguous left operand
         _assert_canonical(field, la._mul_mod(field, b.T, x), [full] * 3)
         _assert_canonical(field, matvec(DenseMatrix(field, a), x), [full] * 2)
-        if p < 2**63:
-            op = limb_operator(DenseMatrix(field, a))
-            _assert_canonical(field, op.apply(x), [full] * 2)
-            _assert_canonical(field, op.apply_t(field.arr([p - 1] * 2)), [2 * (p - 1) ** 2 % p] * k)
+        op = limb_operator(DenseMatrix(field, a))
+        _assert_canonical(field, op.apply(x), [full] * 2)
+        _assert_canonical(field, op.apply_t(field.arr([p - 1] * 2)), [2 * (p - 1) ** 2 % p] * k)
 
 
 @pytest.mark.parametrize("p", EDGE_PRIMES)
 @pytest.mark.parametrize("rows,cols", [(0, 0), (1, 1), (3, 0), (0, 3), (2, 3)])
 def test_dense_product_matches_python_ints(p, rows, cols):
-    field = _edge_field(p)
+    field = field_new(p)
     rng = Random(p % 1009 + 10 * rows + cols)
     for k in _inner_edges(p, 80) + [5]:
         a = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
@@ -1139,10 +1131,9 @@ def test_dense_product_matches_python_ints(p, rows, cols):
         _assert_canonical(field, la._mul_mod(field, am.a, bm.a), want)
         _assert_canonical(field, matvec(am, x), want_x)
         _assert_canonical(field, la._mul_mod(field, am.a.T, field.arr(y).reshape(rows)), want_t)
-        if p < 2**63:
-            op = limb_operator(am)
-            _assert_canonical(field, op.apply(x), want_x)
-            _assert_canonical(field, op.apply_t(y), want_t)
+        op = limb_operator(am)
+        _assert_canonical(field, op.apply(x), want_x)
+        _assert_canonical(field, op.apply_t(y), want_t)
 
 
 # -- dense elimination: solve, invert, kernel and rank ----------------------------
