@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlac import la
+from vlac.certs_dense import _geometric_vector
 from vlac.certs_sparse import (
     _dot,
     _shift_solver,
@@ -40,6 +41,7 @@ from vlac.ff import (
 )
 from vlac.la import (
     Butterfly,
+    CostCounter,
     DenseMatrix,
     SparseMatrix,
     as_blackbox,
@@ -681,6 +683,22 @@ def test_dense_det_over_object_field_uses_limbs_and_replays(p):
     assert replay.accepted and same == value
 
 
+
+@pytest.mark.parametrize(
+    "p,n", ((101, 8), (10007, 12), (P_DET, 32), (P_DET, 33), (P_WORD, 1), (P_WORD, 2))
+)
+def test_dense_det_over_int64_field_on_both_sides_of_dot_chunk(p, n):
+    # the scaled operator is split into limb planes at every size, including
+    # n <= dot_chunk(), where it is one plane, the scaled matrix itself
+    field = field_new(p)
+    rng = Random(p % 1031 + n)
+    a = DenseMatrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+    verdict, value = det_certify(a, FiatShamirSource(), prover_seed=11)
+    assert verdict.accepted
+    assert value == brute_det_field(field, a)
+    replay, same = det_verify(a, verdict.transcript)
+    assert replay.accepted and same == value
+
 # -- public matvec keeps reducing its input -----------------------------------------
 
 
@@ -699,6 +717,18 @@ def test_matvec_reduces_non_canonical_input(p):
     for m in (DenseMatrix(field, rows), sparse, as_blackbox(sparse)):
         assert matvec(m, shifted).tolist() == want
 
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_geometric_vector_matches_pow_and_counts_n_minus_1(p):
+    field = field_new(p)
+    r = (p - 1) * 7 // 11 or 2
+    for n in (0, 1, 2, 3, 17):
+        counter = CostCounter()
+        got = _geometric_vector(field, r, n, counter)
+        assert got.dtype == field.dtype
+        assert got.tolist() == [pow(r, i, p) for i in range(n)]
+        assert counter.ops == max(n - 1, 0)
 
 # -- the integer-matrix encoding ---------------------------------------------------
 
