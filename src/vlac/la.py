@@ -270,8 +270,10 @@ def _limb_product(field: PrimeField, a: np.ndarray) -> Callable[[np.ndarray], np
     p = field.p
     m, k = a.shape
     bits = (p - 1).bit_length()
-    split_x = _limb_width(p, k) == 0
-    width = _limb_width(p, k, both=split_x)
+    width = _limb_width(p, k)
+    split_x = width == 0
+    if split_x:
+        width = _limb_width(p, k, both=True)
     left = -(-bits // width)
     if left == 1 and field.dtype is np.int64:
         # one plane, a itself: one product, reduced once
@@ -289,13 +291,10 @@ def _limb_product(field: PrimeField, a: np.ndarray) -> Callable[[np.ndarray], np
         if split_x:
             cols = _limb_planes(cols.T, width, bits).reshape(right * n, k).T
         sums = np.einsum("ik,kj->ij", planes, cols).reshape(left, m, right, n)
-        if split_x:
-            # A_i @ X_j of equal weight 2^(b (i + j)) summed in int64
-            terms = np.zeros((left + right - 1, m, n), dtype=np.int64)
-            for j in range(right):
-                terms[j : j + left] += sums[:, :, j]
-        else:
-            terms = sums[:, :, 0]
+        # A_i @ X_j of equal weight 2^(b (i + j)) summed in int64
+        terms = np.zeros((left + right - 1, m, n), dtype=np.int64)
+        for j in range(right):
+            terms[j : j + left] += sums[:, :, j]
         if field.dtype is object:
             flat = np.ascontiguousarray(terms.reshape(len(terms), m * n).T)
             out = (flat.astype(object).dot(weights) % p).reshape(m, n)

@@ -671,11 +671,15 @@ def test_limb_apply_zero_width():
     assert limb_operator(a).apply(field.zeros(0)).tolist() == [0, 0, 0]
 
 
-@pytest.mark.parametrize("p", (P_BIG, P_TOP))
-def test_dense_det_over_object_field_uses_limbs_and_replays(p):
+@pytest.mark.parametrize(
+    "p,n", ((P_BIG, 9), (P_TOP, 9), (P_DET, 32), (P_DET, 33), (P_WORD, 1), (P_WORD, 2))
+)
+def test_dense_det_on_limb_planes_replays(p, n):
+    # the scaled operator is split into limb planes over every field and at
+    # every size, including n <= dot_chunk(), where it is one int64 plane
     field = field_new(p)
     rng = Random(p % 1019)
-    a = _dense(field, [[rng.randrange(p) for _ in range(9)] for _ in range(9)])
+    a = _dense(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
     verdict, value = det_certify(a, FiatShamirSource(), prover_seed=7)
     assert verdict.accepted
     assert value == brute_det_field(field, a)
@@ -683,21 +687,13 @@ def test_dense_det_over_object_field_uses_limbs_and_replays(p):
     assert replay.accepted and same == value
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_geometric_vector_counts_n_minus_1(p):
+    for n in (0, 1, 2, 17):
+        counter = CostCounter()
+        _geometric_vector(field_new(p), 2, n, counter)
+        assert counter.ops == max(n - 1, 0)
 
-@pytest.mark.parametrize(
-    "p,n", ((101, 8), (10007, 12), (P_DET, 32), (P_DET, 33), (P_WORD, 1), (P_WORD, 2))
-)
-def test_dense_det_over_int64_field_on_both_sides_of_dot_chunk(p, n):
-    # the scaled operator is split into limb planes at every size, including
-    # n <= dot_chunk(), where it is one plane, the scaled matrix itself
-    field = field_new(p)
-    rng = Random(p % 1031 + n)
-    a = DenseMatrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-    verdict, value = det_certify(a, FiatShamirSource(), prover_seed=11)
-    assert verdict.accepted
-    assert value == brute_det_field(field, a)
-    replay, same = det_verify(a, verdict.transcript)
-    assert replay.accepted and same == value
 
 # -- public matvec keeps reducing its input -----------------------------------------
 
@@ -717,18 +713,6 @@ def test_matvec_reduces_non_canonical_input(p):
     for m in (DenseMatrix(field, rows), sparse, as_blackbox(sparse)):
         assert matvec(m, shifted).tolist() == want
 
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_geometric_vector_matches_pow_and_counts_n_minus_1(p):
-    field = field_new(p)
-    r = (p - 1) * 7 // 11 or 2
-    for n in (0, 1, 2, 3, 17):
-        counter = CostCounter()
-        got = _geometric_vector(field, r, n, counter)
-        assert got.dtype == field.dtype
-        assert got.tolist() == [pow(r, i, p) for i in range(n)]
-        assert counter.ops == max(n - 1, 0)
 
 # -- the integer-matrix encoding ---------------------------------------------------
 
