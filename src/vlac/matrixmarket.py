@@ -19,6 +19,7 @@ Files without a modulus parse as arbitrary-precision integer matrices.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -67,8 +68,10 @@ def parse_matrix_market(text: str) -> MatrixFile:
     """Read a Matrix Market text.
 
     Only the header is walked line by line.  A body of scalar entries is
-    read in one pass: split and int64 conversion (exact Python ints when
-    an entry does not fit int64) and array checks.  A body that fails
+    read in one vectorised pass: an array body by a strict int64 kernel
+    (``_piece_ints``), a coordinate body by one split; a token that kernel
+    refuses or that does not fit int64 sends the body through ``str.split``
+    and ``int()`` into exact Python ints.  A body that fails
     a check goes to the per-line checks, which raise the Malformed naming
     its first faulty line; polynomial entries are read by those lines.
     """
@@ -166,43 +169,86 @@ def _read_array(rows: int, cols: int, rest: str, field: Optional[PrimeField]):
             _int(tok)
         raise Malformed(f"expected {count} values, found {len(tokens)}")
     # array entries run down columns, per the format
-    cells = np.ascontiguousarray(vals.reshape(cols, rows).T)
-    del vals
+    cells = vals.reshape(cols, rows).T
     if field is None:
-        return IntMatrix(cells)
-    np.remainder(cells, field.p, out=cells)
+        return IntMatrix(np.ascontiguousarray(cells))
+    if vals.dtype == object:  # ints past int64 are reduced before the field's cast
+        np.remainder(vals, field.p, out=vals)
+    # DenseMatrix reduces the column-major view into a fresh C-ordered
+    # array: one pass, no transposed copy first
     return DenseMatrix(field, cells)
 
 
-# Characters of body text split and converted at a time: the strings of
-# one piece are freed before the next is split, so a read holds a few MB
-# of them rather than one object per entry of the whole file.
+# Characters of body text read at a time: a read holds a few pieces' worth
+# of temporaries, not the whole body's.
 _PIECE_CHARS = 1 << 18
 
 
 def _int_values(text: str, count: int) -> np.ndarray:
     """The whitespace-separated integers of text, which must number count,
-    as one array (see ``int_array``).  Raises ValueError otherwise."""
+    as one array (see ``int_array``).  Raises ValueError otherwise.
+
+    Each piece goes through ``_piece_ints``; if it refuses one, the whole
+    text takes the exact path, ``int_array`` over ``str.split``."""
     out = np.empty(count, dtype=np.int64)
     done = start = 0
     while start < len(text):
         # a piece ends just past a line break, so no token straddles two
         stop = text.find("\n", start + _PIECE_CHARS) + 1 or len(text)
-        tokens = text[start:stop].split()
-        if done + len(tokens) > count:
-            raise ValueError(f"more than {count} values")
-        try:
-            out[done : done + len(tokens)] = np.array(tokens, dtype=np.int64)
-        except OverflowError:
-            vals = int_array(text.split())  # exact Python ints
+        vals = _piece_ints(text[start:stop])
+        if vals is None:
+            vals = int_array(text.split())
             if len(vals) != count:
                 raise ValueError(f"{len(vals)} values for {count}")
             return vals
-        done += len(tokens)
+        if done + len(vals) > count:
+            raise ValueError(f"more than {count} values")
+        out[done : done + len(vals)] = vals
+        done += len(vals)
         start = stop
     if done != count:
         raise ValueError(f"{done} values for {count}")
     return out
+
+
+def _piece_ints(piece: str) -> Optional[np.ndarray]:
+    """The integers of piece as int64, read by one C-level call, or None
+    unless piece holds only ASCII digits, the whitespace both ``str.split``
+    and numpy skip, and signs that start a token and precede a digit, with
+    no digit run past 18 (so every token fits int64).
+
+    These checks make ``np.fromstring`` agree with ``int()``: alone, it
+    reads "- 5" as -5 and blank text as [0], and it saturates a token past
+    int64 without an error."""
+    if not piece.isascii():
+        return None
+    raw = piece.encode("ascii")
+    if raw.translate(None, b"0123456789+- \t\n\r\x0b\x0c"):
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    digit = b >= ord("0")  # digits are the only bytes left that high
+    if b"+" in raw or b"-" in raw:
+        at = np.flatnonzero((b == ord("+")) | (b == ord("-")))
+        if at[-1] + 1 == len(b) or not digit[at + 1].all():
+            return None
+        if not (b[at[at > 0] - 1] <= ord(" ")).all():  # whitespace before
+            return None
+    run = digit
+    for shift in (1, 2, 4, 8, 3):  # True where 2, 4, 8, 16, then 19 digits start
+        run = run[shift:] & run[:-shift]
+    if run.any():
+        return None
+    tokens = np.count_nonzero(digit[1:] > digit[:-1]) + int(digit[0])
+    if not tokens:
+        return np.empty(0, dtype=np.int64)
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x warns on a partial read where 2.x raises
+            warnings.simplefilter("error")
+            vals = np.fromstring(piece, dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    return vals if len(vals) == tokens else None
 
 
 def _read_coordinate(rows: int, cols: int, nnz: int, rest: str, field: Optional[PrimeField]):

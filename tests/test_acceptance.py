@@ -339,8 +339,11 @@ def test_4_lifting_soundness(capsys):
 
 def test_5_verifier_cheapness(capsys):
     start = time.perf_counter()
-    r = bench_matmul(n=1024, seed=1)
-    ratio_ok = r.accepted and r.ratio <= 0.05
+    # the prover time of one sample moves by up to 40 % from run to run,
+    # so the gate holds the median ratio of three
+    runs = [bench_matmul(n=1024, seed=seed) for seed in (1, 2, 3)]
+    ratios = sorted(r.ratio for r in runs)
+    ratio_ok = all(r.accepted for r in runs) and ratios[1] <= 0.05
 
     big = field_new(536870909)
     n = 4096
@@ -354,7 +357,8 @@ def test_5_verifier_cheapness(capsys):
     announce(
         capsys,
         f"5 verifier cheapness: {'PASS' if ok else 'FAIL'} "
-        f"(matmul n=1024 ratio {r.ratio:.4f} <= 0.05; sparse det n=4096 ops "
+        f"(matmul n=1024 median ratio {ratios[1]:.4f} <= 0.05 of "
+        f"{', '.join(f'{x:.4f}' for x in ratios)}; sparse det n=4096 ops "
         f"{verdict.verifier_ops} <= {budget}; {elapsed:.1f}s)",
     )
     assert ok

@@ -6,6 +6,7 @@ vectorised one: on every generated input, both must give the same matrix
 or raise the same ``Malformed`` message.
 """
 
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -68,6 +69,8 @@ COORD = "%%MatrixMarket matrix coordinate integer general\n"
         (COORD + "%%modulus=7\n2 2 2\n1 1 5 % 2 2 6\n", "expected 2 entries, found 1"),
         (COORD + "%%modulus=7\n2 2 1\n1 1 5 %\n", "entry (1,1): expected 1 value(s), found 2"),
         (ARRAY + "%%modulus=7\n1 2\n5 %6\n", "bad integer '%6'"),
+        # a sign int() refuses, which a bare np.fromstring would read as -5
+        (ARRAY + "%%modulus=7\n2 1\n- 5 6\n", "bad integer '-'"),
         # the first faulty line, in file order, names the fault
         (COORD + "%%modulus=7\n2 2 3\n1 1 5\n3 3 1\n1 1 4\n", "entry (3,3) outside 2x2"),
         (COORD + "%%modulus=7\n2 2 3\n1 1 5\n1 1 1\n3 3 4\n", "duplicate entry (1,1)"),
@@ -432,3 +435,67 @@ def test_same_outcome_when_the_body_is_read_in_pieces(monkeypatch, piece_chars):
         text = random_text(rng)
         assert outcome(parse_matrix_market, text) == outcome(reference_parse, text), text
 
+
+# -- the strict array kernel against the per-line reader ------------------------------
+
+STRICT_BODIES = [
+    # signs: int() takes one only at the start of a token, before a digit
+    "- 5", "+ 5", "5 -", "7\n+", "5-6", "--5", "+-5", "-5 +6 -0 +0",
+    # blank text, and blank pieces between values
+    "", " \t\n \n", "1\n\n\n\n2",
+    # digit runs either side of the kernel's 18 and of int64
+    "9" * 18, "-" + "9" * 18, "9" * 19, "-" + "9" * 19, "9" * 20, "-" + "9" * 20, "0" * 19 + "7",
+    str(2**63 - 1), str(-(2**63 - 1)), str(2**63), str(-(2**63)),
+    # tokens int() accepts and the kernel leaves to it
+    "1_000", "\u0663\u0664 \u0661", "\uff11\uff12",
+    # whitespace str.split splits on: the kernel's share, then the rest
+    *(f"1{sep}2{sep}3" for sep in ["\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                                   "\x85", "\xa0", "\u2028"]),
+]
+
+
+@pytest.mark.parametrize("piece_chars", [1, matrixmarket._PIECE_CHARS])
+@pytest.mark.parametrize("modulus", [None, 10007])
+def test_strict_kernel_agrees_with_the_per_line_reader(monkeypatch, piece_chars, modulus):
+    monkeypatch.setattr(matrixmarket, "_PIECE_CHARS", piece_chars)
+    head = ARRAY + ("" if modulus is None else f"%%modulus={modulus}\n")
+    for body in STRICT_BODIES:
+        found = len(body.split())
+        for count in (found - 1, found, found + 1):  # one short, exact, one long
+            if count >= 0:
+                text = head + f"{count} 1\n{body}\n"
+                assert outcome(parse_matrix_market, text) == outcome(reference_parse, text), text
+
+
+@pytest.mark.parametrize("bad", ["x", "- 5", "9" * 19, "1_000", "5\xa06"])
+def test_one_refused_piece_sends_the_whole_body_to_the_exact_path(bad):
+    values = [str(v) for v in range(100000, 100000 + matrixmarket._PIECE_CHARS // 2)]
+    body = "\n".join(values) + "\n" + bad  # the bad token is in the last of several pieces
+    assert len(body) > 3 * matrixmarket._PIECE_CHARS
+    text = ARRAY + f"%%modulus=10007\n{len(body.split())} 1\n{body}\n"
+    assert outcome(parse_matrix_market, text) == outcome(reference_parse, text)
+
+
+def traced_peak(f, *args):
+    """f(*args) and the peak of the memory it allocated, in MiB."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_array_read_holds_pieces_not_the_whole_body():
+    cells = np.random.default_rng(4).integers(0, 10007, (1024, 1024))
+    body = "\n".join(map(str, cells.T.ravel().tolist()))
+    # 21 MiB: the 5 MiB body past the header, 8 MiB of values and the
+    # 8 MiB matrix; a split of the whole body would pass the bound
+    got, peak = traced_peak(parse_matrix_market, ARRAY + "%%modulus=10007\n1024 1024\n" + body)
+    assert np.array_equal(got.matrix.a, cells)
+    assert peak <= 24, peak
+    # the read itself holds the values and one piece's temporaries, about
+    # 2 MiB; an encoding of the whole body would add 5 MiB
+    vals, peak = traced_peak(matrixmarket._int_values, body, cells.size)
+    assert np.array_equal(vals, cells.T.ravel())
+    assert peak - vals.nbytes / 2**20 <= 4, peak
