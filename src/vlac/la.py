@@ -245,6 +245,18 @@ def coordinate_order(rows: int, cols: int, ri, ci):
 # ---------------------------------------------------------------------------
 
 
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for entries of magnitude below 2^63 - p.  An int64
+    array of 1024 entries or more takes x - (x // p) p: numpy divides it by
+    a scalar with libdivide, up to 6x faster than its remainder, which costs
+    fewer calls on smaller arrays."""
+    if x.size < 1024 or x.dtype.hasobject:
+        x %= p
+    else:
+        x -= x // p * p
+    return x
+
+
 def _mul_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b mod p for a canonical matrix a and a canonical vector or matrix
     b, on limb planes of the operand with fewer entries (``_limb_product``):
@@ -277,7 +289,7 @@ def _limb_product(field: PrimeField, a: np.ndarray) -> Callable[[np.ndarray], np
     left = -(-bits // width)
     if left == 1 and field.dtype is np.int64:
         # one plane, a itself: one product, reduced once
-        return lambda x: np.einsum("ik,k...->i...", a, x) % p
+        return lambda x: _reduce(np.einsum("ik,k...->i...", a, x), p)
     right = left if split_x else 1
     planes = _limb_planes(a, width, bits).reshape(left * m, k)
     if field.dtype is object:
@@ -301,10 +313,11 @@ def _limb_product(field: PrimeField, a: np.ndarray) -> Callable[[np.ndarray], np
         else:
             # Horner's rule by 2^b stays below p 2^b + p < 2^63, since
             # b < bits(p - 1) <= 32 whenever a splits
-            out = terms[-1] % p
+            out = _reduce(terms[-1], p)
             for t in terms[-2::-1]:
-                out = (out << width) + t % p
-                out %= p
+                out <<= width
+                out += _reduce(t, p)
+                _reduce(out, p)
         return out[:, 0] if x.ndim == 1 else out
 
     return product
@@ -677,41 +690,140 @@ def butterfly_param_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# prover-side elimination (the test oracles keep their own, separate copy)
+# prover-side elimination: one blocked PLE kernel behind the dense solvers
+# (``vlac.oracle`` is the independent reference)
 # ---------------------------------------------------------------------------
 
+# Columns in one panel of ``_ple`` and rows in one block of
+# ``_back_substitute``.  Neither calls the product on a matrix of at most
+# PANEL columns, where einsum's dispatch cost outweighs the update it makes.
+PANEL = 32
 
-def _rref(field: PrimeField, m: np.ndarray):
-    """In-place reduced row echelon; returns the pivot columns."""
+
+def _ple(field: PrimeField, m: np.ndarray) -> tuple[list[int], list[int]]:
+    """Blocked row-echelon (PLE) elimination of a canonical (rows, cols)
+    array, in place; returns ``(swaps, pivots)``.
+
+    Step i swaps row i with row ``swaps[i]`` (LAPACK's ipiv), which gives
+    the permutation P.  ``pivots`` are the pivot columns, the column rank
+    profile of m, and r = len(pivots).  Then P m = L U, where U (r x cols)
+    is in row echelon form with its leading entries at the pivots and L
+    (rows x r) is unit lower trapezoidal.  m is left holding row i of U
+    from column pivots[i] onward, L's column j below row j in column
+    pivots[j], and zeros elsewhere.
+
+    The pivot is the first nonzero at or below the current row, and a
+    column with none is skipped.  Each panel of PANEL columns is eliminated
+    a column at a time on a transposed copy of the panel alone; then the
+    panel's pivot rows get U12 = L11^-1 A12 by forward substitution and the
+    rows below A22 -= L21 U12, one ``_mul_mod`` product.  Only trailing
+    entries are ever updated.  The rank-1 updates of the panel and of the
+    forward substitution are reduced once per ``dot_chunk() - 1`` of them
+    (the delayed reduction of FFLAS-FFPACK), each row and column only as it
+    becomes a pivot row or column; at P_WORD that is every update.
+    """
     p = field.p
     rows, cols = m.shape
+    swaps: list[int] = []
+    pivots: list[int] = []
     r = 0
-    pivots = []
-    for c in range(cols):
+    # rank-1 updates an entry may take unreduced: t (p - 1)^2 + p < 2^63
+    # for t < dot_chunk(), and one always fits int64; objects never overflow
+    budget = max(field.dot_chunk() - 1, 1) if field.dtype is np.int64 else None
+    # panels of PANEL columns; a remainder narrower than PANEL joins the last
+    starts = range(0, max(cols - PANEL, 0) + 1, PANEL)
+    for c0, c1 in zip(starts, [*starts[1:], cols]):
         if r == rows:
             break
-        pr = None
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                pr = i
+        top = r
+        pan = m[top:, c0:c1].T.copy()  # row j holds column c0 + j
+        order = list(range(rows - top))  # the panel's row swaps, made on m after it
+        swapped = False
+        pending = 0  # updates since the panel was last reduced
+        for j in range(c1 - c0):
+            if r == rows:
                 break
-        if pr is None:
+            i = r - top
+            if pending:
+                _reduce(pan[j, i:], p)
+            s = i
+            if not pan[j, i]:
+                nz = np.flatnonzero(pan[j, i:])
+                if not len(nz):
+                    continue
+                s += int(nz[0])
+                pan[:, [i, s]] = pan[:, [s, i]]
+                order[i], order[s] = order[s], order[i]
+                swapped = True
+            swaps.append(top + s)
+            pivots.append(c0 + j)
+            col = pan[j, i + 1 :]
+            col *= pow(int(pan[j, i]), -1, p)
+            _reduce(col, p)
+            row = pan[j + 1 :, i]
+            if pending:
+                _reduce(row, p)
+            rest = pan[j + 1 :, i + 1 :]
+            rest -= row[:, None] * col
+            pending += 1
+            if pending == budget:
+                _reduce(rest, p)
+                pending = 0
+            r += 1
+        if swapped:
+            m[top:] = m[top:][order]
+        m[top:, c0:c1] = pan.T
+        k = r - top
+        if k == 0 or c1 == cols:
             continue
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = m[r] * field.inv(int(m[r, c])) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        nz = np.nonzero(col)[0]
-        if len(nz):
-            m[nz] = (m[nz] - np.outer(col[nz], m[r])) % p
-        pivots.append(c)
-        r += 1
-    return pivots
+        ls = pan[np.array(pivots[-k:]) - c0]  # row j: L's column top + j
+        u = m[top:r, c1:]
+        pending = 0
+        for j in range(k - 1):
+            if pending:
+                _reduce(u[j], p)
+            below = u[j + 1 :]
+            below -= ls[j, j + 1 : k, None] * u[j]
+            pending += 1
+            if pending == budget:
+                _reduce(below, p)
+                pending = 0
+        if pending:
+            _reduce(u[k - 1], p)
+        if r < rows:
+            rest = m[r:, c1:]
+            rest -= _mul_mod(field, ls[:, k:].T, u)
+            _reduce(rest, p)
+    return swaps, pivots
+
+
+def _back_substitute(field: PrimeField, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x with u x = y for a square u whose upper triangle, diagonal included,
+    is invertible; what lies below the diagonal is never used.  y, an
+    (n, k) array, is overwritten by x, a block of PANEL rows at a time from
+    the bottom: one product brings in the rows solved so far, and the
+    block's rows and triangle are scaled to a unit diagonal."""
+    p = field.p
+    n = len(u)
+    for hi in range(n, 0, -PANEL):
+        lo = max(0, hi - PANEL)
+        block = y[lo:hi]
+        if hi < n:
+            block -= _mul_mod(field, u[lo:hi, hi:], y[hi:])
+        scale = field.arr([pow(int(v), -1, p) for v in u.diagonal()[lo:hi]])[:, None]
+        block *= scale
+        _reduce(block, p)
+        t = _reduce(u[lo:hi, lo:hi] * scale, p)
+        for i in range(hi - lo - 1, 0, -1):
+            above = block[:i]
+            above -= t[:i, i, None] * block[i]
+            _reduce(above, p)
+    return y
 
 
 def solve_dense(a: DenseMatrix, b) -> np.ndarray | None:
-    """One solution of A x = b, or None when the system is inconsistent."""
+    """One solution of A x = b, or None when the system is inconsistent.
+    Free variables (the non-pivot columns) are 0."""
     field = a.field
     bv = field.arr(b)
     if len(bv) != a.rows:
@@ -719,12 +831,12 @@ def solve_dense(a: DenseMatrix, b) -> np.ndarray | None:
     aug = field.zeros((a.rows, a.cols + 1))
     aug[:, : a.cols] = a.a
     aug[:, a.cols] = bv
-    pivots = _rref(field, aug)
+    _, pivots = _ple(field, aug)
     if pivots and pivots[-1] == a.cols:
         return None
+    r = len(pivots)
     x = field.zeros(a.cols)
-    for row, c in enumerate(pivots):
-        x[c] = aug[row, a.cols]
+    x[pivots] = _back_substitute(field, aug[:r, pivots], aug[:r, a.cols :])[:, 0]
     return x
 
 
@@ -736,36 +848,46 @@ def invert_dense(a: DenseMatrix) -> DenseMatrix | None:
     n = a.rows
     aug = field.zeros((n, 2 * n))
     aug[:, :n] = a.a
-    aug[:, n:] = np.eye(n, dtype=np.int64) % field.p
-    pivots = _rref(field, aug)
-    if len(pivots) < n or any(c >= n for c in pivots):
+    aug[:, n:] = np.eye(n, dtype=np.int64)
+    _, pivots = _ple(field, aug)
+    if len(pivots) < n or (n and pivots[-1] >= n):
         return None
-    return DenseMatrix(field, aug[:, n:])
+    return DenseMatrix(field, _back_substitute(field, aug[:, :n], aug[:, n:]))
 
 
 def kernel_vector(a: DenseMatrix) -> np.ndarray | None:
-    """A nonzero kernel vector, or None when the matrix has full column rank."""
+    """A nonzero kernel vector, or None when the matrix has full column rank:
+    the one that is 1 at the first non-pivot column f and 0 past it."""
     field = a.field
     m = a.a.copy()
-    pivots = _rref(field, m)
+    _, pivots = _ple(field, m)
     if len(pivots) == a.cols:
         return None
-    free = next(c for c in range(a.cols) if c not in set(pivots))
+    # columns 0 .. f - 1 are the first f pivots
+    f = next((j for j, c in enumerate(pivots) if c != j), len(pivots))
     x = field.zeros(a.cols)
-    x[free] = 1
-    for row, c in enumerate(pivots):
-        x[c] = -m[row, free] % field.p
+    x[f] = 1
+    x[:f] = _back_substitute(field, m[:f, :f], -m[:f, f : f + 1] % field.p)[:, 0]
     return x
 
 
 def rank_dense(a: DenseMatrix) -> int:
-    return len(_rref(a.field, a.a.copy()))
+    return len(_ple(a.field, a.a.copy())[1])
 
 
 def det_dense(a: DenseMatrix) -> int:
     if a.rows != a.cols:
         raise NotSquare("determinant needs a square matrix")
-    return det_stack(a.a[None].copy(), [a.field.p])[0]
+    field = a.field
+    m = a.a.copy()
+    swaps, pivots = _ple(field, m)
+    if len(pivots) < a.rows:
+        return 0
+    p = field.p
+    det = p - 1 if sum(s != i for i, s in enumerate(swaps)) % 2 else 1
+    for v in m.diagonal():
+        det = det * int(v) % p
+    return det
 
 
 # Entries in one determinant batch, so a batch stays a few MB whatever the

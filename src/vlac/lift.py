@@ -57,22 +57,27 @@ _CRT_PRIMES: dict[int, list[int]] = {}
 _CRT_PRIMES_LOCK = threading.Lock()
 
 
+_to_int = np.frompyfunc(int, 1, 1)
+
+
 class IntMatrix:
     """Square-friendly integer matrix with arbitrary-size entries."""
 
     __slots__ = ("a",)
 
     def __init__(self, data):
-        if isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype.kind in "iu":
-            self.a = data.astype(object)  # exact Python ints, any shape
-            return
-        arr = np.empty((len(data), len(data[0]) if len(data) else 0), dtype=object)
-        for i, row in enumerate(data):
-            if len(row) != arr.shape[1]:
-                raise DimensionMismatch("ragged rows")
-            for j, v in enumerate(row):
-                arr[i, j] = int(v)
-        self.a = arr
+        if isinstance(data, np.ndarray) and data.ndim == 2:
+            if data.dtype.kind in "iu":
+                self.a = data.astype(object)  # exact Python ints, any shape
+                return
+            cells = data
+        else:
+            cells = np.empty((len(data), len(data[0]) if len(data) else 0), dtype=object)
+            for i, row in enumerate(data):
+                if len(row) != cells.shape[1]:
+                    raise DimensionMismatch("ragged rows")
+                cells[i] = list(row)
+        self.a = _to_int(cells)  # int() of every entry, in one vectorised call
 
     @property
     def rows(self) -> int:

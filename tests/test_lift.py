@@ -5,12 +5,14 @@ import threading
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from vlac.errors import DimensionMismatch, FieldMismatch, NotSquare
 from vlac import lift
 from vlac.ff import Poly, PrimeField, field_new, is_probable_prime
 from vlac.la import DenseMatrix
+from vlac.matrixmarket import parse_matrix_market
 from vlac.lift import (
     DEFAULT_PRIME_BITS,
     PROTOCOL_INTDET,
@@ -143,6 +145,32 @@ def test_int_matrix_reduce_matches_dense_constructor():
 def test_int_matrix_validation():
     with pytest.raises(DimensionMismatch):
         IntMatrix([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        IntMatrix([[1], [2, 3]])
+    with pytest.raises(ValueError):
+        IntMatrix([[1, "x"]])
+
+
+def test_int_matrix_from_arrays_holds_python_ints():
+    """A no-modulus array file with one entry past int64 parses to an object
+    array; the matrix equals its list form, with int() applied to every entry."""
+    rng = Random(5)
+    rows = [[rng.randint(-100, 100) for _ in range(7)] for _ in range(6)]
+    rows[2][3] = 2**63 + 5
+    # array files list entries down the columns
+    text = "%%MatrixMarket matrix array integer general\n6 7\n" + "\n".join(
+        str(rows[i][j]) for j in range(7) for i in range(6)) + "\n"
+    parsed = parse_matrix_market(text).matrix
+    assert parsed.a.dtype == object
+    assert parsed == IntMatrix(rows) and parsed.a.tolist() == rows
+    for m in (parsed, IntMatrix(rows), IntMatrix(np.array(rows, dtype=object))):
+        assert all(type(v) is int for v in m.a.flat)
+    # int() semantics: numpy scalars, bools and integral strings become ints
+    odd = np.array([[np.int64(3), True], ["-12", 2**70]], dtype=object)
+    m = IntMatrix(odd)
+    assert m.a.tolist() == [[3, 1], [-12, 2**70]]
+    assert all(type(v) is int for v in m.a.flat)
+    assert IntMatrix([]).shape == (0, 0) and IntMatrix([[], []]).shape == (2, 0)
     with pytest.raises(NotSquare):
         int_det_crt(IntMatrix([[1, 2, 3], [4, 5, 6]]))
 

@@ -4,7 +4,8 @@ The edges are where the int64 code changes strategy: p = 3, the largest
 int64-safe prime P_WORD (``dot_chunk() == 1``), the first object-dtype prime
 P_BIG, lengths and row widths on either side of ``dot_chunk()``, 0x0 and 1x1
 shapes, the determinant batch cap, integer entries past int64, the steps
-of the limb widths, and the largest 63-bit prime for the limb products.
+of the limb widths, the largest 63-bit prime for the limb products, and
+the panel edges of the blocked elimination.
 """
 
 import struct
@@ -1150,7 +1151,7 @@ def test_dense_product_matches_python_ints(p, rows, cols):
         _assert_canonical(field, op.apply_t(y), want_t)
 
 
-# -- dense elimination: solve, invert, kernel and rank ----------------------------
+# -- dense elimination: the blocked kernel and its solvers, at its panel edges --
 
 
 def _times(p, a, x):
@@ -1166,37 +1167,162 @@ def _rank_r_rows(p, rng, rows, cols, r):
             for i in range(rows)]
 
 
-@pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("rows,cols", [(0, 0), (1, 1), (0, 2), (2, 0), (4, 4), (3, 5), (5, 3)])
-@pytest.mark.parametrize("deficit", [0, 1, 9])
-def test_elimination_consumers_match_oracle(p, rows, cols, deficit):
+ELIMINATION_PRIMES = (3, P_DET, P_WORD, P_BIG, P_TOP)
+B = la.PANEL
+
+
+def _rref(field, m):
+    """In-place reduced row echelon; returns the pivot columns.
+
+    The row-at-a-time elimination the dense solvers ran before the blocked
+    kernel, kept as the reference that pins their answers on singular
+    inputs: the free variables of a solution are 0, and the kernel vector
+    is 1 at the first non-pivot column and 0 past it.
+    """
+    p = field.p
+    rows, cols = m.shape
+    r = 0
+    pivots = []
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = None
+        for i in range(r, rows):
+            if m[i, c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = m[r] * field.inv(int(m[r, c])) % p
+        col = m[:, c].copy()
+        col[r] = 0
+        nz = np.nonzero(col)[0]
+        if len(nz):
+            m[nz] = (m[nz] - np.outer(col[nz], m[r])) % p
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _rref_solve(a, b):
+    field = a.field
+    aug = field.zeros((a.rows, a.cols + 1))
+    aug[:, : a.cols] = a.a
+    aug[:, a.cols] = field.arr(b)
+    pivots = _rref(field, aug)
+    if pivots and pivots[-1] == a.cols:
+        return None
+    x = field.zeros(a.cols)
+    for row, c in enumerate(pivots):
+        x[c] = aug[row, a.cols]
+    return x
+
+
+def _rref_kernel(a):
+    field = a.field
+    m = a.a.copy()
+    pivots = _rref(field, m)
+    if len(pivots) == a.cols:
+        return None
+    free = next(c for c in range(a.cols) if c not in set(pivots))
+    x = field.zeros(a.cols)
+    x[free] = 1
+    for row, c in enumerate(pivots):
+        x[c] = -m[row, free] % field.p
+    return x
+
+
+def _random_rows(p, rng, rows, cols):
+    return [[rng.choice([1, p - 1, rng.randrange(p)]) for _ in range(cols)] for _ in range(rows)]
+
+
+def _dependent(p, cells, target, sources):
+    """cells with column target replaced by a combination of the sources."""
+    coef = [(k + 2) % p or 1 for k in range(len(sources))]
+    for row in cells:
+        row[target] = sum(c * row[s] for c, s in zip(coef, sources)) % p
+    return cells
+
+
+def _panel_edge_case(name, p, rng):
+    """A list of rows named by the shape or rank profile it exercises."""
+    if name == "0x0":
+        return []
+    if name == "1x1":
+        return [[p - 1]]
+    if name == "1x1 zero":
+        return [[0]]
+    if name == "rank 0":
+        return [[0] * (B + 3) for _ in range(5)]
+    if name == "tall":
+        return _rank_r_rows(p, rng, 2 * B + 1, 5, 5)
+    if name == "wide":
+        return _rank_r_rows(p, rng, 5, 2 * B + 1, 5)
+    if name in SQUARE_SIZES:
+        n = SQUARE_SIZES[name]
+        return _random_rows(p, rng, n, n)
+    n = 2 * B + 1
+    cells = _random_rows(p, rng, n, n)
+    if name == "pivotless inside a panel":
+        return _dependent(p, cells, 5, [0, 3])
+    if name == "pivotless at panel edges":
+        # the last column of the first panel and the first of the second
+        return _dependent(p, _dependent(p, cells, B - 1, [1, 2]), B, [0, B - 1])
+    if name == "zero column at a panel edge":
+        for row in cells:
+            row[B] = 0
+        return cells
+    if name == "rank-deficient tall":
+        return _rank_r_rows(p, rng, 3 * B, 2 * B + 1, B + 2)
+    raise AssertionError(name)
+
+
+SQUARE_SIZES = {
+    "n = b - 1": B - 1, "n = b": B, "n = b + 1": B + 1,
+    "n = 2b - 1": 2 * B - 1, "n = 2b": 2 * B, "n = 2b + 1": 2 * B + 1,
+}
+PANEL_EDGE_CASES = (
+    "0x0", "1x1", "1x1 zero", "rank 0", "tall", "wide", *SQUARE_SIZES,
+    "pivotless inside a panel", "pivotless at panel edges", "zero column at a panel edge",
+    "rank-deficient tall",
+)
+
+
+def _check_dense_solvers(p, cells, rng):
+    """The five dense solvers on one list of rows, against ``vlac.oracle``
+    and, for the answers a singular input leaves open, against ``_rref``."""
     field = field_new(p)
-    rng = Random(p + rows * 31 + cols * 7 + deficit)
-    cells = _rank_r_rows(p, rng, rows, cols, max(min(rows, cols) - deficit, 0))
+    rows, cols = len(cells), len(cells[0]) if cells else 0
     a = DenseMatrix(field, np.array(cells, dtype=object).reshape(rows, cols))
     rank = brute_rank(field, cells)
     assert la.rank_dense(a) == rank
+    if rows == cols:
+        assert det_dense(a) == brute_det_field(field, cells)
 
-    # a consistent system: any solution found must solve it
-    x0 = [rng.randrange(p) for _ in range(cols)]
-    b = _times(p, cells, x0)
-    assert _solve_field(p, cells, b) is not None
+    # a consistent right-hand side: the one solution whose free variables
+    # are 0, which is what the oracle returns too
+    b = _times(p, cells, [rng.randrange(p) for _ in range(cols)])
     x = la.solve_dense(a, b)
-    assert x is not None and x.dtype == field.dtype and len(x) == cols
+    assert x.dtype == field.dtype and len(x) == cols
+    assert [int(v) for v in x] == _solve_field(p, cells, b)
     assert _times(p, cells, [int(v) for v in x]) == b
+    assert np.array_equal(x, _rref_solve(a, b))
 
     # an inconsistent one, when the column space misses some vector
     if rank < rows:
         b = next(c for c in ([rng.randrange(p) for _ in range(rows)] for _ in range(200))
                  if _solve_field(p, cells, c) is None)
-        assert la.solve_dense(a, b) is None
+        assert la.solve_dense(a, b) is None and _rref_solve(a, b) is None
 
     k = la.kernel_vector(a)
     if rank == cols:
-        assert k is None
+        assert k is None and _rref_kernel(a) is None
     else:
         ks = [int(v) for v in k]
         assert any(ks) and _times(p, cells, ks) == [0] * rows
+        assert np.array_equal(k, _rref_kernel(a))
 
     if rows == cols:
         inv = la.invert_dense(a)
@@ -1208,3 +1334,84 @@ def test_elimination_consumers_match_oracle(p, rows, cols, deficit):
             cols_of_w = [list(c) for c in zip(*w)] if rows else []
             product = [_times(p, cells, c) for c in cols_of_w]  # columns of a w
             assert product == [[int(i == j) for i in range(rows)] for j in range(rows)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("rows,cols", [(0, 0), (1, 1), (0, 2), (2, 0), (4, 4), (3, 5), (5, 3)])
+@pytest.mark.parametrize("deficit", [0, 1, 9])
+def test_elimination_consumers_match_oracle(p, rows, cols, deficit):
+    rng = Random(p + rows * 31 + cols * 7 + deficit)
+    cells = _rank_r_rows(p, rng, rows, cols, max(min(rows, cols) - deficit, 0))
+    _check_dense_solvers(p, cells, rng)
+
+
+@pytest.mark.parametrize("p", ELIMINATION_PRIMES)
+@pytest.mark.parametrize("name", PANEL_EDGE_CASES)
+def test_dense_solvers_at_panel_edges(p, name):
+    rng = Random(f"{p} {name}")
+    _check_dense_solvers(p, _panel_edge_case(name, p, rng), rng)
+
+
+@pytest.mark.parametrize("p", ELIMINATION_PRIMES)
+def test_elimination_kernel_factors_p_m_as_l_u(p):
+    """P m = L U with the documented storage, across three panels with
+    pivotless columns inside and at the edges of a panel."""
+    field = field_new(p)
+    rng = Random(p)
+    cells = _random_rows(p, rng, 3 * B + 1, 2 * B + 1)
+    for target, sources in ((B - 1, [1, 2]), (B, [0, B - 1]), (2 * B, [0, 5])):
+        _dependent(p, cells, target, sources)
+    m = field.arr(cells)
+    swaps, pivots = la._ple(field, m)
+    rows, cols = m.shape
+    r = len(pivots)
+    assert r == brute_rank(field, cells) and pivots == sorted(pivots)
+    assert pivots[: B - 1] == list(range(B - 1))
+    assert not {B - 1, B, 2 * B} & set(pivots)
+    perm = list(range(rows))
+    for i, s in enumerate(swaps):
+        assert i <= s < rows
+        perm[i], perm[s] = perm[s], perm[i]
+    lo = [[0] * r for _ in range(rows)]
+    up = [[0] * cols for _ in range(r)]
+    for i in range(rows):
+        for j in range(min(i, r)):
+            lo[i][j] = int(m[i, pivots[j]])
+        if i < r:
+            lo[i][i] = 1
+            up[i][pivots[i] :] = [int(v) for v in m[i, pivots[i] :]]
+            assert up[i][pivots[i]] != 0
+            assert all(int(v) == 0 for c, v in enumerate(m[i, : pivots[i]]) if c not in pivots)
+    for i in range(r, rows):
+        assert all(int(v) == 0 for c, v in enumerate(m[i]) if c not in pivots[:r])
+    product = [[sum(lo[i][t] * up[t][c] for t in range(r)) % p for c in range(cols)]
+               for i in range(rows)]
+    assert product == [cells[perm[i]] for i in range(rows)]
+
+
+def test_narrow_matrices_make_no_product(monkeypatch):
+    """Fewer than 2 PANEL columns is one panel, and at most PANEL rows one
+    block of the back substitution: neither calls the product."""
+    field = field_new(P_DET)
+    calls = []
+    product = la._mul_mod
+    monkeypatch.setattr(la, "_mul_mod", lambda *a: calls.append(1) or product(*a))
+    rng = Random(7)
+    a = DenseMatrix(field, _random_rows(P_DET, rng, B, B))
+    assert la.solve_dense(a, [1] * B) is not None and la.invert_dense(a) is not None
+    assert det_dense(DenseMatrix(field, _random_rows(P_DET, rng, 2 * B - 1, 2 * B - 1))) != 0
+    assert not calls
+    det_dense(DenseMatrix(field, _random_rows(P_DET, rng, 2 * B, 2 * B)))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", (3, P_DET, P_WORD))
+def test_reduce_matches_remainder_on_both_paths(p):
+    rng = np.random.default_rng(p % 1000)
+    top = (p - 1) ** 2 * max(field_new(p).dot_chunk() - 1, 1)
+    for size in (1, 1023, 1024, 5000):
+        x = rng.integers(-min(top, 2**63 - 2 * p), p, size)
+        x[0] = -min(top, 2**63 - 2 * p)
+        want = x % p
+        got = la._reduce(x, p)
+        assert got is x and np.array_equal(got, want)
