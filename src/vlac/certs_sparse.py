@@ -40,7 +40,6 @@ from .la import (
     CostCounter,
     DenseMatrix,
     SparseMatrix,
-    as_blackbox,
     butterfly_new,
     butterfly_padding,
     butterfly_param_count,
@@ -48,10 +47,8 @@ from .la import (
     diagonal_scaling,
     kernel_vector,
     leading_projection,
-    limb_operator,
     materialize,
     matvec,
-    _matvec_canonical,
     _mul_mod,
     padded,
     solve_dense,
@@ -123,13 +120,12 @@ def vec_bytes(values) -> bytes:
     return encode_payload(KIND_VEC, values)
 
 
-def _square_dims(m) -> tuple:
-    bb = as_blackbox(m)
-    if bb.rows != bb.cols:
-        raise NotSquare(f"operator is {bb.rows}x{bb.cols}")
-    if bb.rows < 1:
+def _square_dims(m) -> int:
+    if m.rows != m.cols:
+        raise NotSquare(f"operator is {m.rows}x{m.cols}")
+    if m.rows < 1:
         raise DimensionMismatch("operator must be at least 1x1")
-    return bb, bb.rows
+    return m.rows
 
 
 def _prover_rng(digest: bytes, prover_seed: Optional[int]) -> Random:
@@ -177,7 +173,7 @@ def projected_sequence(
     out = []
     for i in range(count):
         if i:
-            x = _matvec_canonical(operator, x)
+            x = operator._apply(x)
         if checkpoints is not None and i < len(v) and i % stride == 0:
             checkpoints[i // stride] = x
         out.append(project(x))
@@ -192,8 +188,8 @@ def nonsingular_epsilon(s: SampleSet) -> Fraction:
 
 
 def _nonsingular_parts(a, s: Optional[SampleSet], instance_tag: Optional[bytes]):
-    bb, n = _square_dims(a)
-    field = bb.field
+    n = _square_dims(a)
+    field = a.field
     s = _check_sample_set(field, s)
     params = _u64(field.p) + _u64(s.offset) + _u64(s.size) + _u32(n)
     digest = instance_digest(PROTOCOL_NONSINGULAR, (operator_bytes(a, instance_tag),))
@@ -261,8 +257,8 @@ def rank_upper_epsilon(m: int, n: int, r: int, s: SampleSet) -> Fraction:
 def _preconditioned(field, a, m, n, u_thetas, v_thetas) -> Blackbox:
     mp = butterfly_padding(m)
     np_ = butterfly_padding(n)
-    left = butterfly_new(field, m, u_thetas).as_blackbox()
-    right = butterfly_new(field, n, v_thetas).as_blackbox()
+    left = butterfly_new(field, m, u_thetas)
+    right = butterfly_new(field, n, v_thetas)
     return compose(left, padded(a, mp, np_), right)
 
 
@@ -293,13 +289,12 @@ def _rank_upper_verifier(ch, field, a, m, n, r, s, label: str):
 
 
 def _rank_upper_parts(a, r: int, s: Optional[SampleSet], instance_tag: Optional[bytes]):
-    bb = as_blackbox(a)
-    m, n = bb.shape
+    m, n = a.shape
     if m < 1 or n < 1:
         raise DimensionMismatch("operator must be at least 1x1")
     if not 0 <= r < min(m, n):
         raise ValueError("upper-bound claims need 0 <= r < min(m, n)")
-    field = bb.field
+    field = a.field
     s = _check_sample_set(field, s)
     params = _u64(field.p) + _u64(s.offset) + _u64(s.size) + _u32(m) + _u32(n) + _u32(r)
     digest = instance_digest(PROTOCOL_RANK_UPPER, (operator_bytes(a, instance_tag),))
@@ -373,13 +368,12 @@ def _rank_parts(
     instance_tag: Optional[bytes],
     prover_seed: Optional[int] = None,
 ):
-    bb = as_blackbox(a)
-    m, n = bb.shape
+    m, n = a.shape
     if m < 1 or n < 1:
         raise DimensionMismatch("operator must be at least 1x1")
     if not 0 <= r <= min(m, n):
         raise ValueError("rank claims need 0 <= r <= min(m, n)")
-    field = bb.field
+    field = a.field
     s = _check_sample_set(field, s)
     params = _u64(field.p) + _u64(s.offset) + _u64(s.size) + _u32(m) + _u32(n) + _u32(r)
     digest = instance_digest(PROTOCOL_RANK, (operator_bytes(a, instance_tag),))
@@ -585,8 +579,8 @@ def _verify_minpoly_exchange(
 
 
 def _minpoly_parts(a, u, v, s: Optional[SampleSet], instance_tag: Optional[bytes]):
-    bb, n = _square_dims(a)
-    field = bb.field
+    n = _square_dims(a)
+    field = a.field
     s = _check_sample_set(field, s)
     u_arr = field.arr(list(u))
     v_arr = field.arr(list(v))
@@ -687,7 +681,7 @@ def _shift_solver(field: PrimeField, operator, gen: Poly, checkpoints: np.ndarra
 
         w = w_row(stride - 1)
         for j in range(stride - 2, -1, -1):
-            w = (_matvec_canonical(operator, w) + w_row(j)) % p
+            w = (operator._apply(w) + w_row(j)) % p
         return w * field.inv(at_r1) % p
 
     return solve
@@ -705,15 +699,9 @@ def det_prover_flow(ch, field: PrimeField, operator, s: SampleSet, rng: Random, 
         scale = [rng.randrange(1, p) for _ in range(n)]
         u = [rng.randrange(p) for _ in range(n)]
         v = [rng.randrange(p) for _ in range(n)]
-        if isinstance(operator, SparseMatrix):
-            # D·A has A's sparsity pattern, so every Krylov step stays one sparse product.
-            scaled = operator.scale_rows(field.arr(scale))
-        elif isinstance(operator, DenseMatrix):
-            # D·A is scaled and split into limb planes once, not at every Krylov step.
-            scaled = limb_operator(operator.scale_rows(field.arr(scale)))
-        else:
-            # A black box has no entries to scale, so D applies after it.
-            scaled = compose(diagonal_scaling(field, scale), operator)
+        # a matrix scales its entries: a sparse D·A keeps A's pattern, and a
+        # dense one splits into limb planes once, on its first Krylov step
+        scaled = operator.scale_rows(field.arr(scale))
         u_arr, v_arr = field.arr(u), field.arr(v)
         checkpoints = krylov_checkpoints(field, n)
         seq = projected_sequence(field, scaled, u_arr, v_arr, 2 * n, checkpoints)
@@ -776,8 +764,8 @@ def _det_parts(
     instance_tag: Optional[bytes],
     prover_seed: Optional[int],
 ):
-    bb, n = _square_dims(a)
-    field = bb.field
+    n = _square_dims(a)
+    field = a.field
     s = _check_sample_set(field, s)
     params = _u64(field.p) + _u64(s.offset) + _u64(s.size) + _u32(n)
     digest = instance_digest(PROTOCOL_DET, (operator_bytes(a, instance_tag),))

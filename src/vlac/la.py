@@ -6,13 +6,14 @@ else ``object`` arrays of exact Python ints.  Sparse int64 products run as
 ``scipy.sparse`` CSR products; scipy is a required dependency, imported
 outright.
 
-The int64 overflow argument: ``_mul_mod``, the one dense product, runs on
-int64 limb planes over int64 and ``object`` fields alike.  An operand split
-into b-bit limbs with k (2^b - 1)(p - 1) < 2^63 sums k products without
-wrapping; where b covers p - 1, the one plane is the operand itself.  A
-product of canonical operands is at most (p - 1)^2, so the sparse product
-sums ``dot_chunk()`` of them unreduced, and reduces each product before
-summing a wider row, which is exact while width * p < 2^63.
+The int64 overflow argument: ``_limb_product``, under every dense product,
+runs on int64 limb planes over int64 and ``object`` fields alike.  An
+operand split into b-bit limbs with k (2^b - 1)(p - 1) < 2^63 sums k
+products without wrapping; where b covers p - 1, the one plane is the
+operand itself.  A product of canonical operands is at most (p - 1)^2, so
+the sparse product sums ``dot_chunk()`` of them unreduced, and reduces
+each product before summing a wider row, which is exact while
+width * p < 2^63.
 """
 
 from __future__ import annotations
@@ -38,10 +39,55 @@ class CostCounter:
         self.ops += n
 
 
-class DenseMatrix:
-    """Row-major dense matrix over GF(p)."""
+class Operator:
+    """A linear map from F^cols to F^rows over GF(p), reached only through
+    products: the blackbox model of the certificates.
 
-    __slots__ = ("field", "a")
+    A subclass holds ``field``, ``rows``, ``cols`` and ``mu``, the declared
+    cost (multiplies + adds) of one apply, which verifier cost assertions
+    use verbatim.  It defines ``_apply`` and ``_apply_t``, x -> A x and
+    x -> A^T x: each takes a canonical vector of the right length and dtype,
+    leaves it as it is, and returns a fresh canonical vector.  ``apply`` and
+    ``apply_t`` check the length and reduce any input first.
+    """
+
+    __slots__ = ()
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def apply(self, x) -> np.ndarray:
+        return self._apply(self._canonical(x, self.cols, "apply"))
+
+    def apply_t(self, x) -> np.ndarray:
+        return self._apply_t(self._canonical(x, self.rows, "apply_t"))
+
+    def _canonical(self, x, n: int, what: str) -> np.ndarray:
+        x = np.asarray(x, dtype=self.field.dtype)
+        if len(x) != n:
+            raise DimensionMismatch(f"{what}: {self.shape} by {len(x)}")
+        return x % self.field.p
+
+    def scale_rows(self, d: np.ndarray) -> "Operator":
+        """diag(d) @ self for canonical nonzero scalars d."""
+        return compose(diagonal_scaling(self.field, d), self)
+
+    def to_dense(self) -> "DenseMatrix":
+        """The operator as a fresh dense matrix, probed with identity columns."""
+        columns = [self.apply(e) for e in np.eye(self.cols, dtype=np.int64)]
+        return DenseMatrix(self.field, np.reshape(columns, (self.cols, self.rows)).T)
+
+
+class DenseMatrix(Operator):
+    """Row-major dense matrix over GF(p).
+
+    The first apply splits ``a`` into limb planes (``_limb_product``) and
+    keeps them for every later apply, so ``a`` is read-only once the matrix
+    has been applied.
+    """
+
+    __slots__ = ("field", "a", "_limbs")
 
     def __init__(self, field: PrimeField, data):
         self.field = field
@@ -51,6 +97,15 @@ class DenseMatrix:
         # a fresh C-ordered array whatever the input's layout, so equal
         # matrices run the product kernels at the same speed
         self.a = np.remainder(a, field.p, order="C")
+        self._limbs = None
+
+    @classmethod
+    def _of(cls, field: PrimeField, a: np.ndarray) -> "DenseMatrix":
+        """The matrix holding a canonical 2-d array of the field's dtype
+        itself, neither checked nor copied."""
+        m = cls.__new__(cls)
+        m.field, m.a, m._limbs = field, a, None
+        return m
 
     @property
     def rows(self) -> int:
@@ -59,10 +114,6 @@ class DenseMatrix:
     @property
     def cols(self) -> int:
         return self.a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.shape
 
     @property
     def nnz(self) -> int:
@@ -79,14 +130,22 @@ class DenseMatrix:
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix(self.field, self.a.T)
 
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        if self._limbs is None:
+            self._limbs = _limb_product(self.field, self.a)
+        return self._limbs(x)
+
+    def _apply_t(self, x: np.ndarray) -> np.ndarray:
+        return _mul_mod(self.field, self.a.T, x)
+
     def scale_rows(self, d: np.ndarray) -> "DenseMatrix":
         """diag(d) @ self for a canonical vector d."""
         if len(d) != self.rows:
             raise DimensionMismatch(f"row scaling: {self.rows} rows by {len(d)}")
-        out = DenseMatrix.__new__(DenseMatrix)
-        out.field = self.field
-        out.a = d[:, None] * self.a % self.field.p
-        return out
+        return DenseMatrix._of(self.field, d[:, None] * self.a % self.field.p)
+
+    def to_dense(self) -> "DenseMatrix":
+        return DenseMatrix(self.field, self.a)
 
     def __eq__(self, other) -> bool:
         return (
@@ -100,7 +159,7 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols} over GF({self.field.p}))"
 
 
-class SparseMatrix:
+class SparseMatrix(Operator):
     """Coordinate-list sparse matrix; triples sorted row-major, no duplicates."""
 
     __slots__ = ("field", "rows", "cols", "ri", "ci", "vals", "_csr", "_csc", "_widest")
@@ -135,10 +194,6 @@ class SparseMatrix:
         self._csr = None
         self._csc = None
         self._widest = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
 
     @property
     def nnz(self) -> int:
@@ -191,6 +246,30 @@ class SparseMatrix:
         if self._csc is None:
             self._csc = self._as_csr().T.tocsr()
         return self._csc
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        return self._product(x, transpose=False)
+
+    def _apply_t(self, x: np.ndarray) -> np.ndarray:
+        return self._product(x, transpose=True)
+
+    def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """self @ x, or self^T @ x, for a canonical vector x."""
+        field = self.field
+        p = field.p
+        # a CSR product sums one row of unreduced products at a time
+        if field.dtype is np.int64 and self.widest()[1 if transpose else 0] <= field.dot_chunk():
+            csr = self._as_csc() if transpose else self._as_csr()
+            return csr @ x % p
+        if transpose:
+            out_idx, in_idx, size = self.ci, self.ri, self.cols
+        else:
+            out_idx, in_idx, size = self.ri, self.ci, self.rows
+        # object dtype, or rows too wide for unreduced int64 sums: reduce every
+        # product before summing
+        out = field.zeros(size)
+        np.add.at(out, out_idx, self.vals * x[in_idx] % p)
+        return out % p
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix.from_arrays(
@@ -323,51 +402,11 @@ def _limb_product(field: PrimeField, a: np.ndarray) -> Callable[[np.ndarray], np
     return product
 
 
-def matvec(m, x, counter: CostCounter | None = None) -> np.ndarray:
-    """Product m @ x for a dense, sparse, or blackbox operator."""
-    if not isinstance(m, (Blackbox, DenseMatrix, SparseMatrix)):
-        raise TypeError(f"cannot matvec a {type(m).__name__}")
+def matvec(m: Operator, x, counter: CostCounter | None = None) -> np.ndarray:
+    """Product m @ x for any operator, its cost ``mu`` charged to counter."""
     if counter is not None:
         counter.add(m.mu)
-    if isinstance(m, Blackbox):
-        return m.apply(x)
-    x = np.asarray(x, dtype=m.field.dtype) % m.field.p
-    if len(x) != m.cols:
-        raise DimensionMismatch(f"matvec: {m.shape} by {len(x)}")
-    return _matvec_canonical(m, x)
-
-
-def _matvec_canonical(m, x: np.ndarray) -> np.ndarray:
-    """m @ x for a canonical vector x of the right length and dtype.
-
-    The prover's Krylov and shift-solve loops feed each product back in,
-    so they skip the input reduction that ``matvec`` makes.  A blackbox
-    still reduces its own input: its outputs carry no such promise.
-    """
-    if isinstance(m, DenseMatrix):
-        return _mul_mod(m.field, m.a, x)
-    if isinstance(m, SparseMatrix):
-        return _sparse_apply(m, x, transpose=False)
     return m.apply(x)
-
-
-def _sparse_apply(m: SparseMatrix, x: np.ndarray, transpose: bool) -> np.ndarray:
-    """m @ x, or m^T @ x, for a canonical vector x."""
-    field = m.field
-    p = field.p
-    # a CSR product sums one row of unreduced products at a time
-    if field.dtype is np.int64 and m.widest()[1 if transpose else 0] <= field.dot_chunk():
-        csr = m._as_csc() if transpose else m._as_csr()
-        return csr @ x % p
-    if transpose:
-        out_idx, in_idx, size = m.ci, m.ri, m.cols
-    else:
-        out_idx, in_idx, size = m.ri, m.ci, m.rows
-    # object dtype, or rows too wide for unreduced int64 sums: reduce every
-    # product before summing
-    out = field.zeros(size)
-    np.add.at(out, out_idx, m.vals * x[in_idx] % p)
-    return out % p
 
 
 def dense_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -379,33 +418,14 @@ def dense_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(a.field, _mul_mod(a.field, a.a, b.a))
 
 
-def limb_operator(m: DenseMatrix) -> Blackbox:
-    """A dense matrix as an operator whose applies run on limb planes split
-    once (``_limb_product``), for repeated products that ``_mul_mod`` would
-    split again each time.  The transpose keeps ``_mul_mod``.
-    """
-    field = m.field
-    return Blackbox(
-        field,
-        m.rows,
-        m.cols,
-        m.mu,
-        _limb_product(field, m.a),
-        lambda x: _mul_mod(field, m.a.T, x),
-    )
-
-
 # ---------------------------------------------------------------------------
 # blackbox operators
 # ---------------------------------------------------------------------------
 
 
-class Blackbox:
-    """Linear operator exposed only through apply / apply_t.
-
-    ``mu`` is the declared cost (multiplies + adds) of one apply; verifier
-    cost assertions use it verbatim.
-    """
+class Blackbox(Operator):
+    """An operator given by its two products: ``apply`` and ``apply_t`` are
+    functions of the ``_apply`` kind (see ``Operator``)."""
 
     __slots__ = ("field", "rows", "cols", "mu", "_apply", "_apply_t")
 
@@ -425,49 +445,15 @@ class Blackbox:
         self._apply = apply
         self._apply_t = apply_t
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=self.field.dtype)
-        if len(x) != self.cols:
-            raise DimensionMismatch(f"apply: {self.shape} by {len(x)}")
-        return self._apply(x % self.field.p)
-
-    def apply_t(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=self.field.dtype)
-        if len(x) != self.rows:
-            raise DimensionMismatch(f"apply_t: {self.shape} by {len(x)}")
-        return self._apply_t(x % self.field.p)
-
     def __repr__(self) -> str:
         return f"Blackbox({self.rows}x{self.cols}, mu={self.mu})"
 
 
-def as_blackbox(m) -> Blackbox:
-    """Wrap a dense or sparse matrix (or pass a blackbox through)."""
+def as_blackbox(m: Operator) -> Blackbox:
+    """Any operator as a Blackbox of the same products (a blackbox passes through)."""
     if isinstance(m, Blackbox):
         return m
-    if isinstance(m, DenseMatrix):
-        return Blackbox(
-            m.field,
-            m.rows,
-            m.cols,
-            m.mu,
-            lambda x: _mul_mod(m.field, m.a, x),
-            lambda x: _mul_mod(m.field, m.a.T, x),
-        )
-    if isinstance(m, SparseMatrix):
-        return Blackbox(
-            m.field,
-            m.rows,
-            m.cols,
-            m.mu,
-            lambda x: matvec(m, x),
-            lambda x: _sparse_apply(m, x, transpose=True),
-        )
-    raise TypeError(f"cannot wrap a {type(m).__name__}")
+    return Blackbox(m.field, m.rows, m.cols, m.mu, m._apply, m._apply_t)
 
 
 def diagonal_scaling(field: PrimeField, d: Sequence[int]) -> Blackbox:
@@ -488,13 +474,12 @@ def identity_blackbox(field: PrimeField, n: int) -> Blackbox:
     return Blackbox(field, n, n, 0, fn, fn)
 
 
-def compose(*ops) -> Blackbox:
+def compose(*ops: Operator) -> Blackbox:
     """Chain of operators applied right-to-left: compose(U, A, V) is U∘A∘V."""
-    bbs = [as_blackbox(m) for m in ops]
-    if not bbs:
+    if not ops:
         raise DimensionMismatch("compose of nothing")
-    field = bbs[0].field
-    for left, right in zip(bbs, bbs[1:]):
+    field = ops[0].field
+    for left, right in zip(ops, ops[1:]):
         if left.cols != right.rows:
             raise DimensionMismatch(
                 f"compose: {left.shape} cannot follow {right.shape}"
@@ -503,84 +488,73 @@ def compose(*ops) -> Blackbox:
             raise DimensionMismatch("compose: fields differ")
 
     def apply(x):
-        for bb in reversed(bbs):
-            x = bb.apply(x)
+        for op in reversed(ops):
+            x = op.apply(x)
         return x
 
     def apply_t(x):
-        for bb in bbs:
-            x = bb.apply_t(x)
+        for op in ops:
+            x = op.apply_t(x)
         return x
 
     return Blackbox(
         field,
-        bbs[0].rows,
-        bbs[-1].cols,
-        sum(bb.mu for bb in bbs),
+        ops[0].rows,
+        ops[-1].cols,
+        sum(op.mu for op in ops),
         apply,
         apply_t,
     )
 
 
-def padded(m, rows: int, cols: int) -> Blackbox:
+def padded(m: Operator, rows: int, cols: int) -> Blackbox:
     """Zero-embed an operator into the top-left of a larger shape.
 
     Rank is preserved: the embedding adds zero rows/columns only.
     """
-    bb = as_blackbox(m)
-    if rows < bb.rows or cols < bb.cols:
+    if rows < m.rows or cols < m.cols:
         raise DimensionMismatch("padding cannot shrink")
-    field = bb.field
+    field = m.field
 
     def apply(x):
-        y = bb.apply(x[: bb.cols])
         out = field.zeros(rows)
-        out[: bb.rows] = y
+        out[: m.rows] = m.apply(x[: m.cols])
         return out
 
     def apply_t(x):
-        y = bb.apply_t(x[: bb.rows])
         out = field.zeros(cols)
-        out[: bb.cols] = y
+        out[: m.cols] = m.apply_t(x[: m.rows])
         return out
 
-    return Blackbox(field, rows, cols, bb.mu, apply, apply_t)
+    return Blackbox(field, rows, cols, m.mu, apply, apply_t)
 
 
-def leading_projection(m, k: int) -> Blackbox:
+def leading_projection(m: Operator, k: int) -> Blackbox:
     """The leading k x k corner of an operator, as an operator.
 
     Input is zero-padded to full width, the operator applied, and the
     output truncated to its first k coordinates.
     """
-    bb = as_blackbox(m)
-    if k < 0 or k > bb.rows or k > bb.cols:
-        raise DimensionMismatch(f"projection {k} of {bb.shape}")
-    field = bb.field
+    if k < 0 or k > m.rows or k > m.cols:
+        raise DimensionMismatch(f"projection {k} of {m.shape}")
+    field = m.field
 
     def apply(x):
-        xx = field.zeros(bb.cols)
+        xx = field.zeros(m.cols)
         xx[:k] = x
-        return bb.apply(xx)[:k]
+        return m.apply(xx)[:k]
 
     def apply_t(x):
-        xx = field.zeros(bb.rows)
+        xx = field.zeros(m.rows)
         xx[:k] = x
-        return bb.apply_t(xx)[:k]
+        return m.apply_t(xx)[:k]
 
-    return Blackbox(field, k, k, bb.mu, apply, apply_t)
+    return Blackbox(field, k, k, m.mu, apply, apply_t)
 
 
-def materialize(m) -> DenseMatrix:
-    """The operator as a fresh dense matrix (prover-side): a copy of a dense
-    or sparse matrix, or a black box probed with identity columns."""
-    if isinstance(m, DenseMatrix):
-        return DenseMatrix(m.field, m.a)
-    if isinstance(m, SparseMatrix):
-        return m.to_dense()
-    bb = as_blackbox(m)
-    columns = [bb.apply(e) for e in np.eye(bb.cols, dtype=np.int64)]
-    return DenseMatrix(bb.field, np.reshape(columns, (bb.cols, bb.rows)).T)
+def materialize(m: Operator) -> DenseMatrix:
+    """The operator as a fresh dense matrix (prover-side)."""
+    return m.to_dense()
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +569,7 @@ def butterfly_padding(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
-class Butterfly:
+class Butterfly(Operator):
     """Product of log2(n) switch layers acting on F^n_padded.
 
     Each switch mixes a pair (a, b) into (alpha*a + beta*b, alpha*a - beta*b)
@@ -630,16 +604,24 @@ class Butterfly:
         ]
 
     @property
+    def rows(self) -> int:
+        return self.n_padded
+
+    cols = rows
+
+    @property
     def mu(self) -> int:
         # two multiplies and two adds per switch
         return 4 * (self.n_padded // 2) * self.layers
 
-    def apply(self, x) -> np.ndarray:
-        field = self.field
-        p = field.p
-        x = np.asarray(x, dtype=field.dtype) % p
-        if len(x) != self.n_padded:
-            raise DimensionMismatch(f"butterfly apply wants length {self.n_padded}")
+    # Butterfly's own names for the shared applies, so a profiler can wrap
+    # the butterflies' alone (benchmark/tracing.py patches them by name)
+    apply = Operator.apply
+    apply_t = Operator.apply_t
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        p = self.field.p
+        x = x.copy()
         for t in range(self.layers):
             # layer t pairs i with i + 2^t (bit t of i clear) along axis 1 of v
             v = x.reshape(-1, 2, 1 << t)
@@ -649,12 +631,9 @@ class Butterfly:
             v %= p
         return x
 
-    def apply_t(self, x) -> np.ndarray:
-        field = self.field
-        p = field.p
-        x = np.asarray(x, dtype=field.dtype) % p
-        if len(x) != self.n_padded:
-            raise DimensionMismatch(f"butterfly apply wants length {self.n_padded}")
+    def _apply_t(self, x: np.ndarray) -> np.ndarray:
+        p = self.field.p
+        x = x.copy()
         for t in reversed(range(self.layers)):
             v = x.reshape(-1, 2, 1 << t)
             a, b = v[:, 0], v[:, 1]
@@ -665,16 +644,6 @@ class Butterfly:
             v *= self._switches[t]
             v %= p
         return x
-
-    def as_blackbox(self) -> Blackbox:
-        return Blackbox(
-            self.field,
-            self.n_padded,
-            self.n_padded,
-            self.mu,
-            self.apply,
-            self.apply_t,
-        )
 
     def __repr__(self) -> str:
         return f"Butterfly(n={self.n}, padded={self.n_padded}, GF({self.field.p}))"

@@ -97,10 +97,8 @@ class IntMatrix:
     def reduce(self, field: PrimeField) -> DenseMatrix:
         """The matrix mod p, reduced once (in int64 when the entries fit)."""
         a64 = self._int64()
-        out = DenseMatrix.__new__(DenseMatrix)
-        out.field = field
-        out.a = (self.a % field.p if a64 is None else a64 % field.p).astype(field.dtype)
-        return out
+        a = self.a % field.p if a64 is None else a64 % field.p
+        return DenseMatrix._of(field, a.astype(field.dtype))
 
     def _int64(self) -> Optional[np.ndarray]:
         """The entries as an int64 array, or None when one does not fit."""

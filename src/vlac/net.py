@@ -100,7 +100,7 @@ def parse_hello(frame: bytes) -> tuple[str, bytes, bytes]:
         protocol_id = r.take(r.u32()).decode("utf-8", errors="strict")
         params = r.take(r.u32())
         digest = r.take(32)
-    except Malformed:
+    except (Malformed, UnicodeDecodeError):
         raise ProtocolViolation("unreadable handshake")
     if not r.done:
         raise ProtocolViolation("oversized handshake")

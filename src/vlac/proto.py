@@ -39,7 +39,6 @@ from .errors import (
     Malformed,
     ProtocolViolation,
     Timeout,
-    TrailingBytes,
     TransportError,
     VersionUnsupported,
 )
@@ -359,8 +358,6 @@ def transcript_deserialize(buf: bytes) -> Transcript:
         if tag != _REC_MESSAGE:
             raise Malformed(f"unexpected record {tag:#x}")
         messages.append(decode_message(r.take(r.u32())))
-    if not r.done:
-        raise TrailingBytes("unconsumed bytes after records")
     return Transcript(protocol_id, mode_raw[0], digest, params, messages)
 
 

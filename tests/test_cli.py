@@ -15,7 +15,7 @@ from vlac.cli import MAX_SESSIONS, main
 from vlac.errors import Malformed, TransportError
 from vlac.ff import Poly, field_new, full_sample_set
 from vlac.la import DenseMatrix, SparseMatrix, dense_matmul, rank_dense
-from vlac.net import HELLO_OK, MAX_HELLO, SocketTransport, hello_frame
+from vlac.net import FRAME_HELLO, HELLO_OK, MAX_HELLO, SocketTransport, hello_frame
 from vlac.lift import IntMatrix, PolyMatrix
 from vlac.matrixmarket import (
     parse_matrix_market,
@@ -24,6 +24,7 @@ from vlac.matrixmarket import (
     write_poly,
     write_sparse,
 )
+from vlac.proto import lp
 
 
 # -- matrix market parsing ------------------------------------------------------
@@ -310,11 +311,11 @@ def test_cli_mode_and_modulus_guards(tmp_path, gf101, capsys):
 # -- live TCP sessions ------------------------------------------------------------
 
 
-def spawn_server(argv):
+def spawn_server(argv, stderr=subprocess.DEVNULL):
     proc = subprocess.Popen(
         [sys.executable, "-m", "vlac.cli", *argv],
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=stderr,
         text=True,
     )
     line = proc.stdout.readline()
@@ -481,6 +482,24 @@ def test_cli_serve_drops_an_oversized_hello_at_once(tmp_path, gf101):
             s.sendall(struct.pack(">I", MAX_HELLO + 1))
             assert s.recv(1) == b""
     finally:
+        proc.wait(timeout=10)
+
+
+def test_cli_serve_logs_a_hello_whose_id_is_not_utf8(tmp_path, gf101):
+    path = sparse_det_file(tmp_path, gf101, n=4)
+    a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
+    params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
+    argv = ["serve", "--problem", "det", path, "--once", "--timeout", "60"]
+    proc, port = spawn_server(argv, stderr=subprocess.PIPE)
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+            tr = SocketTransport(s, timeout=10)
+            tr.send_frame(bytes([FRAME_HELLO]) + lp(b"\xff") + lp(params) + digest)
+            assert s.recv(1) == b""
+        assert proc.wait(timeout=10) == 0
+        assert proc.stderr.read() == "session failed: unreadable handshake\n"
+    finally:
+        proc.kill()
         proc.wait(timeout=10)
 
 

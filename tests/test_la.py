@@ -176,12 +176,17 @@ def all_probe_ops(field, rng):
     s = SparseMatrix(
         field, 4, 4, [(i, j, a.entry(i, j)) for i in range(4) for j in range(4) if (i + j) % 2]
     )
+    diag = DenseMatrix(field, np.diag(d))
     pairs = [
+        (a, a),
+        (s, s.to_dense()),
+        (bf, None),
         (as_blackbox(a), a),
         (as_blackbox(s), s.to_dense()),
         (identity_blackbox(field, 4), DenseMatrix(field, np.eye(4, dtype=int))),
-        (diagonal_scaling(field, d), DenseMatrix(field, np.diag(d))),
-        (bf.as_blackbox(), materialize(bf.as_blackbox())),
+        (diagonal_scaling(field, d), diag),
+        (as_blackbox(bf), materialize(bf)),
+        (as_blackbox(s).scale_rows(field.arr(d)), dense_matmul(diag, s.to_dense())),
         (compose(a, s), dense_matmul(a, s.to_dense())),
         (padded(a, 6, 5), None),
         (leading_projection(a, 2), None),
@@ -207,6 +212,17 @@ def test_blackbox_linearity_and_transpose(gf101):
             lhs = int(sum(int(v) * int(w) for v, w in zip(z, op.apply(x)))) % p
             rhs = int(sum(int(v) * int(w) for v, w in zip(op.apply_t(z), x))) % p
             assert lhs == rhs
+            # inputs are reduced first: x and x + kp give the same products
+            for k in (1, -1):
+                assert list(op.apply(x + k * p)) == list(op.apply(x))
+                assert list(op.apply_t(z + k * p)) == list(op.apply_t(z))
+            counter = CostCounter()
+            assert list(matvec(op, x, counter)) == list(op.apply(x))
+            assert counter.ops == op.mu
+        with pytest.raises(DimensionMismatch):
+            op.apply(gf101.zeros(cols + 1))
+        with pytest.raises(DimensionMismatch):
+            op.apply_t(gf101.zeros(rows + 1))
         if ref is not None:
             assert materialize(op) == ref
 
@@ -293,11 +309,11 @@ def test_butterfly_padding_and_params():
 def test_butterfly_single_switch(gf101):
     bf = Butterfly(gf101, 2, [1, 1])
     assert list(bf.apply([3, 5])) == [8, 99]
-    assert materialize(bf.as_blackbox()) == DenseMatrix(gf101, [[1, 1], [1, 100]])
+    assert materialize(bf) == DenseMatrix(gf101, [[1, 1], [1, 100]])
     th = Butterfly(gf101, 2, [7, 2])
     # (7*3 + 2*5, 7*3 - 2*5)
     assert list(th.apply([3, 5])) == [31, 11]
-    assert materialize(th.as_blackbox()) == DenseMatrix(gf101, [[7, 2], [7, 99]])
+    assert materialize(th) == DenseMatrix(gf101, [[7, 2], [7, 99]])
 
 
 def test_butterfly_no_invariant_directions(gf101):
@@ -336,7 +352,7 @@ def test_butterfly_always_invertible(gf101):
     for n in (2, 3, 5, 8):
         for _ in range(5):
             bf = Butterfly(gf101, n, rand_thetas(rng, 101, butterfly_param_count(n)))
-            m = materialize(bf.as_blackbox())
+            m = materialize(bf)
             assert brute_det_field(gf101, m) != 0
 
 
@@ -355,7 +371,7 @@ def test_butterfly_genericity(gf10007):
     for _ in range(100):
         u = Butterfly(gf10007, n, rand_thetas(rng, 10007, count))
         v = Butterfly(gf10007, n, rand_thetas(rng, 10007, count))
-        mixed = materialize(compose(u.as_blackbox(), a, v.as_blackbox()))
+        mixed = materialize(compose(u, a, v))
         corner = DenseMatrix(gf10007, mixed.a[:r, :r])
         if brute_det_field(gf10007, corner) != 0:
             hits += 1

@@ -51,7 +51,6 @@ from vlac.la import (
     det_dense,
     det_stack,
     diagonal_scaling,
-    limb_operator,
     matvec,
     stack_cap,
 )
@@ -312,10 +311,10 @@ def _shift_operator(field, kind, n, rng):
     a = _dense(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
     if kind == "dense":
         return compose(diagonal_scaling(field, [rng.randrange(1, p) for _ in range(n)]), a)
-    return limb_operator(a)
+    return a
 
 
-# limb operators stand in for dense matrices wider than dot_chunk()
+# dense matrices applied on limb planes, wider than dot_chunk()
 SHIFT_OPERATORS = [(p, kind) for p in PRIMES for kind in ("sparse", "dense", "limbs")]
 
 
@@ -619,11 +618,10 @@ def test_limb_apply_matches_object_product(p, shape):
     rand = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
     for entries in (full, rand):
         a = _dense(field, entries)
-        op = limb_operator(a)
         for x in ([p - 1] * cols, [rng.randrange(p) for _ in range(cols)], [0] * cols):
             xv = field.arr(x)
             want = a.a.dot(xv) % p
-            got = op.apply(xv)
+            got = a.apply(xv)
             assert got.dtype == object
             assert got.tolist() == want.tolist()
             assert all(type(v) is int for v in got)
@@ -639,7 +637,7 @@ def test_limb_apply_across_width_steps(p):
         rows = [[rng.randrange(p) for _ in range(k)] for _ in range(2)]
         a = _dense(field, rows)
         for x in ([p - 1] * k, [rng.randrange(p) for _ in range(k)]):
-            assert limb_operator(a).apply(field.arr(x)).tolist() == _ref_matvec(rows, x, p)
+            assert a.apply(field.arr(x)).tolist() == _ref_matvec(rows, x, p)
 
 
 @pytest.mark.parametrize("p", PRIMES + (P_TOP,))
@@ -669,7 +667,29 @@ def test_limb_width_rule_at_its_boundaries(p):
 def test_limb_apply_zero_width():
     field = field_new(P_BIG)
     a = DenseMatrix(field, np.zeros((3, 0), dtype=object))
-    assert limb_operator(a).apply(field.zeros(0)).tolist() == [0, 0, 0]
+    assert a.apply(field.zeros(0)).tolist() == [0, 0, 0]
+
+
+def test_dense_matrix_splits_into_limb_planes_once(monkeypatch):
+    """A P_WORD matrix splits into limb planes on its first apply and keeps
+    them; a matrix made from another starts unsplit."""
+    field = field_new(P_WORD)
+    rng = Random(23)
+    rows = [[rng.randrange(P_WORD) for _ in range(8)] for _ in range(8)]
+    x = [rng.randrange(P_WORD) for _ in range(8)]
+    d = [rng.randrange(1, P_WORD) for _ in range(8)]
+    m = DenseMatrix(field, rows)
+    calls = []
+    planes = la._limb_planes
+    monkeypatch.setattr(la, "_limb_planes", lambda *a: calls.append(1) or planes(*a))
+    for _ in range(2):
+        assert matvec(m, x).tolist() == _ref_matvec(rows, x, P_WORD)
+        assert len(calls) == 1
+    made = [m.scale_rows(field.arr(d)), la.materialize(m), IntMatrix(rows).reduce(field)]
+    assert all(out._limbs is None for out in made)
+    scaled_rows = [[di * v for v in row] for di, row in zip(d, rows)]
+    assert made[0].apply(x).tolist() == _ref_matvec(scaled_rows, x, P_WORD)
+    assert made[1].apply(x).tolist() == made[2].apply(x).tolist() == m.apply(x).tolist()
 
 
 @pytest.mark.parametrize(
@@ -1120,8 +1140,9 @@ def test_dense_product_worst_case_at_every_edge(p):
         _assert_canonical(field, la._mul_mod(field, a, b), [[full] * 3] * 2)
         # a transposed, non-contiguous left operand
         _assert_canonical(field, la._mul_mod(field, b.T, x), [full] * 3)
-        _assert_canonical(field, matvec(DenseMatrix(field, a), x), [full] * 2)
-        op = limb_operator(DenseMatrix(field, a))
+        # the first apply splits the matrix, the second reuses its planes
+        op = DenseMatrix(field, a)
+        _assert_canonical(field, matvec(op, x), [full] * 2)
         _assert_canonical(field, op.apply(x), [full] * 2)
         _assert_canonical(field, op.apply_t(field.arr([p - 1] * 2)), [2 * (p - 1) ** 2 % p] * k)
 
@@ -1146,9 +1167,8 @@ def test_dense_product_matches_python_ints(p, rows, cols):
         _assert_canonical(field, la._mul_mod(field, am.a, bm.a), want)
         _assert_canonical(field, matvec(am, x), want_x)
         _assert_canonical(field, la._mul_mod(field, am.a.T, field.arr(y).reshape(rows)), want_t)
-        op = limb_operator(am)
-        _assert_canonical(field, op.apply(x), want_x)
-        _assert_canonical(field, op.apply_t(y), want_t)
+        _assert_canonical(field, am.apply(x), want_x)
+        _assert_canonical(field, am.apply_t(y), want_t)
 
 
 # -- dense elimination: the blocked kernel and its solvers, at its panel edges --
