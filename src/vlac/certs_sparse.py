@@ -32,7 +32,7 @@ from .ff import (
     _check_sample_set,
     _dot,
     _powers,
-    _projector,
+    _reduce,
     minpoly_package,
 )
 from .la import (
@@ -83,6 +83,9 @@ DET_MAX_ATTEMPTS = 20
 
 # total shifted-system challenges before the verifier declares a stall
 SHIFT_DRAWS = 4
+
+# Krylov vectors projected together: 1 MB of int64 rows at n = 2048
+KRYLOV_BLOCK = 64
 
 
 # -- instance encodings -------------------------------------------------------
@@ -162,21 +165,28 @@ def projected_sequence(
 ):
     """The first ``count`` terms of i -> u . (A^i v) (prover-side).
 
-    Given an array from ``krylov_checkpoints``, its row m receives A^(mk) v
-    for k = ``krylov_stride(n)``, n = len(v), and mk < min(n, count): about
+    The Krylov vectors A^i v gather in blocks of ``KRYLOV_BLOCK`` rows, and
+    each block takes its projections from one product with u (``_mul_mod``,
+    on limb planes of u where int64 sums could wrap).  Given an array from
+    ``krylov_checkpoints``, its row m receives A^(mk) v for
+    k = ``krylov_stride(n)``, n = len(v), and mk < min(n, count): about
     sqrt(n) vectors, from which ``_shift_solver`` evaluates a polynomial in
     A at v.
     """
-    project = _projector(field, u)
-    stride = krylov_stride(len(v))
+    n = len(v)
+    stride = krylov_stride(n)
+    block = field.zeros((min(KRYLOV_BLOCK, count), n))
     x = v
     out = []
     for i in range(count):
         if i:
             x = operator._apply(x)
-        if checkpoints is not None and i < len(v) and i % stride == 0:
+        if checkpoints is not None and i < n and i % stride == 0:
             checkpoints[i // stride] = x
-        out.append(project(x))
+        row = i % KRYLOV_BLOCK
+        block[row] = x
+        if row == len(block) - 1 or i == count - 1:
+            out += _mul_mod(field, block[: row + 1], u).tolist()
     return out
 
 
@@ -681,8 +691,8 @@ def _shift_solver(field: PrimeField, operator, gen: Poly, checkpoints: np.ndarra
 
         w = w_row(stride - 1)
         for j in range(stride - 2, -1, -1):
-            w = (operator._apply(w) + w_row(j)) % p
-        return w * field.inv(at_r1) % p
+            w = _reduce(operator._apply(w) + w_row(j), p)
+        return _reduce(w * field.inv(at_r1), p)
 
     return solve
 
@@ -700,7 +710,7 @@ def det_prover_flow(ch, field: PrimeField, operator, s: SampleSet, rng: Random, 
         u = [rng.randrange(p) for _ in range(n)]
         v = [rng.randrange(p) for _ in range(n)]
         # a matrix scales its entries: a sparse D·A keeps A's pattern, and a
-        # dense one splits into limb planes once, on its first Krylov step
+        # dense one splits into limb planes once, on its second Krylov step
         scaled = operator.scale_rows(field.arr(scale))
         u_arr, v_arr = field.arr(u), field.arr(v)
         checkpoints = krylov_checkpoints(field, n)

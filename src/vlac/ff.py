@@ -16,12 +16,15 @@ The sequence and gcd kernels, and ``Poly`` product and division, run on
 coefficient arrays of ``field.dtype``: one path for both word dtypes.
 Over int64 every operand is canonical, so one product is below
 p^2 < 2^63.  ``_dot`` reduces each product before summing, so its sum
-stays below len * p < 2^63; ``_projector`` splits its fixed operand into
-limbs narrow enough that len * limb * p < 2^63; ``_mul_arrays`` and
-``_sub_mul`` sum at most ``dot_chunk()`` unreduced products per
-coefficient.  Over ``object`` arrays the same numpy calls carry exact
-Python ints and cannot overflow; ``_dot`` there sums one ``np.dot`` and
-reduces once.
+stays below len * p < 2^63.  ``_mul_arrays`` sums at most ``dot_chunk()``
+unreduced products per coefficient, or convolves limb planes of its
+shorter operand, narrow enough that len * limb * p < 2^63 (the Krylov
+projections of ``certs_sparse`` take the same planes through
+``la._mul_mod``).  ``_sub_mul`` subtracts at most ``dot_chunk()``
+unreduced products from a canonical coefficient between reductions, and
+reduces with ``_reduce``'s floor division.  Over ``object`` arrays the
+same numpy calls carry exact Python ints and cannot overflow; ``_dot``
+there sums one ``np.dot`` and reduces once.
 """
 
 from __future__ import annotations
@@ -347,7 +350,8 @@ class Poly:
         num, d = _residues(field, self.coeffs), _residues(field, den.coeffs)
         q = _quotient(field, num, d)
         # num - q*d vanishes from degree deg d up: compute only below it
-        return Poly(field, q), Poly(field, _sub_mul(field, num, q, d, len(d) - 1))
+        rem = _sub_mul(field, num, q, d, min(len(num), len(d) - 1))
+        return Poly(field, q), Poly(field, rem)
 
     def __call__(self, x: int) -> int:
         """Horner evaluation at a scalar."""
@@ -511,7 +515,7 @@ def minpoly_package(field: PrimeField, seq: Sequence[int]) -> tuple[Poly, Poly, 
     total = len(seq)
     top = field.zeros(total + 1)
     top[total] = 1
-    window = _trim_arr(_residues(field, seq)[::-1])
+    window = _trim_arr(_residues(field, seq)[::-1].copy())
     _, rem, before, last, steps = _euclid(field, top, window, total - total // 2)
     t = _trim_arr(last[1])
     if len(rem) >= len(t):
@@ -571,28 +575,17 @@ def _limb_planes(a: np.ndarray, width: int, bits: int) -> np.ndarray:
     return (a.astype(np.int64, copy=False) >> shifts) & ((1 << width) - 1)
 
 
-def _projector(field: PrimeField, a: np.ndarray):
-    """x -> a . x mod p for a fixed canonical vector a and canonical x: the
-    one dot product kernel for a left operand that is used many times.
-
-    Over int64, a is split once into L rows of b-bit limbs, with b from
-    ``_limb_width``, so each row's sum against x stays below 2^63.  A
-    projection is then one (L, n) @ (n,) int64 product, with no reduction
-    per entry, and a recombination of the L sums in Python ints.  Object
-    fields (and a length no limb width fits) use ``_dot``.
-    """
-    p = field.p
-    width = _limb_width(p, len(a)) if field.dtype is np.int64 else 0
-    if width == 0:
-        return lambda x: _dot(field, a, x)
-    bits = (p - 1).bit_length()
-    shifts = range(0, bits, width)
-    limbs = _limb_planes(a, width, bits)
-
-    def project(x: np.ndarray) -> int:
-        return sum(s << shift for s, shift in zip(limbs.dot(x).tolist(), shifts)) % p
-
-    return project
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place.  An int64 array of 1024 entries or more takes
+    x - (x // p) p: numpy divides it by a scalar with libdivide, up to 6x
+    faster than its remainder, which costs fewer calls on smaller arrays.
+    The floor division is exact, and where the product or the difference
+    wraps int64 the result, which lies in [0, p), is still exact."""
+    if x.size < 1024 or x.dtype.hasobject:
+        x %= p
+    else:
+        x -= x // p * p
+    return x
 
 
 def _powers(field: PrimeField, x: int, count: int) -> np.ndarray:
@@ -618,82 +611,86 @@ def _trim_arr(a: np.ndarray) -> np.ndarray:
 
 
 def _mul_arrays(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two canonical coefficient arrays, reduced mod p."""
+    """Product of two canonical coefficient arrays, reduced mod p.
+
+    Over int64, once the shorter operand is longer than ``dot_chunk()``, it
+    splits into planes of b-bit limbs, b = ``_limb_width(p, len)``: each
+    plane's convolution sums len products below (2^b - 1)(p - 1) < 2^63 /
+    len, and the reduced convolutions recombine by Horner's rule by 2^b,
+    which stays below p 2^b + p < 2^63 since b < bits(p - 1) <= 32.
+    """
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 0:
         return field.zeros(0)
     p = field.p
-    step = field.dot_chunk() or len(a)
-    if len(a) <= step:
+    if field.dtype is object or len(a) <= field.dot_chunk():
         return np.convolve(a, b) % p
-    # each piece sums at most ``step`` unreduced products per coefficient
-    out = field.zeros(len(a) + len(b) - 1)
-    for lo in range(0, len(a), step):
-        seg = a[lo : lo + step]
-        out[lo : lo + len(seg) + len(b) - 1] += np.convolve(seg, b) % p
-    return out % p
-
-
-def _sub_mul(
-    field: PrimeField, x: np.ndarray, q: np.ndarray, y: np.ndarray, size: int | None = None
-) -> np.ndarray:
-    """The first ``size`` coefficients (default: all) of x - q*y, reduced.
-
-    x and y may be stacks of rows, coefficients along the last axis.  The
-    products c*y of the short q are subtracted unreduced, ``dot_chunk()``
-    of them between reductions, so a degree-one quotient costs one
-    reduction over int64 below 2^31 and over object arrays.
-    """
-    if size is None:
-        size = max(x.shape[-1], len(q) + y.shape[-1] - 1)
-    p = field.p
-    out = field.zeros(x.shape[:-1] + (size,))
-    keep = min(x.shape[-1], size)
-    out[..., :keep] = x[..., :keep]
-    budget = field.dot_chunk() or len(q)
-    pending = 0
-    for j in range(min(len(q), size)):
-        c = int(q[j])
-        if c:
-            seg = out[..., j : j + y.shape[-1]]
-            seg -= c * y[..., : seg.shape[-1]]
-            pending += 1
-            if pending == budget:
-                out %= p
-                pending = 0
-    if pending:
-        out %= p
+    width = _limb_width(p, len(a))
+    planes = _limb_planes(a, width, (p - 1).bit_length())
+    out = _reduce(np.convolve(planes[-1], b), p)
+    for plane in planes[-2::-1]:
+        out <<= width
+        out += _reduce(np.convolve(plane, b), p)
+        _reduce(out, p)
     return out
 
 
-def _quotient(field: PrimeField, num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Quotient of canonical arrays; den is trimmed.
+def _sub_mul(
+    field: PrimeField, x: np.ndarray, q: Sequence[int], y: np.ndarray, size: int
+) -> np.ndarray:
+    """x - q*y on the first ``size`` coefficients, reduced, written over x.
+
+    Returns the view x[..., :size]; x must be at least that wide.  x and y
+    may be stacks of rows, coefficients along the last axis.  The products
+    c*y of the short q (Python ints) are subtracted unreduced,
+    ``dot_chunk()`` of them between reductions, so a degree-one quotient
+    costs one reduction over int64 below 2^31 and over object arrays.
+    """
+    p = field.p
+    out = x[..., :size]
+    budget = field.dot_chunk() or len(q)
+    pending = 0
+    for j, c in enumerate(q[:size]):
+        if c:
+            if pending == budget:
+                _reduce(out, p)
+                pending = 0
+            seg = out[..., j : j + y.shape[-1]]
+            seg -= c * y[..., : seg.shape[-1]]
+            pending += 1
+    return _reduce(out, p) if pending else out
+
+
+def _quotient(field: PrimeField, num: np.ndarray, den: np.ndarray) -> list:
+    """Quotient of canonical arrays, as Python ints; den is trimmed.
 
     A quotient of degree d depends only on the top d + 1 coefficients of
-    den and the top 2d + 1 of num, so the long division runs on those.
+    num and the top d + 1 of den, so the long division runs on those.
+    When den's top has two coefficients, e_1 x^(m-1) + lead x^m (every
+    degree-one quotient, and every division by a linear polynomial), it is
+    one pass over Python ints: q_k = c_k / lead + r q_(k + 1) for c the top
+    of num and r = -e_1 / lead.  A longer top subtracts each c q_k x^k den
+    as one numpy slice update.
     """
     p = field.p
     d = len(num) - len(den)
     if d < 0:
-        return field.zeros(0)
-    if len(den) == 2:
-        # by d1 x + d0 = d1 (x - r): q_k = c_(k+1) / d1 + r q_(k+1), one
-        # pass over Python ints instead of a numpy slice update per term
-        inv_lead = pow(int(den[1]), -1, p)
-        r = -int(den[0]) * inv_lead % p
-        q = [0] * (d + 1)
-        acc = 0
-        for k, c in zip(range(d, -1, -1), reversed(num[1:].tolist())):
-            acc = (c * inv_lead + r * acc) % p
-            q[k] = acc
-        return np.array(q, dtype=field.dtype)
+        return []
     low = max(len(den) - 1 - d, 0)
-    rem = num[low:].copy()
     den = den[low:]
     dd = len(den) - 1
     inv_lead = pow(int(den[-1]), -1, p)
-    q = field.zeros(d + 1)
+    if dd <= 1:
+        r = -int(den[0]) * inv_lead % p if dd else 0
+        q = [0] * (d + 1)
+        acc = 0
+        for k, c in zip(range(d, -1, -1), reversed(num[len(num) - d - 1 :].tolist())):
+            acc = (c * inv_lead + r * acc) % p
+            q[k] = acc
+        return q
+    rem = num[low:].copy()
+    q = [0] * (d + 1)
     for k in range(d, -1, -1):
         c = int(rem[dd + k]) * inv_lead % p
         if c:
@@ -710,15 +707,23 @@ def _euclid(field: PrimeField, r0: np.ndarray, r1: np.ndarray, stop: int):
     Returns (r0, r1, rows0, rows1, steps): the last two remainders, their
     cofactor rows (rows[0] * a + rows[1] * b = r, both cofactors in one
     array so a step updates them together) and the number of divisions.
+    Each step writes the new remainder and rows over the older pair, so
+    r0 and r1 are overwritten.  A cofactor has at most max(deg a, deg b)
+    + 1 coefficients, so two row buffers of max(deg a, deg b) + 2, zero
+    past each pair's length, hold every pair.
     """
-    rows0 = field.zeros((2, 1))
-    rows1 = field.zeros((2, 1))
+    width = max(len(r0), len(r1)) + 1
+    rows0 = field.zeros((2, width))
+    rows1 = field.zeros((2, width))
     rows0[0, 0] = rows1[1, 0] = 1
+    len0 = len1 = 1
     steps = 0
     while len(r1) > stop:
         q = _quotient(field, r0, r1)
         # r0 - q*r1 vanishes from degree deg r1 up: compute only below it
         r0, r1 = r1, _trim_arr(_sub_mul(field, r0, q, r1, len(r1) - 1))
-        rows0, rows1 = rows1, _sub_mul(field, rows0, q, rows1)
+        size = max(len0, len1 + len(q) - 1)
+        _sub_mul(field, rows0, q, rows1[:, :len1], size)
+        rows0, rows1, len0, len1 = rows1, rows0, len1, size
         steps += 1
-    return r0, r1, rows0, rows1, steps
+    return r0, r1, rows0[:, :len0], rows1[:, :len1], steps

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse as _scipy_sparse
 
 from .errors import DimensionMismatch, DivisionByZero, NotSquare
-from .ff import PrimeField, _limb_planes, _limb_width
+from .ff import PrimeField, _limb_planes, _limb_width, _reduce
 
 
 class CostCounter:
@@ -82,9 +82,12 @@ class Operator:
 class DenseMatrix(Operator):
     """Row-major dense matrix over GF(p).
 
-    The first apply splits ``a`` into limb planes (``_limb_product``) and
-    keeps them for every later apply, so ``a`` is read-only once the matrix
-    has been applied.
+    A matrix of two or more limb planes (``_limb_product``) makes its first
+    apply as ``_mul_mod`` does, on the split vector, and keeps no planes;
+    its second apply splits ``a`` and keeps the planes for every later
+    apply.  A matrix that is its own one plane keeps that from its
+    first apply.  Either way ``a`` is read-only once the matrix has been
+    applied.
     """
 
     __slots__ = ("field", "a", "_limbs")
@@ -131,7 +134,10 @@ class DenseMatrix(Operator):
         return DenseMatrix(self.field, self.a.T)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        if self._limbs is None:
+        if self._limbs is None and not _one_plane(self.field, self.cols):
+            self._limbs = False  # applied once, not split
+            return _mul_mod(self.field, self.a, x)
+        if not self._limbs:
             self._limbs = _limb_product(self.field, self.a)
         return self._limbs(x)
 
@@ -260,7 +266,7 @@ class SparseMatrix(Operator):
         # a CSR product sums one row of unreduced products at a time
         if field.dtype is np.int64 and self.widest()[1 if transpose else 0] <= field.dot_chunk():
             csr = self._as_csc() if transpose else self._as_csr()
-            return csr @ x % p
+            return _reduce(csr @ x, p)
         if transpose:
             out_idx, in_idx, size = self.ci, self.ri, self.cols
         else:
@@ -268,8 +274,8 @@ class SparseMatrix(Operator):
         # object dtype, or rows too wide for unreduced int64 sums: reduce every
         # product before summing
         out = field.zeros(size)
-        np.add.at(out, out_idx, self.vals * x[in_idx] % p)
-        return out % p
+        np.add.at(out, out_idx, _reduce(self.vals * x[in_idx], p))
+        return _reduce(out, p)
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix.from_arrays(
@@ -324,18 +330,6 @@ def coordinate_order(rows: int, cols: int, ri, ci):
 # ---------------------------------------------------------------------------
 
 
-def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, for entries of magnitude below 2^63 - p.  An int64
-    array of 1024 entries or more takes x - (x // p) p: numpy divides it by
-    a scalar with libdivide, up to 6x faster than its remainder, which costs
-    fewer calls on smaller arrays."""
-    if x.size < 1024 or x.dtype.hasobject:
-        x %= p
-    else:
-        x -= x // p * p
-    return x
-
-
 def _mul_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b mod p for a canonical matrix a and a canonical vector or matrix
     b, on limb planes of the operand with fewer entries (``_limb_product``):
@@ -345,6 +339,13 @@ def _mul_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = _limb_product(field, np.atleast_2d(b.T))(a.T)
         return out.T.reshape(a.shape[:1] + b.shape[1:])
     return _limb_product(field, a)(b)
+
+
+def _one_plane(field: PrimeField, k: int) -> bool:
+    """Is a canonical (m, k) matrix over the field its own one limb plane,
+    which ``_limb_product`` does not split: int64, with a limb width that
+    covers p - 1?"""
+    return field.dtype is np.int64 and _limb_width(field.p, k) == (field.p - 1).bit_length()
 
 
 def _limb_product(field: PrimeField, a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -360,15 +361,15 @@ def _limb_product(field: PrimeField, a: np.ndarray) -> Callable[[np.ndarray], np
     """
     p = field.p
     m, k = a.shape
+    if _one_plane(field, k):
+        # one plane, a itself: one product, reduced once
+        return lambda x: _reduce(np.einsum("ik,k...->i...", a, x), p)
     bits = (p - 1).bit_length()
     width = _limb_width(p, k)
     split_x = width == 0
     if split_x:
         width = _limb_width(p, k, both=True)
     left = -(-bits // width)
-    if left == 1 and field.dtype is np.int64:
-        # one plane, a itself: one product, reduced once
-        return lambda x: _reduce(np.einsum("ik,k...->i...", a, x), p)
     right = left if split_x else 1
     planes = _limb_planes(a, width, bits).reshape(left * m, k)
     if field.dtype is object:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from vlac import la
 from vlac.certs_dense import _geometric_vector
 from vlac.certs_sparse import (
+    KRYLOV_BLOCK,
     _dot,
     _shift_solver,
     det_certify,
@@ -32,7 +33,8 @@ from vlac.errors import BothZero, DivisionByZero, GeneratorMismatch
 from vlac.ff import (
     Poly,
     _limb_width,
-    _projector,
+    _mul_arrays,
+    _quotient,
     berlekamp_massey,
     field_new,
     is_probable_prime,
@@ -41,6 +43,7 @@ from vlac.ff import (
     poly_xgcd,
 )
 from vlac.la import (
+    Blackbox,
     Butterfly,
     CostCounter,
     DenseMatrix,
@@ -155,6 +158,14 @@ def _last_length_of_width(p, width, both=False):
     return (2**63 - 1) // (limb * (p - 1))
 
 
+def _recorded(field, vectors):
+    """A black box whose i-th apply returns vectors[i + 1], whatever its
+    input, so ``projected_sequence`` projects exactly ``vectors``."""
+    n = len(vectors[0]) if vectors else 0
+    later = iter(vectors[1:])
+    return Blackbox(field, n, n, 0, lambda x: next(later), None)
+
+
 @pytest.mark.parametrize("p", (3, P_DET, P_WORD))
 def test_projection_worst_case_entries_at_width_changes(p):
     field = field_new(p)
@@ -163,7 +174,11 @@ def test_projection_worst_case_entries_at_width_changes(p):
     lengths = {0, 1, 2, MAX_LEN} | {n for c in changes for n in (c - 1, c)}
     for n in sorted(lengths):
         a = field.arr([p - 1] * n)
-        assert _projector(field, a)(a.copy()) == _dot(field, a, a.copy()) == n * (p - 1) ** 2 % p
+        want = _dot(field, a, a.copy())
+        assert want == n * (p - 1) ** 2 % p
+        # a block of two rows splits u; one row splits the row itself
+        assert projected_sequence(field, _recorded(field, [a, a]), a, a, 2) == [want, want]
+        assert projected_sequence(field, _recorded(field, [a]), a, a, 1) == [want]
 
 
 @pytest.mark.parametrize("p", (3, P_DET, P_WORD))
@@ -186,21 +201,43 @@ def test_limb_width_bound_and_floor(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_projection_of_the_empty_vector(p):
     field = field_new(p)
-    assert _projector(field, field.zeros(0))(field.zeros(0)) == 0
+    op = la.identity_blackbox(field, 0)
+    for count in (0, 1, 2, 65):
+        assert projected_sequence(field, op, field.zeros(0), field.zeros(0), count) == [0] * count
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(PRIMES), st.integers(0, 300), st.integers(0, 2**32))
-def test_projection_matches_dot(p, length, seed):
+@given(st.sampled_from(PRIMES), st.integers(0, 300), st.integers(1, 3), st.integers(0, 2**32))
+def test_projection_matches_dot(p, length, count, seed):
     rng = Random(seed)
     field = field_new(p)
     a = field.arr([rng.randrange(p) for _ in range(length)])
-    project = _projector(field, a)
-    for _ in range(3):
-        x = field.arr([rng.randrange(p) for _ in range(length)])
-        got = project(x)
-        assert type(got) is int
-        assert got == _dot(field, a, x)
+    xs = [field.arr([rng.randrange(p) for _ in range(length)]) for _ in range(count)]
+    got = projected_sequence(field, _recorded(field, xs), a, xs[0], count)
+    assert all(type(g) is int for g in got)
+    assert got == [_dot(field, a, x) for x in xs]
+
+
+@pytest.mark.parametrize("p", (3, P_DET, P_WORD, P_BIG, P_TOP))
+def test_projected_sequence_at_block_edges(p):
+    """Counts on either side of one block of ``KRYLOV_BLOCK`` = 64 Krylov
+    vectors, and 2n, against Python-int products and ``_dot``."""
+    assert KRYLOV_BLOCK == 64
+    n = 40
+    field = field_new(p)
+    rng = Random(p % 977 + 5)
+    m = _random_sparse(field, n, n, rng, density=0.2, full_row=3)
+    rows = _rows(m)
+    u = [rng.choice([p - 1, rng.randrange(p)]) for _ in range(n)]
+    v = [rng.choice([p - 1, rng.randrange(p)]) for _ in range(n)]
+    want, x = [], v
+    for _ in range(2 * n):
+        want.append(sum(a * b for a, b in zip(u, x)) % p)
+        assert want[-1] == _dot(field, field.arr(u), field.arr(x))
+        x = _ref_matvec(rows, x, p)
+    for count in (0, 1, 63, 64, 65, 2 * n):
+        got = projected_sequence(field, m, field.arr(u), field.arr(v), count)
+        assert got == want[:count], count
 
 
 # -- sparse products over wide rows and columns ----------------------------------
@@ -670,26 +707,34 @@ def test_limb_apply_zero_width():
     assert a.apply(field.zeros(0)).tolist() == [0, 0, 0]
 
 
-def test_dense_matrix_splits_into_limb_planes_once(monkeypatch):
-    """A P_WORD matrix splits into limb planes on its first apply and keeps
-    them; a matrix made from another starts unsplit."""
-    field = field_new(P_WORD)
+@pytest.mark.parametrize("p, one_plane", ((P_WORD, False), (P_BIG, False), (10007, True)))
+def test_dense_matrix_splits_on_its_second_apply(monkeypatch, p, one_plane):
+    """A matrix of two or more limb planes applied once multiplies by the
+    split vector and builds no planes of its own; its second apply splits
+    it, once for every later apply.  A GF(10007) matrix is its own one plane
+    from its first apply.  A matrix made from another starts unsplit."""
+    field = field_new(p)
     rng = Random(23)
-    rows = [[rng.randrange(P_WORD) for _ in range(8)] for _ in range(8)]
-    x = [rng.randrange(P_WORD) for _ in range(8)]
-    d = [rng.randrange(1, P_WORD) for _ in range(8)]
+    rows = [[rng.randrange(p) for _ in range(8)] for _ in range(8)]
+    x = [rng.randrange(p) for _ in range(8)]
+    d = [rng.randrange(1, p) for _ in range(8)]
     m = DenseMatrix(field, rows)
-    calls = []
-    planes = la._limb_planes
-    monkeypatch.setattr(la, "_limb_planes", lambda *a: calls.append(1) or planes(*a))
+    assert la._one_plane(field, 8) == one_plane
+    want = _ref_matvec(rows, x, p)
+    assert la._mul_mod(field, m.a, field.arr(x)).tolist() == want
+    split = []
+    product = la._limb_product
+    monkeypatch.setattr(la, "_limb_product", lambda f, a: split.append(a is m.a) or product(f, a))
+    assert matvec(m, x).tolist() == want
+    assert split.count(True) == one_plane
     for _ in range(2):
-        assert matvec(m, x).tolist() == _ref_matvec(rows, x, P_WORD)
-        assert len(calls) == 1
+        assert matvec(m, x).tolist() == want
+        assert split.count(True) == 1
     made = [m.scale_rows(field.arr(d)), la.materialize(m), IntMatrix(rows).reduce(field)]
     assert all(out._limbs is None for out in made)
     scaled_rows = [[di * v for v in row] for di, row in zip(d, rows)]
-    assert made[0].apply(x).tolist() == _ref_matvec(scaled_rows, x, P_WORD)
-    assert made[1].apply(x).tolist() == made[2].apply(x).tolist() == m.apply(x).tolist()
+    assert made[0].apply(x).tolist() == _ref_matvec(scaled_rows, x, p)
+    assert made[1].apply(x).tolist() == made[2].apply(x).tolist() == want
 
 
 @pytest.mark.parametrize(
@@ -950,6 +995,57 @@ def test_poly_mul_and_divmod_match_schoolbook(p, n):
             assert (q.coeffs, r.coeffs) == _naive_divmod(a, b, p)
             if len(b) > len(a):
                 assert q.is_zero and r == f
+
+
+@pytest.mark.parametrize("p", (3, P_DET, P_WORD, P_BIG, P_TOP))
+def test_quotient_at_every_degree_with_top_cancellation(p):
+    """``_quotient`` against Python-int long division: quotient degrees 0, 1
+    and more, divisor tops of one, two and more coefficients, and quotient
+    coefficients that cancel to zero below the top."""
+    field = field_new(p)
+    rng = Random(p % 971 + 3)
+    dens = [
+        [rng.randrange(1, p)],
+        [rng.randrange(p), p - 1],
+        _random_poly(p, 6, rng),
+        [p - 1] * 9,
+    ]
+    quotients = [
+        [rng.randrange(1, p)],  # degree 0
+        [rng.randrange(p), rng.randrange(1, p)],  # degree 1
+        [0, 1],
+        [rng.randrange(1, p), 0, 0, p - 1],  # q_1 = q_2 = 0: the tops cancel
+        [0] * 5 + [1],
+        _random_poly(p, 12, rng),
+    ]
+    for den in dens:
+        for q in quotients:
+            rem = _random_poly(p, len(den) - 1, rng)
+            num = _naive_add(_naive_mul(q, den, p), rem, p)
+            got = _quotient(field, field.arr(num), field.arr(den))
+            assert got == q == _naive_divmod(num, den, p)[0]
+            assert all(type(c) is int for c in got)
+        # a dividend shorter than the divisor has quotient zero
+        assert _quotient(field, field.arr(den[:-1]), field.arr(den)) == []
+
+
+@pytest.mark.parametrize(
+    "p, lengths", ((P_WORD, (1, 2, 3, 64, 257)), (P_DET, (31, 32, 33)), (P_BIG, (1, 33, 40)))
+)
+def test_mul_arrays_matches_python_ints(p, lengths):
+    """Products past ``dot_chunk()`` convolve limb planes of the shorter
+    operand (int64); worst-case and random entries, in both orders."""
+    field = field_new(p)
+    rng = Random(p % 967 + 11)
+    for short in lengths:
+        for long in (short, short + 7, 300):
+            for a, b in (
+                ([p - 1] * short, [p - 1] * long),
+                (_random_poly(p, short, rng), _random_poly(p, long, rng)),
+            ):
+                want = _naive_mul(a, b, p)
+                assert _mul_arrays(field, field.arr(a), field.arr(b)).tolist() == want
+                assert _mul_arrays(field, field.arr(b), field.arr(a)).tolist() == want
 
 
 # -- the minimal-polynomial package in one Euclid pass -----------------------------
