@@ -19,7 +19,6 @@ from .errors import (
     NotSquare,
     ProtocolViolation,
     Timeout,
-    TrailingBytes,
     TransportError,
     VersionUnsupported,
     VlacError,
@@ -28,15 +27,9 @@ from .ff import (
     Poly,
     PrimeField,
     SampleSet,
-    berlekamp_massey,
     field_new,
     full_sample_set,
-    generates,
     is_probable_prime,
-    numerator_from_sequence,
-    poly_eval,
-    poly_xgcd,
-    sample,
 )
 from .la import (
     Blackbox,
@@ -45,7 +38,6 @@ from .la import (
     DenseMatrix,
     SparseMatrix,
     as_blackbox,
-    butterfly_new,
     butterfly_padding,
     butterfly_param_count,
     compose,
@@ -56,7 +48,6 @@ from .la import (
     invert_dense,
     kernel_vector,
     leading_projection,
-    materialize,
     matvec,
     padded,
     rank_dense,
@@ -68,7 +59,6 @@ from .proto import (
     Message,
     Transcript,
     Verdict,
-    fs_challenge,
     fs_prove,
     instance_digest,
     run_session,
@@ -121,7 +111,6 @@ from .lift import (
     polydet_certify,
     polydet_epsilon,
     polydet_verify,
-    random_prime,
 )
 from .matrixmarket import (
     MatrixFile,

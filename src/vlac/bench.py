@@ -14,12 +14,12 @@ import time
 from dataclasses import dataclass
 from random import Random
 
-from .certs_dense import dense_part, matmul_certify
+from .certs_dense import matmul_certify
 from .certs_sparse import PROTOCOL_DET, _det_parts, det_verify
 from .ff import PrimeField, field_new
 from .la import DenseMatrix, SparseMatrix, dense_matmul, det_dense
 from .lift import DEFAULT_PRIME_BITS, PROTOCOL_INTDET, IntMatrix, _intdet_parts, intdet_verify
-from .proto import FiatShamirSource, fs_prove, transcript_serialize
+from .proto import FiatShamirSource, fs_prove, matrix_chunks, transcript_serialize
 
 BENCH_MATMUL_SIZE = 1024
 BENCH_MATMUL_MODULUS = 10007
@@ -125,7 +125,7 @@ def bench_matmul(
     verifier_s = time.perf_counter() - t0
     # the claimed product is the certificate: the verifier cannot check a
     # product it was never shown, so its bytes count toward the bill
-    cert = len(transcript_serialize(verdict.transcript)) + len(dense_part(c))
+    cert = len(transcript_serialize(verdict.transcript)) + len(matrix_chunks(c, b"D"))
     return BenchResult(
         "matmul", n, prover_s, verifier_s, verdict.accepted,
         cert_bytes=cert,

@@ -43,15 +43,10 @@ PROTOCOL_INVERSE = "vlac.inverse.v1"
 DEFAULT_ZERO_ONE_ROUNDS = 32
 
 
-def dense_part(m: DenseMatrix, tag: bytes = b"D"):
-    """Canonical instance encoding of a dense matrix, as the ``Chunks``
-    that ``instance_digest`` hashes without joining them."""
-    return matrix_chunks(m, tag)
-
-
 def dense_bytes(m: DenseMatrix) -> bytes:
-    """Canonical instance encoding of a dense matrix, joined."""
-    return bytes(dense_part(m))
+    """Canonical instance encoding of a dense matrix, joined: the bytes of
+    the ``matrix_chunks(m, b"D")`` that ``instance_digest`` hashes."""
+    return bytes(matrix_chunks(m, b"D"))
 
 
 def _require_same_field(*ms) -> PrimeField:
@@ -110,7 +105,7 @@ def _matmul_parts(
         rounds if variant == ZERO_ONE else 0
     )
     digest = instance_digest(
-        PROTOCOL_MATMUL, (dense_part(a), dense_part(b), dense_part(c))
+        PROTOCOL_MATMUL, (matrix_chunks(a, b"D"), matrix_chunks(b, b"D"), matrix_chunks(c, b"D"))
     )
 
     def prover(ch):
@@ -210,7 +205,7 @@ def _resolve(claims: list[MatMulClaim], i: int, side: FactorSource) -> DenseMatr
 
 def _side_part(side: FactorSource):
     if isinstance(side, Literal):
-        return dense_part(side.matrix, b"LD")
+        return matrix_chunks(side.matrix, b"LD")
     return b"R" + _u32(side.index)
 
 
@@ -251,7 +246,7 @@ def _chain_parts(claims: list[MatMulClaim], s: SampleSet | None):
     for cl in claims:
         parts.append(_side_part(cl.left))
         parts.append(_side_part(cl.right))
-        parts.append(dense_part(cl.product))
+        parts.append(matrix_chunks(cl.product, b"D"))
     digest = instance_digest(PROTOCOL_CHAIN, parts)
     params = _u64(field.p) + _u64(s.offset) + _u64(s.size) + _u32(len(claims))
 
@@ -301,7 +296,9 @@ def _inverse_parts(a: DenseMatrix, w: DenseMatrix, s: SampleSet | None):
         raise DimensionMismatch("claimed inverse has the wrong shape")
     s = _check_sample_set(field, s)
     n = a.rows
-    digest = instance_digest(PROTOCOL_INVERSE, (dense_part(a), dense_part(w)))
+    digest = instance_digest(
+        PROTOCOL_INVERSE, (matrix_chunks(a, b"D"), matrix_chunks(w, b"D"))
+    )
     params = _u64(field.p) + _u64(s.offset) + _u64(s.size)
 
     def prover(ch):

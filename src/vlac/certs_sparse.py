@@ -37,17 +37,16 @@ from .ff import (
 )
 from .la import (
     Blackbox,
+    Butterfly,
     CostCounter,
     DenseMatrix,
     SparseMatrix,
-    butterfly_new,
     butterfly_padding,
     butterfly_param_count,
     compose,
     diagonal_scaling,
     kernel_vector,
     leading_projection,
-    materialize,
     matvec,
     _mul_mod,
     padded,
@@ -119,10 +118,6 @@ def operator_bytes(m, instance_tag: Optional[bytes] = None):
     raise ValueError("a black-box operator needs an explicit instance tag")
 
 
-def vec_bytes(values) -> bytes:
-    return encode_payload(KIND_VEC, values)
-
-
 def _square_dims(m) -> int:
     if m.rows != m.cols:
         raise NotSquare(f"operator is {m.rows}x{m.cols}")
@@ -142,6 +137,28 @@ def _prover_rng(digest: bytes, prover_seed: Optional[int]) -> Random:
 def _send_answer(ch, w) -> None:
     """Send the vector w, or an empty response when there is none."""
     ch.send(TAG_RESPONSE, KIND_EMPTY if w is None else KIND_VEC, w)
+
+
+def _prove_solve(ch, label: str, s: SampleSet, dense: DenseMatrix) -> None:
+    """Solve a square matrix at the right-hand side the verifier draws."""
+    target = ch.challenge_vector(label, s, dense.rows)
+    _send_answer(ch, solve_dense(dense, dense.field.arr(target)))
+
+
+def _check_solve(ch, label: str, s: SampleSet, op) -> Optional[str]:
+    """Draw a right-hand side b for a square operator and check the
+    prover's answer x by one product, op x = b.  Returns a reject reason
+    or None."""
+    field, n = op.field, op.rows
+    target = field.arr(ch.challenge_vector(label, s, n))
+    kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=n)
+    if kind == KIND_EMPTY:
+        return "ProverFailed"
+    if len(wv) != n:
+        return "Malformed:vector-length"
+    if not np.array_equal(matvec(op, field.arr(wv), ch.counter), target):
+        return "CheckFailed:solve"
+    return None
 
 
 def krylov_stride(n: int) -> int:
@@ -205,19 +222,12 @@ def _nonsingular_parts(a, s: Optional[SampleSet], instance_tag: Optional[bytes])
     digest = instance_digest(PROTOCOL_NONSINGULAR, (operator_bytes(a, instance_tag),))
 
     def prover(ch):
-        dense = materialize(a)
-        target = ch.challenge_vector("nonsingular.b", s, n)
-        _send_answer(ch, solve_dense(dense, field.arr(target)))
+        _prove_solve(ch, "nonsingular.b", s, a.to_dense())
 
     def verifier(ch):
-        target = field.arr(ch.challenge_vector("nonsingular.b", s, n))
-        kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=n)
-        if kind == KIND_EMPTY:
-            return Verdict.reject("ProverFailed"), None
-        if len(wv) != n:
-            return Verdict.reject("Malformed:vector-length"), None
-        if not np.array_equal(matvec(a, field.arr(wv), ch.counter), target):
-            return Verdict.reject("CheckFailed:solve"), None
+        reason = _check_solve(ch, "nonsingular.b", s, a)
+        if reason is not None:
+            return Verdict.reject(reason), None
         return Verdict.accept(nonsingular_epsilon(s)), None
 
     return params, digest, prover, verifier
@@ -267,8 +277,8 @@ def rank_upper_epsilon(m: int, n: int, r: int, s: SampleSet) -> Fraction:
 def _preconditioned(field, a, m, n, u_thetas, v_thetas) -> Blackbox:
     mp = butterfly_padding(m)
     np_ = butterfly_padding(n)
-    left = butterfly_new(field, m, u_thetas)
-    right = butterfly_new(field, n, v_thetas)
+    left = Butterfly(field, m, u_thetas)
+    right = Butterfly(field, n, v_thetas)
     return compose(left, padded(a, mp, np_), right)
 
 
@@ -276,7 +286,7 @@ def _rank_upper_prover(ch, field, a, m, n, r, s, label: str):
     u_th = ch.challenge_nonzero_vector(f"{label}.u", s, butterfly_param_count(m))
     v_th = ch.challenge_nonzero_vector(f"{label}.v", s, butterfly_param_count(n))
     op = _preconditioned(field, a, m, n, u_th, v_th)
-    _send_answer(ch, kernel_vector(materialize(leading_projection(op, r + 1))))
+    _send_answer(ch, kernel_vector(leading_projection(op, r + 1).to_dense()))
 
 
 def _rank_upper_verifier(ch, field, a, m, n, r, s, label: str):
@@ -396,13 +406,12 @@ def _rank_parts(
                 u_th = _mixing_thetas(rng, s, butterfly_param_count(m))
                 v_th = _mixing_thetas(rng, s, butterfly_param_count(n))
                 op = _preconditioned(field, a, m, n, u_th, v_th)
-                block = materialize(leading_projection(op, r))
+                block = leading_projection(op, r).to_dense()
                 if kernel_vector(block) is None:
                     break
             ch.send(TAG_COMMIT, KIND_VEC, u_th)
             ch.send(TAG_COMMIT, KIND_VEC, v_th)
-            target = ch.challenge_vector("rank.low.b", s, r)
-            _send_answer(ch, solve_dense(block, field.arr(target)))
+            _prove_solve(ch, "rank.low.b", s, block)
         if r < min(m, n):
             _rank_upper_prover(ch, field, a, m, n, r, s, "rank.up")
 
@@ -415,17 +424,10 @@ def _rank_parts(
                 return Verdict.reject("Malformed:vector-length"), None
             if any(t == 0 for t in u_th) or any(t == 0 for t in v_th):
                 return Verdict.reject("Malformed:zero-theta"), None
-            target = field.arr(ch.challenge_vector("rank.low.b", s, r))
-            kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=r)
-            if kind == KIND_EMPTY:
-                return Verdict.reject("ProverFailed"), None
-            if len(wv) != r:
-                return Verdict.reject("Malformed:vector-length"), None
-            w = field.arr(wv)
             op = _preconditioned(field, a, m, n, u_th, v_th)
-            y = matvec(leading_projection(op, r), w, ch.counter)
-            if not np.array_equal(y, target):
-                return Verdict.reject("CheckFailed:solve"), None
+            reason = _check_solve(ch, "rank.low.b", s, leading_projection(op, r))
+            if reason is not None:
+                return Verdict.reject(reason), None
         if r < min(m, n):
             reason = _rank_upper_verifier(ch, field, a, m, n, r, s, "rank.up")
             if reason is not None:
@@ -597,13 +599,11 @@ def _minpoly_parts(a, u, v, s: Optional[SampleSet], instance_tag: Optional[bytes
     if len(u_arr) != n or len(v_arr) != n:
         raise DimensionMismatch("projection vectors must match the operator")
     params = _u64(field.p) + _u64(s.offset) + _u64(s.size) + _u32(n)
-    digest = instance_digest(
-        PROTOCOL_MINPOLY,
-        (operator_bytes(a, instance_tag), vec_bytes(u_arr), vec_bytes(v_arr)),
-    )
+    vectors = (encode_payload(KIND_VEC, u_arr), encode_payload(KIND_VEC, v_arr))
+    digest = instance_digest(PROTOCOL_MINPOLY, (operator_bytes(a, instance_tag), *vectors))
 
     def prover(ch):
-        dense = materialize(a)
+        dense = a.to_dense()
         seq = projected_sequence(field, a, u_arr, v_arr, 2 * n)
         _send_minpoly_package(ch, minpoly_package(field, seq))
         ch.challenge_scalar("minpoly.r0", s)

@@ -60,7 +60,6 @@ from .errors import (
     VlacError,
 )
 from .ff import Poly, SampleSet, full_sample_set
-from .la import materialize
 from .lift import (
     PROTOCOL_INTDET,
     PROTOCOL_POLYDET,
@@ -197,14 +196,14 @@ def _field_operands(args, files: list[MatrixFile], what: str):
 
 def _matmul(args, files):
     mats, s = _field_operands(args, files, "matmul operand")
-    a, b, c = (materialize(m) for m in mats)
+    a, b, c = (m.to_dense() for m in mats)
     eps = matmul_epsilon(args.variant, c.cols, s, args.rounds)
     return _matmul_parts(a, b, c, s, args.variant, args.rounds), eps
 
 
 def _inverse(args, files):
     mats, s = _field_operands(args, files, "inverse operand")
-    a, w = (materialize(m) for m in mats)
+    a, w = (m.to_dense() for m in mats)
     eps = inverse_epsilon(a.rows, s)
     return _inverse_parts(a, w, s), eps
 

@@ -51,10 +51,6 @@ class VersionUnsupported(Malformed):
     """Transcript version is newer than this implementation understands."""
 
 
-class TrailingBytes(Malformed):
-    """Decoding succeeded but left unconsumed bytes."""
-
-
 class BrokenReference(VlacError):
     """A chained product claim points at a slot that is absent or later."""
 

@@ -8,23 +8,23 @@ lets the matrix layer batch arithmetic through numpy without boxing.
 The provers take a sequence window's whole minimal-polynomial package
 (generator, numerator and their Bezout pair) from ``minpoly_package``:
 one extended-Euclid pass on (x^N, reversed window) that stops halfway
-down, in place of Berlekamp-Massey, the numerator and ``poly_xgcd`` run
-one after the other.  Those three stay public and give the same four
-polynomials.
+down.  ``berlekamp_massey``, ``numerator_from_sequence``, ``generates``
+and ``poly_xgcd`` give the same polynomials one at a time.  No prover
+calls them and ``vlac`` does not export them: they stay here as the
+references the tests hold ``minpoly_package`` to, and the benchmark's
+tracer looks them up by name.
 
 The sequence and gcd kernels, and ``Poly`` product and division, run on
 coefficient arrays of ``field.dtype``: one path for both word dtypes.
 Over int64 every operand is canonical, so one product is below
 p^2 < 2^63.  ``_dot`` reduces each product before summing, so its sum
-stays below len * p < 2^63.  ``_mul_arrays`` sums at most ``dot_chunk()``
-unreduced products per coefficient, or convolves limb planes of its
-shorter operand, narrow enough that len * limb * p < 2^63 (the Krylov
-projections of ``certs_sparse`` take the same planes through
-``la._mul_mod``).  ``_sub_mul`` subtracts at most ``dot_chunk()``
+stays below len * p < 2^63.  ``_sub_mul`` subtracts at most ``dot_chunk()``
 unreduced products from a canonical coefficient between reductions, and
-reduces with ``_reduce``'s floor division.  Over ``object`` arrays the
-same numpy calls carry exact Python ints and cannot overflow; ``_dot``
-there sums one ``np.dot`` and reduces once.
+reduces with ``_reduce``'s floor division; ``_mul_arrays`` is one
+``_sub_mul`` from zero.  Over ``object`` arrays the same numpy calls
+carry exact Python ints and cannot overflow; ``_dot`` there sums one
+``np.dot`` and reduces once.  ``_limb_width`` and ``_limb_planes`` split
+the operands of ``la._mul_mod``.
 """
 
 from __future__ import annotations
@@ -215,11 +215,6 @@ def _check_sample_set(field: PrimeField, s: SampleSet | None) -> SampleSet:
     return s
 
 
-def sample(s: SampleSet, src, label: str = "sample") -> int:
-    """Draw one uniform scalar from s through a challenge source."""
-    return src.draw_scalar(label, s)
-
-
 # ---------------------------------------------------------------------------
 # Polynomials
 # ---------------------------------------------------------------------------
@@ -378,10 +373,6 @@ class Poly:
             else:
                 terms.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
         return f"Poly({' + '.join(terms)} mod {self.field.p})"
-
-
-def poly_eval(poly: Poly, x: int) -> int:
-    return poly(x)
 
 
 def poly_xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
@@ -611,29 +602,15 @@ def _trim_arr(a: np.ndarray) -> np.ndarray:
 
 
 def _mul_arrays(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two canonical coefficient arrays, reduced mod p.
-
-    Over int64, once the shorter operand is longer than ``dot_chunk()``, it
-    splits into planes of b-bit limbs, b = ``_limb_width(p, len)``: each
-    plane's convolution sums len products below (2^b - 1)(p - 1) < 2^63 /
-    len, and the reduced convolutions recombine by Horner's rule by 2^b,
-    which stays below p 2^b + p < 2^63 since b < bits(p - 1) <= 32.
-    """
+    """Product of two canonical coefficient arrays, reduced mod p: one
+    ``_sub_mul`` from zero, a b = 0 - (-a) b, one slice update per
+    coefficient of the shorter operand."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 0:
         return field.zeros(0)
-    p = field.p
-    if field.dtype is object or len(a) <= field.dot_chunk():
-        return np.convolve(a, b) % p
-    width = _limb_width(p, len(a))
-    planes = _limb_planes(a, width, (p - 1).bit_length())
-    out = _reduce(np.convolve(planes[-1], b), p)
-    for plane in planes[-2::-1]:
-        out <<= width
-        out += _reduce(np.convolve(plane, b), p)
-        _reduce(out, p)
-    return out
+    size = len(a) + len(b) - 1
+    return _sub_mul(field, field.zeros(size), (-a % field.p).tolist(), b, size)
 
 
 def _sub_mul(

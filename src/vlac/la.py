@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse as _scipy_sparse
 
-from .errors import DimensionMismatch, DivisionByZero, NotSquare
+from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, NotSquare
 from .ff import PrimeField, _limb_planes, _limb_width, _reduce
 
 
@@ -413,7 +413,7 @@ def matvec(m: Operator, x, counter: CostCounter | None = None) -> np.ndarray:
 def dense_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Exact product of dense matrices (schoolbook cost, vectorized)."""
     if a.field != b.field:
-        raise DimensionMismatch("fields differ")
+        raise FieldMismatch("fields differ")
     if a.cols != b.rows:
         raise DimensionMismatch(f"matmul: {a.shape} by {b.shape}")
     return DenseMatrix(a.field, _mul_mod(a.field, a.a, b.a))
@@ -485,8 +485,8 @@ def compose(*ops: Operator) -> Blackbox:
             raise DimensionMismatch(
                 f"compose: {left.shape} cannot follow {right.shape}"
             )
-        if left.field != field:
-            raise DimensionMismatch("compose: fields differ")
+        if right.field != field:
+            raise FieldMismatch("compose: fields differ")
 
     def apply(x):
         for op in reversed(ops):
@@ -551,11 +551,6 @@ def leading_projection(m: Operator, k: int) -> Blackbox:
         return m.apply_t(xx)[:k]
 
     return Blackbox(field, k, k, m.mu, apply, apply_t)
-
-
-def materialize(m: Operator) -> DenseMatrix:
-    """The operator as a fresh dense matrix (prover-side)."""
-    return m.to_dense()
 
 
 # ---------------------------------------------------------------------------
@@ -648,10 +643,6 @@ class Butterfly(Operator):
 
     def __repr__(self) -> str:
         return f"Butterfly(n={self.n}, padded={self.n_padded}, GF({self.field.p}))"
-
-
-def butterfly_new(field: PrimeField, n: int, thetas: Sequence[int]) -> Butterfly:
-    return Butterfly(field, n, thetas)
 
 
 def butterfly_param_count(n: int) -> int:

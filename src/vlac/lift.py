@@ -35,7 +35,6 @@ from .proto import (
     TAG_COMMIT,
     Verdict,
     certify,
-    draw_prime,
     encode_payload,
     instance_digest,
     replay,
@@ -163,11 +162,6 @@ def hadamard_bound(m: IntMatrix) -> int:
     if root * root < square:
         root += 1
     return root
-
-
-def random_prime(bits: int, source, label: str = "prime") -> int:
-    """Random prime in [2**(bits-1), 2**bits) from a challenge source."""
-    return draw_prime(source, label, bits)
 
 
 def lower_bound_primes(bits: int) -> int:

@@ -153,7 +153,7 @@ def encode_payload(kind: int, value) -> bytes:
             raise Malformed("polynomial encoding must be trimmed")
         return _u32(len(vals)) + _u64_block(vals)
     if kind == KIND_MATRIX:
-        return encode_matrix(value)
+        return bytes(matrix_chunks(value))
     if kind == KIND_BIGINT:
         v = int(value)
         sign = 1 if v < 0 else 0
@@ -211,11 +211,6 @@ def matrix_chunks(value, tag: bytes = b"") -> Chunks:
     else:
         body = _u64_block(flat)
     return Chunks(tag + _u32(int(rows)) + _u32(int(cols)), body)
-
-
-def encode_matrix(value, tag: bytes = b"") -> bytes:
-    """``tag`` followed by the KIND_MATRIX encoding of ``value``."""
-    return bytes(matrix_chunks(value, tag))
 
 
 def decode_payload(kind: int, buf: bytes):
@@ -308,23 +303,20 @@ class Transcript:
     params: bytes
     messages: list[Message] = dataclass_field(default_factory=list)
 
-    def serialize(self) -> bytes:
-        out = [MAGIC, _u16(VERSION)]
-
-        def rec(tag: int, payload: bytes):
-            out.append(bytes([tag]) + _u32(len(payload)) + payload)
-
-        rec(_REC_PROTOCOL, self.protocol_id.encode())
-        rec(_REC_MODE, bytes([self.mode]))
-        rec(_REC_DIGEST, self.instance_digest)
-        rec(_REC_PARAMS, self.params)
-        for m in self.messages:
-            rec(_REC_MESSAGE, m.encode())
-        return b"".join(out)
-
 
 def transcript_serialize(t: Transcript) -> bytes:
-    return t.serialize()
+    out = [MAGIC, _u16(VERSION)]
+
+    def rec(tag: int, payload: bytes):
+        out.append(bytes([tag]) + _u32(len(payload)) + payload)
+
+    rec(_REC_PROTOCOL, t.protocol_id.encode())
+    rec(_REC_MODE, bytes([t.mode]))
+    rec(_REC_DIGEST, t.instance_digest)
+    rec(_REC_PARAMS, t.params)
+    for m in t.messages:
+        rec(_REC_MESSAGE, m.encode())
+    return b"".join(out)
 
 
 def transcript_deserialize(buf: bytes) -> Transcript:
@@ -461,11 +453,6 @@ class FiatShamirSource:
         return s.offset + self.draw_uint(label, s.size)
 
 
-def fs_challenge(source: FiatShamirSource, label: str, s: SampleSet) -> int:
-    """One domain-separated challenge from a bound hash chain."""
-    return source.draw_scalar(label, s)
-
-
 def draw_prime(source, label: str, bits: int) -> int:
     """Uniform-ish odd prime in [2**(bits-1), 2**bits) from a source.
 
@@ -600,9 +587,10 @@ class FSProverChannel(_ChallengeChannel):
         self._t = transcript
 
     def send(self, tag: int, kind: int, value=None) -> None:
-        m = Message(ROLE_PROVER, tag, kind, _canon_value(kind, value))
-        self._t.messages.append(m)
-        self._src.absorb(m.encode())
+        # record what the absorbed bytes decode to, as a replay reads them
+        data = Message(ROLE_PROVER, tag, kind, value).encode()
+        self._t.messages.append(decode_message(data))
+        self._src.absorb(data)
 
     def _drawn(self, kind: int, value):
         self._t.messages.append(Message(ROLE_VERIFIER, TAG_CHALLENGE, kind, value))
@@ -616,26 +604,6 @@ def _draw_nonzero(source, label: str, s: SampleSet) -> int:
         v = source.draw_scalar(label, s)
         if v != 0:
             return v
-
-
-def _canon_value(kind: int, value):
-    """Normalize python-side values so encode/decode round-trips exactly."""
-    if kind == KIND_EMPTY:
-        return None
-    if kind in (KIND_SCALAR, KIND_UINT, KIND_BIGINT):
-        return int(value)
-    if kind == KIND_VEC:
-        return [int(v) for v in value]
-    if kind == KIND_POLY:
-        return list(value.coeffs) if hasattr(value, "coeffs") else [int(v) for v in value]
-    if kind == KIND_MATRIX:
-        if hasattr(value, "a"):
-            a = value.a
-            return (a.shape[0], a.shape[1], [int(v) for row in a for v in row])
-        return value
-    if kind == KIND_BYTES:
-        return bytes(value)
-    raise Malformed(f"unknown payload kind {kind}")
 
 
 class ReplayVerifierChannel(_ChallengeChannel):
@@ -727,9 +695,7 @@ class LiveProverChannel:
         self._tr = transport
 
     def send(self, tag: int, kind: int, value=None) -> None:
-        self._tr.send_frame(
-            _msg_frame(Message(ROLE_PROVER, tag, kind, _canon_value(kind, value)))
-        )
+        self._tr.send_frame(_msg_frame(Message(ROLE_PROVER, tag, kind, value)))
 
     def _challenge(self, kind: int, count: int = 0):
         # a scalar or prime is one 8-byte entry

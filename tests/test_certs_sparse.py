@@ -326,14 +326,14 @@ def test_rank_lower_cheat_rate(gf101):
         def cheat(ch, rng=Random(t)):
             # commit legal mixers, then answer only consistent targets
             from vlac.certs_sparse import _preconditioned
-            from vlac.la import leading_projection, materialize
+            from vlac.la import leading_projection
             u_th = [rng.randrange(1, 101) for _ in range(butterfly_param_count(3))]
             v_th = [rng.randrange(1, 101) for _ in range(butterfly_param_count(3))]
             ch.send(TAG_COMMIT, KIND_VEC, u_th)
             ch.send(TAG_COMMIT, KIND_VEC, v_th)
             target = ch.challenge_vector("rank.low.b", s, 3)
             op = _preconditioned(gf101, a, 3, 3, u_th, v_th)
-            block = materialize(leading_projection(op, 3))
+            block = leading_projection(op, 3).to_dense()
             w = solve_dense(block, gf101.arr(target))
             if w is None:
                 ch.send(TAG_RESPONSE, KIND_EMPTY)

@@ -5,7 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from vlac.errors import DimensionMismatch, DivisionByZero
+from vlac.errors import DimensionMismatch, DivisionByZero, FieldMismatch
 from vlac.ff import field_new
 from vlac.la import (
     Butterfly,
@@ -23,7 +23,6 @@ from vlac.la import (
     invert_dense,
     kernel_vector,
     leading_projection,
-    materialize,
     matvec,
     padded,
     rank_dense,
@@ -94,6 +93,15 @@ def test_dense_matmul_hand_value(gf101):
     a = DenseMatrix(gf101, [[2, 1], [1, 1]])
     b = DenseMatrix(gf101, [[1, 2], [3, 4]])
     assert dense_matmul(a, b) == DenseMatrix(gf101, [[5, 8], [4, 6]])
+
+
+def test_operands_over_different_fields_raise_field_mismatch(gf101, gf10007):
+    a = DenseMatrix(gf101, [[2, 1], [1, 1]])
+    b = DenseMatrix(gf10007, [[1, 2], [3, 4]])
+    with pytest.raises(FieldMismatch, match="fields differ"):
+        dense_matmul(a, b)
+    with pytest.raises(FieldMismatch, match="compose: fields differ"):
+        compose(a, b)
 
 
 def test_dense_matmul_wide_accumulation(gf_big):
@@ -185,7 +193,7 @@ def all_probe_ops(field, rng):
         (as_blackbox(s), s.to_dense()),
         (identity_blackbox(field, 4), DenseMatrix(field, np.eye(4, dtype=int))),
         (diagonal_scaling(field, d), diag),
-        (as_blackbox(bf), materialize(bf)),
+        (as_blackbox(bf), bf.to_dense()),
         (as_blackbox(s).scale_rows(field.arr(d)), dense_matmul(diag, s.to_dense())),
         (compose(a, s), dense_matmul(a, s.to_dense())),
         (padded(a, 6, 5), None),
@@ -224,7 +232,7 @@ def test_blackbox_linearity_and_transpose(gf101):
         with pytest.raises(DimensionMismatch):
             op.apply_t(gf101.zeros(rows + 1))
         if ref is not None:
-            assert materialize(op) == ref
+            assert op.to_dense() == ref
 
 
 def _probed(m) -> np.ndarray:
@@ -252,7 +260,7 @@ def test_materialize_matrices_is_a_fresh_copy(p, shape):
     )
     for m in (dense, sparse, as_blackbox(dense)):
         before = _probed(m)
-        out = materialize(m)
+        out = m.to_dense()
         assert out.shape == shape
         assert np.array_equal(out.a, before)
         out.a[...] = 1
@@ -266,7 +274,7 @@ def test_compose_shapes_and_cost(gf101):
     ab = compose(a, b)
     assert ab.shape == (3, 2)
     assert ab.mu == a.mu + b.mu
-    assert materialize(ab) == dense_matmul(a, b)
+    assert ab.to_dense() == dense_matmul(a, b)
     with pytest.raises(DimensionMismatch):
         compose(b, a)
     with pytest.raises(DimensionMismatch):
@@ -275,7 +283,7 @@ def test_compose_shapes_and_cost(gf101):
 
 def test_padded_embeds_and_keeps_rank(gf101):
     a = DenseMatrix(gf101, [[1, 2], [2, 4]])
-    big = materialize(padded(a, 4, 3))
+    big = padded(a, 4, 3).to_dense()
     assert big.shape == (4, 3)
     assert big.entry(0, 1) == 2 and big.entry(3, 2) == 0
     assert brute_rank(gf101, big) == brute_rank(gf101, a) == 1
@@ -283,8 +291,8 @@ def test_padded_embeds_and_keeps_rank(gf101):
 
 def test_leading_projection_hand_value(gf101):
     a = DenseMatrix(gf101, [[1, 2], [7, 3]])
-    assert materialize(leading_projection(a, 1)) == DenseMatrix(gf101, [[1]])
-    assert materialize(leading_projection(a, 2)) == a
+    assert leading_projection(a, 1).to_dense() == DenseMatrix(gf101, [[1]])
+    assert leading_projection(a, 2).to_dense() == a
     with pytest.raises(DimensionMismatch):
         leading_projection(a, 3)
 
@@ -309,11 +317,11 @@ def test_butterfly_padding_and_params():
 def test_butterfly_single_switch(gf101):
     bf = Butterfly(gf101, 2, [1, 1])
     assert list(bf.apply([3, 5])) == [8, 99]
-    assert materialize(bf) == DenseMatrix(gf101, [[1, 1], [1, 100]])
+    assert bf.to_dense() == DenseMatrix(gf101, [[1, 1], [1, 100]])
     th = Butterfly(gf101, 2, [7, 2])
     # (7*3 + 2*5, 7*3 - 2*5)
     assert list(th.apply([3, 5])) == [31, 11]
-    assert materialize(th) == DenseMatrix(gf101, [[7, 2], [7, 99]])
+    assert th.to_dense() == DenseMatrix(gf101, [[7, 2], [7, 99]])
 
 
 def test_butterfly_no_invariant_directions(gf101):
@@ -352,7 +360,7 @@ def test_butterfly_always_invertible(gf101):
     for n in (2, 3, 5, 8):
         for _ in range(5):
             bf = Butterfly(gf101, n, rand_thetas(rng, 101, butterfly_param_count(n)))
-            m = materialize(bf)
+            m = bf.to_dense()
             assert brute_det_field(gf101, m) != 0
 
 
@@ -371,7 +379,7 @@ def test_butterfly_genericity(gf10007):
     for _ in range(100):
         u = Butterfly(gf10007, n, rand_thetas(rng, 10007, count))
         v = Butterfly(gf10007, n, rand_thetas(rng, 10007, count))
-        mixed = materialize(compose(u, a, v))
+        mixed = compose(u, a, v).to_dense()
         corner = DenseMatrix(gf10007, mixed.a[:r, :r])
         if brute_det_field(gf10007, corner) != 0:
             hits += 1

@@ -31,7 +31,6 @@ from vlac.lift import (
     polydet_certify,
     polydet_epsilon,
     polydet_verify,
-    random_prime,
 )
 from vlac.oracle import brute_det_field, brute_det_int, brute_det_poly
 from vlac.proto import (
@@ -40,6 +39,7 @@ from vlac.proto import (
     TAG_COMMIT,
     FiatShamirSource,
     InteractiveSource,
+    draw_prime,
     run_session,
 )
 
@@ -184,7 +184,7 @@ def test_lifting_consistency_with_random_primes():
         m = rand_int_matrix(rng, n, -50, 50)
         d = brute_det_int([list(r) for r in m.a])
         for _ in range(5):
-            p = random_prime(16, src)
+            p = draw_prime(src, "prime", 16)
             field = PrimeField(p)
             assert d % p == brute_det_field(field, m.reduce(field))
 
@@ -192,14 +192,14 @@ def test_lifting_consistency_with_random_primes():
 def test_random_prime_contract():
     src = FiatShamirSource()
     src.begin("t", b"", bytes(32))
-    p = random_prime(16, src)
+    p = draw_prime(src, "prime", 16)
     assert 32768 <= p < 65536
     assert all(p % d for d in range(2, 1000) if d > 1)
 
     def fresh(label):
         s = FiatShamirSource()
         s.begin("t", b"", bytes(32))
-        return random_prime(16, s, label)
+        return draw_prime(s, label, 16)
 
     assert fresh("a") == fresh("a")
     assert fresh("a") != fresh("b")

@@ -17,7 +17,7 @@ from vlac.errors import (
     VersionUnsupported,
     VlacError,
 )
-from vlac.certs_dense import dense_bytes, dense_part
+from vlac.certs_dense import dense_bytes
 from vlac.ff import SampleSet, field_new, full_sample_set
 from vlac.la import DenseMatrix
 from vlac.proto import (
@@ -46,7 +46,6 @@ from vlac.proto import (
     decode_message,
     decode_payload,
     draw_prime,
-    encode_matrix,
     encode_payload,
     fs_prove,
     instance_digest,
@@ -56,6 +55,8 @@ from vlac.proto import (
     transcript_serialize,
     verify_recorded,
 )
+
+from test_golden import CASES as GOLDEN_CASES
 
 DIGEST = bytes(range(32))
 
@@ -126,11 +127,11 @@ def test_matrix_encoding_is_the_same_for_every_array_layout():
     a = np.array(rows, dtype=np.int64)
     for value in (a, a.astype(object), np.asfortranarray(a), a.T.copy().T,
                   [list(r) for r in rows], (2, 3, [v for row in rows for v in row])):
-        assert encode_matrix(value, b"D") == want
+        assert bytes(matrix_chunks(value, b"D")) == want
         assert encode_payload(KIND_MATRIX, value) == want[1:]
     # an int64 entry reads as its two's-complement u64, as a cast gives
-    assert encode_matrix(np.array([[-1]]))[8:] == b"\xff" * 8
-    assert encode_matrix(np.zeros((0, 4), dtype=np.int64)) == b"\0\0\0\0\x04\0\0\0"
+    assert bytes(matrix_chunks(np.array([[-1]])))[8:] == b"\xff" * 8
+    assert bytes(matrix_chunks(np.zeros((0, 4), dtype=np.int64))) == b"\0\0\0\0\x04\0\0\0"
 
 
 def test_message_round_trip():
@@ -167,6 +168,14 @@ def test_transcript_round_trip():
     back = transcript_deserialize(blob)
     assert back == t
     assert transcript_serialize(back) == blob
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_fs_prover_records_what_its_bytes_decode_to(name):
+    """The hash-compiled prover's in-memory transcript, which ``certify``
+    replays, is what its serialization reads back as: every protocol id."""
+    t = GOLDEN_CASES[name]().transcript
+    assert transcript_deserialize(transcript_serialize(t)) == t
 
 
 def test_transcript_rejects_bad_magic():
@@ -251,7 +260,7 @@ def test_streamed_digest_equals_the_joined_encoding(value, entries):
     rows, cols = entries.shape
     joined = b"D" + struct.pack("<II", rows, cols) + b"".join(
         struct.pack("<Q", int(v) % 2**64) for v in entries.reshape(-1))
-    part = dense_part(value) if isinstance(value, DenseMatrix) else matrix_chunks(value, b"D")
+    part = matrix_chunks(value, b"D")
     assert len(part) == len(joined)
     assert bytes(part) == joined
     if isinstance(value, DenseMatrix):

@@ -730,7 +730,7 @@ def test_dense_matrix_splits_on_its_second_apply(monkeypatch, p, one_plane):
     for _ in range(2):
         assert matvec(m, x).tolist() == want
         assert split.count(True) == 1
-    made = [m.scale_rows(field.arr(d)), la.materialize(m), IntMatrix(rows).reduce(field)]
+    made = [m.scale_rows(field.arr(d)), m.to_dense(), IntMatrix(rows).reduce(field)]
     assert all(out._limbs is None for out in made)
     scaled_rows = [[di * v for v in row] for di, row in zip(d, rows)]
     assert made[0].apply(x).tolist() == _ref_matvec(scaled_rows, x, p)
@@ -1033,8 +1033,9 @@ def test_quotient_at_every_degree_with_top_cancellation(p):
     "p, lengths", ((P_WORD, (1, 2, 3, 64, 257)), (P_DET, (31, 32, 33)), (P_BIG, (1, 33, 40)))
 )
 def test_mul_arrays_matches_python_ints(p, lengths):
-    """Products past ``dot_chunk()`` convolve limb planes of the shorter
-    operand (int64); worst-case and random entries, in both orders."""
+    """One ``_sub_mul`` from zero, reduced after every ``dot_chunk()``
+    updates over int64, on both sides of ``dot_chunk()``; worst-case and
+    random entries, in both orders."""
     field = field_new(p)
     rng = Random(p % 967 + 11)
     for short in lengths:
