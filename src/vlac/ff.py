@@ -23,13 +23,11 @@ unreduced products from a canonical coefficient between reductions, and
 reduces with ``_reduce``'s floor division; ``_mul_arrays`` is one
 ``_sub_mul`` from zero.  Over ``object`` arrays the same numpy calls
 carry exact Python ints and cannot overflow; ``_dot`` there sums one
-``np.dot`` and reduces once.  ``_limb_width`` and ``_limb_planes`` split
-the operands of ``la._mul_mod``.
+``np.dot`` and reduces once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -538,32 +536,6 @@ def _dot(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
     if field.dtype is object:
         return int(np.dot(a, b)) % field.p if len(a) else 0
     return int((a * b % field.p).sum()) % field.p
-
-
-def _limb_width(p: int, n: int, both: bool = False) -> int:
-    """Widest limb b, at most the bit length of p - 1, with
-    n * (2^b - 1) * (p - 1) < 2^63, or, for ``both`` operands split into
-    L = ceil(bits / b) limbs, L * n * (2^b - 1)^2 < 2^63, so that the L limb
-    products of one weight also sum in int64; 0 when no b fits."""
-    top = p - 1
-    bits = top.bit_length()
-    if n == 0:
-        return bits
-    room = (2**63 - 1) // n
-    if not both:
-        return min(bits, (room // top + 1).bit_length() - 1)
-    b = min(bits, (math.isqrt(room) + 1).bit_length() - 1)
-    while b and -(-bits // b) * ((1 << b) - 1) ** 2 > room:
-        b -= 1
-    return b
-
-
-def _limb_planes(a: np.ndarray, width: int, bits: int) -> np.ndarray:
-    """Entries of a, in [0, 2^bits), as int64 limbs of ``width`` bits along a
-    new first axis: limb i holds bits [i width, (i + 1) width), so a is the
-    sum of limb i times 2^(i width)."""
-    shifts = np.arange(0, bits, width, dtype=np.int64).reshape((-1,) + (1,) * a.ndim)
-    return (a.astype(np.int64, copy=False) >> shifts) & ((1 << width) - 1)
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:

@@ -13,18 +13,20 @@ products without wrapping; where b covers p - 1, the one plane is the
 operand itself.  A product of canonical operands is at most (p - 1)^2, so
 the sparse product sums ``dot_chunk()`` of them unreduced, and reduces
 each product before summing a wider row, which is exact while
-width * p < 2^63.
+width * p < 2^63.  ``det_stack`` subtracts at most ``dot_chunk()`` of them,
+for its largest modulus, from a canonical block: entries stay in (-2^63, p).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse as _scipy_sparse
 
 from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, NotSquare
-from .ff import PrimeField, _limb_planes, _limb_width, _reduce
+from .ff import PrimeField, _reduce
 
 
 class CostCounter:
@@ -339,6 +341,32 @@ def _mul_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = _limb_product(field, np.atleast_2d(b.T))(a.T)
         return out.T.reshape(a.shape[:1] + b.shape[1:])
     return _limb_product(field, a)(b)
+
+
+def _limb_width(p: int, n: int, both: bool = False) -> int:
+    """Widest limb b, at most the bit length of p - 1, with
+    n * (2^b - 1) * (p - 1) < 2^63, or, for ``both`` operands split into
+    L = ceil(bits / b) limbs, L * n * (2^b - 1)^2 < 2^63, so that the L limb
+    products of one weight also sum in int64; 0 when no b fits."""
+    top = p - 1
+    bits = top.bit_length()
+    if n == 0:
+        return bits
+    room = (2**63 - 1) // n
+    if not both:
+        return min(bits, (room // top + 1).bit_length() - 1)
+    b = min(bits, (math.isqrt(room) + 1).bit_length() - 1)
+    while b and -(-bits // b) * ((1 << b) - 1) ** 2 > room:
+        b -= 1
+    return b
+
+
+def _limb_planes(a: np.ndarray, width: int, bits: int) -> np.ndarray:
+    """Entries of a, in [0, 2^bits), as int64 limbs of ``width`` bits along a
+    new first axis: limb i holds bits [i width, (i + 1) width), so a is the
+    sum of limb i times 2^(i width)."""
+    shifts = np.arange(0, bits, width, dtype=np.int64).reshape((-1,) + (1,) * a.ndim)
+    return (a.astype(np.int64, copy=False) >> shifts) & ((1 << width) - 1)
 
 
 def _one_plane(field: PrimeField, k: int) -> bool:
@@ -870,7 +898,10 @@ def det_stack(stack: np.ndarray, moduli: Sequence[int]) -> list[int]:
     and in ``object`` otherwise; the stack is overwritten.  One forward
     elimination runs on all the slices of a batch at once, with the pivot
     search, row swaps and sign kept per slice, and stops at the triangular
-    form.  Batches hold at most ``stack_cap(n)`` slices.
+    form.  Each column reduces its pivot column and row; the trailing block
+    is reduced once per ``dot_chunk()`` rank-1 updates of the batch's largest
+    modulus (FFLAS-FFPACK's delayed reduction), every column at P_WORD and
+    over ``object``.  Batches hold at most ``stack_cap(n)`` slices.
     """
     k, n, _ = stack.shape
     if len(moduli) != k:
@@ -889,7 +920,9 @@ def _det_batch(m: np.ndarray, ps: np.ndarray) -> np.ndarray:
     block = max(1, UPDATE_ENTRIES // max(1, k * n))
     every = np.arange(k)
     det = np.ones(k, dtype=m.dtype)
+    budget = max(PrimeField(int(ps.max())).dot_chunk(), 1)
     for c in range(n):
+        m[:, c:, c] %= ps[:, None]
         # first nonzero entry at or below the diagonal; c when there is none
         pr = c + (m[:, c:, c] != 0).argmax(axis=1)
         swap = every[pr != c]
@@ -905,12 +938,15 @@ def _det_batch(m: np.ndarray, ps: np.ndarray) -> np.ndarray:
         if c + 1 == n:
             break
         inv = np.array(
-            [pow(int(v), -1, int(q)) if v else 0 for v, q in zip(piv, ps)],
+            [pow(v, -1, q) if v else 0 for v, q in zip(piv.tolist(), ps.tolist())],
             dtype=m.dtype,
         )
         f = m[:, c + 1 :, c] * inv[:, None] % ps[:, None]
+        row = m[:, c, None, c + 1 :]
+        row %= ps[:, None, None]
         for lo in range(c + 1, n, block):
             rest = m[:, lo : lo + block, c + 1 :]
-            rest -= f[:, lo - c - 1 : lo - c - 1 + block, None] * m[:, c, None, c + 1 :]
-            rest %= ps[:, None, None]
+            rest -= f[:, lo - c - 1 : lo - c - 1 + block, None] * row
+            if (c + 1) % budget == 0:
+                rest %= ps[:, None, None]
     return det

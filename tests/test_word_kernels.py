@@ -3,9 +3,10 @@
 The edges are where the int64 code changes strategy: p = 3, the largest
 int64-safe prime P_WORD (``dot_chunk() == 1``), the first object-dtype prime
 P_BIG, lengths and row widths on either side of ``dot_chunk()``, 0x0 and 1x1
-shapes, the determinant batch cap, integer entries past int64, the steps
-of the limb widths, the largest 63-bit prime for the limb products, and
-the panel edges of the blocked elimination.
+shapes, the determinant batch cap and its reduction budget, integer
+entries past int64, the steps of the limb widths, the largest 63-bit
+prime for the limb products, and the panel edges of the blocked
+elimination.
 """
 
 import struct
@@ -32,7 +33,6 @@ from vlac.certs_sparse import (
 from vlac.errors import BothZero, DivisionByZero, GeneratorMismatch
 from vlac.ff import (
     Poly,
-    _limb_width,
     _mul_arrays,
     _quotient,
     berlekamp_massey,
@@ -48,6 +48,7 @@ from vlac.la import (
     CostCounter,
     DenseMatrix,
     SparseMatrix,
+    _limb_width,
     as_blackbox,
     butterfly_param_count,
     compose,
@@ -57,7 +58,7 @@ from vlac.la import (
     matvec,
     stack_cap,
 )
-from vlac.lift import IntMatrix, hadamard_bound, int_det_crt
+from vlac.lift import CRT_PRIME_BITS, IntMatrix, _crt_primes, hadamard_bound, int_det_crt
 from vlac.oracle import (
     _solve_field,
     brute_det_field,
@@ -69,6 +70,7 @@ from vlac.oracle import (
 from vlac.proto import KIND_BIGINT, FiatShamirSource, encode_payload
 
 P_DET = 536870909  # dot_chunk() == 32
+P_CRT = 536870923  # the first prime above 2^29: dot_chunk() == 31
 P_WORD = 3037000493  # largest prime whose products (p-1)^2 fit int64
 P_BIG = 3037000507  # first prime past it: object dtype
 PRIMES = (3, P_DET, P_WORD, P_BIG)
@@ -505,7 +507,7 @@ def test_det_stack_matches_oracle_on_mixed_slices(p, n):
     assert any(d != 0 for d in got)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", (*PRIMES, P_CRT))
 def test_det_stack_zero_by_zero_and_empty(p):
     field = field_new(p)
     assert det_stack(field.zeros((3, 0, 0)), [p] * 3) == [brute_det_field(field, [])] * 3
@@ -541,6 +543,75 @@ def test_det_stack_random_sparse_slices(p, n, k, seed):
     assert det_stack(_stack(field, slices), [p] * k) == [
         brute_det_field(field, s) for s in slices
     ]
+
+
+def _worst_case_slice(p: int, n: int, swaps) -> list:
+    """P L U mod p with every entry of L below the diagonal and of U on and
+    above it p - 1, so that each column subtracts (p - 1)^2 from every
+    trailing entry.  At each column c in swaps, L[c + 1][c] is 0 and rows c
+    and c + 1 of L U trade places, so that column needs a row swap."""
+    low = [[1 if i == j else (p - 1 if j < i else 0) for j in range(n)] for i in range(n)]
+    for c in swaps:
+        low[c + 1][c] = 0
+    rows = [
+        [sum(low[i][t] * (p - 1) for t in range(min(i, j) + 1)) % p for j in range(n)]
+        for i in range(n)
+    ]
+    for c in swaps:
+        rows[c], rows[c + 1] = rows[c + 1], rows[c]
+    return rows
+
+
+def _after_each_block(budget: int, n: int) -> list:
+    """Columns right after a block reduction, no two adjacent, that have a
+    row below them to swap in."""
+    return list(range(budget, n - 1, max(budget, 2)))
+
+
+# (p, budget): P_CRT and P_DET reduce their block once per 31 and 32
+# columns, P_WORD and P_BIG every column
+BUDGETS = ((P_CRT, 31), (P_DET, 32), (P_WORD, 1), (P_BIG, 1))
+
+
+@pytest.mark.parametrize("p, budget", BUDGETS)
+def test_det_stack_at_the_reduction_budget(p, budget):
+    field = field_new(p)
+    if field.dtype is np.int64:
+        assert field.dot_chunk() == budget
+    for n in (budget, budget + 1, 2 * budget + 1):
+        swaps = _after_each_block(budget, n)
+        slices = [_worst_case_slice(p, n, swaps), _worst_case_slice(p, n, [])]
+        want = [brute_det_field(field, s) for s in slices]
+        assert want[0] != 0 and want[1] != 0
+        assert det_stack(_stack(field, slices), [p, p]) == want
+
+
+def test_det_stack_small_prime_worst_case():
+    # at p = 3 the block is never reduced as a whole
+    field = field_new(3)
+    slices = [_worst_case_slice(3, 9, [2, 5]), _worst_case_slice(3, 9, [])]
+    assert det_stack(_stack(field, slices), [3, 3]) == [brute_det_field(field, s) for s in slices]
+
+
+def test_det_stack_budget_comes_from_the_largest_modulus():
+    n = 2 * 31 + 1
+    primes = [P_CRT, P_WORD, P_DET]
+    slices = [_worst_case_slice(q, n, _after_each_block(31, n)) for q in primes]
+    stack = np.array(slices, dtype=np.int64)
+    assert det_stack(stack, primes) == [
+        brute_det_field(field_new(q), s) for q, s in zip(primes, slices)
+    ]
+
+
+@pytest.mark.parametrize("p", (3, P_CRT, P_DET, P_WORD, P_BIG))
+def test_det_stack_multiples_of_p_read_as_zero_pivots(p):
+    # column 1 below the diagonal becomes 1 - (p - 1)^2, a nonzero multiple
+    # of p, in both rows: the slice is singular
+    rows = [[1, p - 1, 0], [p - 1, 1, 0], [p - 1, 1, 1]]
+    field = field_new(p)
+    assert brute_det_field(field, rows) == 0
+    ok = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert det_stack(_stack(field, [rows, ok]), [p, p]) == [0, 1]
 
 
 def test_stack_cap_values():
@@ -608,6 +679,16 @@ def test_int_det_crt_int64_edges_and_object_primes():
     # 40-bit primes are past int64-safe: the stack runs on object arrays
     assert int_det_crt(IntMatrix(rows), bits=40) == brute_det_int(rows)
     assert int_det_crt(IntMatrix(rows)) == brute_det_int(rows)
+
+
+def test_int_det_crt_default_primes_match_31_bits_and_bareiss():
+    # 64 columns are two block reductions at the default prime size and
+    # one reduction per column at 31 bits
+    assert field_new(_crt_primes(CRT_PRIME_BITS, 1)[0]).dot_chunk() < 64
+    rng = Random(61)
+    rows = [[rng.randint(-100, 100) for _ in range(64)] for _ in range(64)]
+    m = IntMatrix(rows)
+    assert int_det_crt(m) == int_det_crt(m, bits=31) == brute_det_int(rows) != 0
 
 
 @settings(max_examples=30, deadline=None)
