@@ -84,7 +84,6 @@ from .certs_dense import (
 )
 from .certs_sparse import (
     det_certify,
-    det_epsilon,
     det_verify,
     minpoly_certify,
     minpoly_epsilon,

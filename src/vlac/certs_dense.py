@@ -24,6 +24,7 @@ from .errors import BrokenReference, DimensionMismatch, FieldMismatch, NotSquare
 from .ff import PrimeField, SampleSet, _check_sample_set, _powers
 from .la import CostCounter, DenseMatrix, matvec
 from .proto import (
+    Reject,
     Verdict,
     certify,
     instance_digest,
@@ -63,11 +64,13 @@ def _geometric_vector(field: PrimeField, r: int, n: int, counter: CostCounter) -
     return _powers(field, r, n)
 
 
-def _product_holds(a, b, c, v: np.ndarray, counter: CostCounter) -> bool:
+def _check_product(a, b, c, v: np.ndarray, counter: CostCounter, reason: str) -> None:
+    """Test a(bv) = cv; raise Reject(reason) when it fails."""
     inner = matvec(b, v, counter)
     left = matvec(a, inner, counter)
     right = matvec(c, v, counter)
-    return bool(np.array_equal(left, right))
+    if not np.array_equal(left, right):
+        raise Reject(reason)
 
 
 def _variant_code(variant: str) -> int:
@@ -122,17 +125,12 @@ def _matmul_parts(
         if variant == GEOMETRIC:
             r = ch.challenge_scalar("product.r", s)
             v = _geometric_vector(field, r, c.cols, ch.counter)
-            ok = _product_holds(a, b, c, v, ch.counter)
+            _check_product(a, b, c, v, ch.counter, "CheckFailed:product")
         else:
             bits = SampleSet(field, 2)
-            ok = True
             for t in range(rounds):
                 v = field.arr(ch.challenge_vector(f"product.v.{t}", bits, c.cols))
-                if not _product_holds(a, b, c, v, ch.counter):
-                    ok = False
-                    break
-        if not ok:
-            return Verdict.reject("CheckFailed:product"), None
+                _check_product(a, b, c, v, ch.counter, "CheckFailed:product")
         return Verdict.accept(matmul_epsilon(variant, c.cols, s, rounds)), None
 
     return params, digest, prover, verifier
@@ -258,8 +256,7 @@ def _chain_parts(claims: list[MatMulClaim], s: SampleSet | None):
         for i, (left, right, product) in enumerate(resolved):
             r = ch.challenge_scalar(f"chain.{i}.r", s)
             v = _geometric_vector(field, r, product.cols, ch.counter)
-            if not _product_holds(left, right, product, v, ch.counter):
-                return Verdict.reject(f"CheckFailed:chain.{i}"), None
+            _check_product(left, right, product, v, ch.counter, f"CheckFailed:chain.{i}")
         return Verdict.accept(chain_epsilon(claims, s)), None
 
     return params, digest, prover, verifier
@@ -309,7 +306,7 @@ def _inverse_parts(a: DenseMatrix, w: DenseMatrix, s: SampleSet | None):
         v = _geometric_vector(field, r, n, ch.counter)
         left = matvec(a, matvec(w, v, ch.counter), ch.counter)
         if not np.array_equal(left, v):
-            return Verdict.reject("CheckFailed:inverse"), None
+            raise Reject("CheckFailed:inverse")
         return Verdict.accept(inverse_epsilon(n, s)), None
 
     return params, digest, prover, verifier

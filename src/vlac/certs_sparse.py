@@ -58,6 +58,7 @@ from .proto import (
     KIND_VEC,
     TAG_COMMIT,
     TAG_RESPONSE,
+    Reject,
     Verdict,
     certify,
     encode_payload,
@@ -145,20 +146,24 @@ def _prove_solve(ch, label: str, s: SampleSet, dense: DenseMatrix) -> None:
     _send_answer(ch, solve_dense(dense, dense.field.arr(target)))
 
 
-def _check_solve(ch, label: str, s: SampleSet, op) -> Optional[str]:
-    """Draw a right-hand side b for a square operator and check the
-    prover's answer x by one product, op x = b.  Returns a reject reason
-    or None."""
-    field, n = op.field, op.rows
-    target = field.arr(ch.challenge_vector(label, s, n))
+def _recv_answer(ch, field: PrimeField, n: int) -> np.ndarray:
+    """The prover's answer vector, which must be there and of length n."""
     kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=n)
     if kind == KIND_EMPTY:
-        return "ProverFailed"
+        raise Reject("ProverFailed")
     if len(wv) != n:
-        return "Malformed:vector-length"
-    if not np.array_equal(matvec(op, field.arr(wv), ch.counter), target):
-        return "CheckFailed:solve"
-    return None
+        raise Reject("Malformed:vector-length")
+    return field.arr(wv)
+
+
+def _check_solve(ch, label: str, s: SampleSet, op) -> None:
+    """Draw a right-hand side b for a square operator and check the
+    prover's answer x by one product, op x = b."""
+    field, n = op.field, op.rows
+    target = field.arr(ch.challenge_vector(label, s, n))
+    x = _recv_answer(ch, field, n)
+    if not np.array_equal(matvec(op, x, ch.counter), target):
+        raise Reject("CheckFailed:solve")
 
 
 def krylov_stride(n: int) -> int:
@@ -225,9 +230,7 @@ def _nonsingular_parts(a, s: Optional[SampleSet], instance_tag: Optional[bytes])
         _prove_solve(ch, "nonsingular.b", s, a.to_dense())
 
     def verifier(ch):
-        reason = _check_solve(ch, "nonsingular.b", s, a)
-        if reason is not None:
-            return Verdict.reject(reason), None
+        _check_solve(ch, "nonsingular.b", s, a)
         return Verdict.accept(nonsingular_epsilon(s)), None
 
     return params, digest, prover, verifier
@@ -289,23 +292,18 @@ def _rank_upper_prover(ch, field, a, m, n, r, s, label: str):
     _send_answer(ch, kernel_vector(leading_projection(op, r + 1).to_dense()))
 
 
-def _rank_upper_verifier(ch, field, a, m, n, r, s, label: str):
-    """Returns a reject reason or None."""
+def _rank_upper_verifier(ch, field, a, m, n, r, s, label: str) -> None:
+    """Check the prover's kernel witness for the leading (r+1) x (r+1)
+    corner of the operator mixed by verifier-drawn butterflies."""
     u_th = ch.challenge_nonzero_vector(f"{label}.u", s, butterfly_param_count(m))
     v_th = ch.challenge_nonzero_vector(f"{label}.v", s, butterfly_param_count(n))
-    kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=r + 1)
-    if kind == KIND_EMPTY:
-        return "ProverFailed"
-    if len(wv) != r + 1:
-        return "Malformed:vector-length"
-    w = field.arr(wv)
+    w = _recv_answer(ch, field, r + 1)
     if not np.any(w != 0):
-        return "ZeroWitness"
+        raise Reject("ZeroWitness")
     op = _preconditioned(field, a, m, n, u_th, v_th)
     y = matvec(leading_projection(op, r + 1), w, ch.counter)
     if np.any(y != 0):
-        return "CheckFailed:kernel"
-    return None
+        raise Reject("CheckFailed:kernel")
 
 
 def _rank_upper_parts(a, r: int, s: Optional[SampleSet], instance_tag: Optional[bytes]):
@@ -323,9 +321,7 @@ def _rank_upper_parts(a, r: int, s: Optional[SampleSet], instance_tag: Optional[
         _rank_upper_prover(ch, field, a, m, n, r, s, "rankub")
 
     def verifier(ch):
-        reason = _rank_upper_verifier(ch, field, a, m, n, r, s, "rankub")
-        if reason is not None:
-            return Verdict.reject(reason), None
+        _rank_upper_verifier(ch, field, a, m, n, r, s, "rankub")
         return Verdict.accept(rank_upper_epsilon(m, n, r, s), (HEURISTIC_BUTTERFLY,)), None
 
     return params, digest, prover, verifier
@@ -421,17 +417,13 @@ def _rank_parts(
             _, u_th = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=butterfly_param_count(m))
             _, v_th = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=butterfly_param_count(n))
             if len(u_th) != butterfly_param_count(m) or len(v_th) != butterfly_param_count(n):
-                return Verdict.reject("Malformed:vector-length"), None
+                raise Reject("Malformed:vector-length")
             if any(t == 0 for t in u_th) or any(t == 0 for t in v_th):
-                return Verdict.reject("Malformed:zero-theta"), None
+                raise Reject("Malformed:zero-theta")
             op = _preconditioned(field, a, m, n, u_th, v_th)
-            reason = _check_solve(ch, "rank.low.b", s, leading_projection(op, r))
-            if reason is not None:
-                return Verdict.reject(reason), None
+            _check_solve(ch, "rank.low.b", s, leading_projection(op, r))
         if r < min(m, n):
-            reason = _rank_upper_verifier(ch, field, a, m, n, r, s, "rank.up")
-            if reason is not None:
-                return Verdict.reject(reason), None
+            _rank_upper_verifier(ch, field, a, m, n, r, s, "rank.up")
             labels = (HEURISTIC_BUTTERFLY,)
         return Verdict.accept(rank_epsilon(m, n, r, s), labels), None
 
@@ -527,7 +519,7 @@ def _verify_minpoly_exchange(
     n: int,
     full_degree: bool,
 ):
-    """Shared verifier flow.  Returns (reason, gen, num); reason None on pass.
+    """Shared verifier flow.  Returns the committed generator and numerator.
 
     Degree checks force the numerator strictly below the generator and
     bound the Bezout cofactors; the first challenge spot-checks the
@@ -545,27 +537,27 @@ def _verify_minpoly_exchange(
 
     gen = committed()
     if gen.is_zero or not gen.is_monic:
-        return "DegreeViolation", None, None
+        raise Reject("DegreeViolation")
     if gen.degree > n:
-        return "DegreeViolation", None, None
+        raise Reject("DegreeViolation")
     if full_degree and gen.degree != n:
-        return "DegreeDeficient", None, None
+        raise Reject("DegreeDeficient")
     num = committed()
     if num.degree >= gen.degree:
-        return "DegreeViolation", None, None
+        raise Reject("DegreeViolation")
     phi = committed()
     if phi.degree > max(num.degree - 1, 0):
-        return "DegreeViolation", None, None
+        raise Reject("DegreeViolation")
     psi = committed()
     if psi.degree > max(gen.degree - 1, 0):
-        return "DegreeViolation", None, None
+        raise Reject("DegreeViolation")
 
     r0 = ch.challenge_scalar("minpoly.r0", s)
     at_gen, at_num, at_phi, at_psi = _evals(field, (gen, num, phi, psi), r0, counter)
     lhs = (at_phi * at_gen + at_psi * at_num) % field.p
     counter.add(3)
     if lhs != 1:
-        return "BezoutFail", None, None
+        raise Reject("BezoutFail")
 
     for attempt in range(SHIFT_DRAWS):
         r1 = ch.challenge_scalar(f"minpoly.r1.{attempt}", s)
@@ -573,21 +565,21 @@ def _verify_minpoly_exchange(
         if kind == KIND_EMPTY:
             continue
         if len(wv) != n:
-            return "Malformed:vector-length", None, None
+            raise Reject("Malformed:vector-length")
         w = field.arr(wv)
         shifted = (r1 * w - matvec(operator, w, counter)) % field.p
         counter.add(2 * n)
         if not np.array_equal(shifted, v):
-            return "CheckFailed:resolvent", None, None
+            raise Reject("CheckFailed:resolvent")
         uw = _dot(field, u, w)
         counter.add(2 * n)
         at_gen, right = _evals(field, (gen, num), r1, counter)
         left = uw * at_gen % field.p
         counter.add(1)
         if left != right:
-            return "CheckFailed:spotcheck", None, None
-        return None, gen, num
-    return "SingularShift", None, None
+            raise Reject("CheckFailed:spotcheck")
+        return gen, num
+    raise Reject("SingularShift")
 
 
 def _minpoly_parts(a, u, v, s: Optional[SampleSet], instance_tag: Optional[bytes]):
@@ -617,11 +609,9 @@ def _minpoly_parts(a, u, v, s: Optional[SampleSet], instance_tag: Optional[bytes
         _prove_shifted_solves(ch, field, s, solve_shift)
 
     def verifier(ch):
-        reason, gen, num = _verify_minpoly_exchange(
+        gen, num = _verify_minpoly_exchange(
             ch, field, s, a, u_arr, v_arr, n, full_degree=False
         )
-        if reason is not None:
-            return Verdict.reject(reason), None
         return Verdict.accept(minpoly_epsilon(gen.degree, num.degree, s)), gen
 
     return params, digest, prover, verifier
@@ -655,10 +645,6 @@ def minpoly_verify(
 
 
 # -- determinant --------------------------------------------------------------
-
-
-def det_epsilon(n: int, deg_num: int, s: SampleSet) -> Fraction:
-    return minpoly_epsilon(n, deg_num, s)
 
 
 def _shift_solver(field: PrimeField, operator, gen: Poly, checkpoints: np.ndarray):
@@ -733,28 +719,25 @@ def det_prover_flow(ch, field: PrimeField, operator, s: SampleSet, rng: Random, 
 def det_verifier_flow(ch, field: PrimeField, operator, s: SampleSet, n: int):
     """Verifier half of the determinant exchange.
 
-    Returns (reason, value, eps); reason is None exactly when the run
-    accepted, in which case value is the certified determinant.
+    Returns the certified determinant and its error bound.
     """
     p = field.p
     kind, scale = ch.recv(TAG_COMMIT, (KIND_VEC, KIND_EMPTY), field, count=n)
     if kind == KIND_EMPTY:
-        return "DegreeDeficient", None, None
+        raise Reject("DegreeDeficient")
     if len(scale) != n:
-        return "Malformed:vector-length", None, None
+        raise Reject("Malformed:vector-length")
     if any(x == 0 for x in scale):
-        return "CheckFailed:scaling", None, None
+        raise Reject("CheckFailed:scaling")
     _, uv = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=n)
     _, vv = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=n)
     if len(uv) != n or len(vv) != n:
-        return "Malformed:vector-length", None, None
+        raise Reject("Malformed:vector-length")
     u_arr, v_arr = field.arr(uv), field.arr(vv)
     scaled = compose(diagonal_scaling(field, scale), operator)
-    reason, gen, num = _verify_minpoly_exchange(
+    gen, num = _verify_minpoly_exchange(
         ch, field, s, scaled, u_arr, v_arr, n, full_degree=True
     )
-    if reason is not None:
-        return reason, None, None
     # gen is the characteristic polynomial of the scaled operator, so
     # det(scaled) = (-1)^n gen(0); unwind the scaling afterwards
     det_scaled = gen.coeff(0)
@@ -765,7 +748,7 @@ def det_verifier_flow(ch, field: PrimeField, operator, s: SampleSet, n: int):
         scale_det = scale_det * int(x) % p
     ch.counter.add(n + 2)
     value = det_scaled * field.inv(scale_det) % p
-    return None, value, det_epsilon(n, num.degree, s)
+    return value, minpoly_epsilon(n, num.degree, s)
 
 
 def _det_parts(
@@ -784,9 +767,7 @@ def _det_parts(
         det_prover_flow(ch, field, a, s, _prover_rng(digest, prover_seed), n)
 
     def verifier(ch):
-        reason, value, eps = det_verifier_flow(ch, field, a, s, n)
-        if reason is not None:
-            return Verdict.reject(reason), None
+        value, eps = det_verifier_flow(ch, field, a, s, n)
         return Verdict.accept(eps), value
 
     return params, digest, prover, verifier

@@ -110,9 +110,6 @@ class PrimeField:
 
     # -- scalar arithmetic ------------------------------------------------
 
-    def canon(self, x: int) -> int:
-        return x % self.p
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
@@ -323,17 +320,6 @@ class Poly:
         p = self.field.p
         c %= p
         return Poly(self.field, [v * c % p for v in self.coeffs])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero:
-            return self
-        return Poly(self.field, [0] * k + self.coeffs)
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            raise DivisionByZero("zero polynomial has no monic normalization")
-        return self.scale(self.field.inv(self.coeffs[-1]))
 
     def divmod_by(self, den: "Poly") -> tuple["Poly", "Poly"]:
         _check_same_field(self.field, den.field)

@@ -33,6 +33,7 @@ from .proto import (
     KIND_BIGINT,
     KIND_POLY,
     TAG_COMMIT,
+    Reject,
     Verdict,
     certify,
     encode_payload,
@@ -264,15 +265,13 @@ def _intdet_parts(m: IntMatrix, bits: int, prover_seed: Optional[int]):
         # |claimed| <= bound takes at most this many 8-byte words
         _, claimed = ch.recv(TAG_COMMIT, (KIND_BIGINT,), count=(bound.bit_length() + 63) // 64)
         if abs(claimed) > bound:
-            return Verdict.reject("CommitmentOutOfBounds"), None
+            raise Reject("CommitmentOutOfBounds")
         q = ch.challenge_prime("intdet.q", bits)
         field = PrimeField(q)
         s = full_sample_set(field)
-        reason, value, eps_field = det_verifier_flow(ch, field, m.reduce(field), s, n)
-        if reason is not None:
-            return Verdict.reject(reason), None
+        value, eps_field = det_verifier_flow(ch, field, m.reduce(field), s, n)
         if claimed % q != value:
-            return Verdict.reject("CheckFailed:lift"), None
+            raise Reject("CheckFailed:lift")
         return Verdict.accept(intdet_epsilon(bound, bits, eps_field)), claimed
 
     return params, digest, prover, verifier
@@ -425,14 +424,12 @@ def _polydet_parts(m: PolyMatrix, deg_bound: Optional[int], prover_seed: Optiona
         _, f_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field, count=n * deg_bound + 1)
         f = Poly(field, f_coeffs)
         if f.degree > n * deg_bound:
-            return Verdict.reject("DegreeOutOfBounds"), None
+            raise Reject("DegreeOutOfBounds")
         alpha = ch.challenge_scalar("polydet.alpha", s)
-        reason, value, eps_field = det_verifier_flow(ch, field, m.evaluate(alpha), s, n)
-        if reason is not None:
-            return Verdict.reject(reason), None
+        value, eps_field = det_verifier_flow(ch, field, m.evaluate(alpha), s, n)
         ch.counter.add(2 * max(f.degree, 0))
         if f(alpha) != value:
-            return Verdict.reject("CheckFailed:lift"), None
+            raise Reject("CheckFailed:lift")
         return Verdict.accept(polydet_epsilon(n, deg_bound, len(s), eps_field)), f
 
     return params, digest, prover, verifier

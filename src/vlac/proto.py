@@ -12,10 +12,13 @@ challenges come from:
 * replay verification re-derives every challenge from the recorded
   prefix and rejects on the first disagreement.
 
-The runners keep the verifier's books: each verifier channel carries a
-fresh ``CostCounter`` as ``ch.counter``, whose count becomes the verdict's
-``verifier_ops``, and accepted verdicts over hash-derived challenges get
-the ``fiat-shamir`` heuristic label.
+A verifier refuses by raising ``Reject(reason)`` wherever its run finds
+the fault, its channel included; it returns only to accept.  The runners
+keep the verifier's books: each verifier channel carries a fresh
+``CostCounter`` as ``ch.counter``, whose count becomes the verdict's
+``verifier_ops``, a ``Reject`` becomes the rejecting verdict, with the
+operations counted before it, and accepted verdicts over hash-derived
+challenges get the ``fiat-shamir`` heuristic label.
 
 Transcripts serialize to a small tagged binary format (magic ``VLAC``)
 with exactly one valid encoding per transcript.
@@ -501,7 +504,10 @@ class Verdict:
         return cls(False, reason, Fraction(0), (), ops)
 
 
-class _ReplayReject(Exception):
+class Reject(Exception):
+    """Raised by a verifier, or by the replay channel under it, to refuse
+    a run with a stable reason; the runner turns it into the verdict."""
+
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
@@ -578,6 +584,10 @@ class _ChallengeChannel:
     def challenge_prime(self, label: str, bits: int) -> int:
         return self._drawn(KIND_UINT, draw_prime(self._src, label, bits))
 
+    def finish(self) -> None:
+        """Check what the run left behind once the verifier has accepted;
+        only a replayed transcript can have anything left."""
+
 
 class FSProverChannel(_ChallengeChannel):
     """Prover running alone against the hash chain."""
@@ -616,7 +626,7 @@ class ReplayVerifierChannel(_ChallengeChannel):
 
     def _next(self) -> Message:
         if self._pos >= len(self._msgs):
-            raise _ReplayReject("ProtocolViolation:transcript-truncated")
+            raise Reject("ProtocolViolation:transcript-truncated")
         m = self._msgs[self._pos]
         self._pos += 1
         return m
@@ -626,23 +636,23 @@ class ReplayVerifierChannel(_ChallengeChannel):
         # a recorded message is already in memory: count bounds no read
         m = self._next()
         if m.role != ROLE_PROVER or m.tag != tag or m.kind not in kinds:
-            raise _ReplayReject("ProtocolViolation:unexpected-message")
+            raise Reject("ProtocolViolation:unexpected-message")
         if field is not None and not _payload_in_field(m.kind, m.value, field.p):
-            raise _ReplayReject("Malformed:scalar-out-of-range")
+            raise Reject("Malformed:scalar-out-of-range")
         self._src.absorb(m.encode())
         return m.kind, m.value
 
     def _drawn(self, kind: int, value):
         m = self._next()
         if m.role != ROLE_VERIFIER or m.tag != TAG_CHALLENGE or m.kind != kind:
-            raise _ReplayReject("ProtocolViolation:challenge-slot")
+            raise Reject("ProtocolViolation:challenge-slot")
         if m.value != value:
-            raise _ReplayReject("ChallengeMismatch")
+            raise Reject("ChallengeMismatch")
         return value
 
     def finish(self) -> None:
         if self._pos != len(self._msgs):
-            raise _ReplayReject("ProtocolViolation:trailing-messages")
+            raise Reject("ProtocolViolation:trailing-messages")
 
 
 # Past its payload, a message frame holds the frame type and the role,
@@ -738,12 +748,19 @@ def _run_verifier(verifier_fn: Callable, channel):
     """Call a verifier and do its bookkeeping.
 
     The channel carries a fresh ``CostCounter`` as ``channel.counter``;
-    the verdict reports its count as ``verifier_ops``, and an accepted
-    verdict over hash-derived challenges is labelled ``fiat-shamir``
-    ahead of the verifier's own heuristics.
+    the verdict reports its count as ``verifier_ops``.  A ``Reject``
+    raised by the verifier or its channel, up to and including the
+    channel's ``finish``, becomes a rejecting verdict with no result; this
+    is the one place that catches it.  An accepted verdict over
+    hash-derived challenges is labelled ``fiat-shamir`` ahead of the
+    verifier's own heuristics.
     """
     channel.counter = CostCounter()
-    verdict, result = verifier_fn(channel)
+    try:
+        verdict, result = verifier_fn(channel)
+        channel.finish()
+    except Reject as rej:
+        verdict, result = Verdict.reject(rej.reason), None
     verdict.verifier_ops = channel.counter.ops
     if verdict.accepted and channel.is_fiat_shamir:
         verdict.heuristics = (HEURISTIC_FS,) + verdict.heuristics
@@ -856,13 +873,7 @@ def verify_recorded(
         return Verdict.reject("ParamsMismatch"), None
     src = FiatShamirSource()
     src.begin(protocol_id, params, digest)
-    channel = ReplayVerifierChannel(src, transcript)
-    try:
-        verdict, result = _run_verifier(verifier_fn, channel)
-        if verdict.accepted:
-            channel.finish()
-    except _ReplayReject as rej:
-        return Verdict.reject(rej.reason), None
+    verdict, result = _run_verifier(verifier_fn, ReplayVerifierChannel(src, transcript))
     verdict.transcript = transcript
     return verdict, result
 
@@ -875,9 +886,7 @@ def certify(protocol_id: str, parts, source, timeout: float = DEFAULT_ROUND_TIME
     params, digest, prover, verifier = parts
     if source.kind == "fiat-shamir":
         transcript = fs_prove(protocol_id, params, digest, prover, source)
-        verdict, result = replay(transcript, protocol_id, parts)
-        verdict.transcript = transcript
-        return verdict, result
+        return replay(transcript, protocol_id, parts)
     verdict, result, _ = run_session(
         protocol_id, params, digest, prover, verifier, source, timeout
     )

@@ -22,7 +22,6 @@ from vlac.certs_sparse import (
     _rank_parts,
     _rank_upper_parts,
     det_certify,
-    det_epsilon,
     det_verify,
     minpoly_certify,
     minpoly_epsilon,
@@ -653,7 +652,7 @@ def test_det_cheating_constant_rate(gf101):
         if verdict.accepted:
             hits += 1
             assert value_pair != true_det  # when the cheat lands, the value is wrong
-    eps = float(det_epsilon(n, n - 1, s))
+    eps = float(minpoly_epsilon(n, n - 1, s))
     sigma = (trials * eps * (1 - eps)) ** 0.5
     assert hits <= trials * eps + 3 * sigma
 

@@ -18,6 +18,7 @@ from vlac.errors import (
     VlacError,
 )
 from vlac.certs_dense import dense_bytes
+from vlac.certs_sparse import det_certify, det_verify
 from vlac.ff import SampleSet, field_new, full_sample_set
 from vlac.la import DenseMatrix
 from vlac.proto import (
@@ -41,6 +42,7 @@ from vlac.proto import (
     InteractiveSource,
     Message,
     QueueTransport,
+    Reject,
     Transcript,
     Verdict,
     decode_message,
@@ -400,7 +402,7 @@ def toy_parts(field, s, secret, cheat=False):
         r = ch.challenge_scalar("toy.r", s)
         _, resp = ch.recv(TAG_RESPONSE, (KIND_VEC,), field)
         if resp != [claim * r % field.p]:
-            return Verdict.reject("CheckFailed:toy"), None
+            raise Reject("CheckFailed:toy")
         return Verdict.accept(Fraction(1, len(s))), None
 
     return pid, params, digest, prover, verifier
@@ -555,6 +557,37 @@ def test_replay_rejects_cheating_transcript(gf101):
     verdict, _ = verify_recorded(t, pid, digest, params, verifier)
     assert not verdict.accepted
     assert verdict.reason == "CheckFailed:toy"
+
+
+def test_replay_reject_keeps_ops_and_transcript():
+    """A fault the replay channel finds is reported like any other reject:
+    with the operations the verifier counted before it, and with the
+    transcript it was found in."""
+    field = field_new(10007)
+    a = DenseMatrix(field, [[2, 7, 1], [5, 3, 8], [4, 6, 9]])
+    honest = det_certify(a, FiatShamirSource())[0]
+    t = honest.transcript
+
+    def with_messages(msgs):
+        return Transcript(t.protocol_id, t.mode, t.instance_digest, t.params, msgs)
+
+    # every check passes before the extra message is found
+    padded = with_messages(t.messages + t.messages[-1:])
+    verdict, _ = det_verify(a, padded)
+    assert verdict.reason == "ProtocolViolation:trailing-messages"
+    assert verdict.transcript is padded
+    assert verdict.verifier_ops == honest.verifier_ops > 0
+
+    # the last challenge comes after the Bezout check and before the solve check
+    msgs = list(t.messages)
+    last = max(i for i, m in enumerate(msgs) if m.tag == TAG_CHALLENGE)
+    m = msgs[last]
+    msgs[last] = Message(m.role, m.tag, m.kind, (m.value + 1) % field.p)
+    forged = with_messages(msgs)
+    verdict, _ = det_verify(a, forged)
+    assert verdict.reason == "ChallengeMismatch"
+    assert verdict.transcript is forged
+    assert 0 < verdict.verifier_ops < honest.verifier_ops
 
 
 def test_replay_out_of_range_scalar_rejected(gf101):

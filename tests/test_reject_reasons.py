@@ -88,6 +88,7 @@ N = 3
 A = DenseMatrix(F, [[2, 7, 1], [5, 3, 8], [4, 6, 9]])  # det -115
 RANK2 = DenseMatrix(F, [[1, 2, 3], [2, 4, 6], [5, 1, 7]])
 U, V = [1, 2, 3], [4, 5, 6]
+WRONG_SQUARE = DenseMatrix(F, (A.a @ A.a + 1) % F.p)  # claimed A·A, every entry off by one
 M_INT = IntMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])  # det 18, far below its bound
 X = Poly.x(F)
 M_POLY = PolyMatrix(F, [[X, Poly.one(F)], [Poly.constant(F, 2), X * X]])
@@ -174,14 +175,10 @@ def spotcheck_edits(gen_at: int) -> dict:
     }
 
 
-def _minpoly_instance(s=None):
-    return PROTOCOL_MINPOLY, _minpoly_parts(A, U, V, s, None), lambda t: minpoly_verify(A, U, V, t, s=s)
-
-
 def _singular_shift_prover(ch):
     """Commit the honest package, then pass on every shifted system."""
     s = full_sample_set(F)
-    _, parts, _ = _minpoly_instance()
+    _, parts, _ = _instance(PROTOCOL_MINPOLY)
     t = fs_prove(PROTOCOL_MINPOLY, parts[0], parts[1], parts[2])
     for m in t.messages[:4]:
         ch.send(m.tag, m.kind, m.value)
@@ -201,7 +198,7 @@ def _instance(protocol_id: str):
     if protocol_id == PROTOCOL_RANK:
         return protocol_id, _rank_parts(RANK2, 2, None, None), lambda t: rank_verify(RANK2, 2, t)
     if protocol_id == PROTOCOL_MINPOLY:
-        return _minpoly_instance()
+        return protocol_id, _minpoly_parts(A, U, V, None, None), lambda t: minpoly_verify(A, U, V, t)
     if protocol_id == PROTOCOL_DET:
         return protocol_id, _det_parts(A, None, None, None), lambda t: det_verify(A, t)
     if protocol_id == PROTOCOL_INTDET:
@@ -216,7 +213,7 @@ def _false_claim(protocol_id: str):
     """(protocol id, parts, public verify) of an instance whose claim is
     false, or whose honest prover must give up."""
     if protocol_id == PROTOCOL_MATMUL:
-        c = DenseMatrix(F, (A.a @ A.a + 1) % F.p)
+        c = WRONG_SQUARE
         return protocol_id, _matmul_parts(A, A, c, None, "geometric", 1), lambda t: matmul_verify(A, A, c, t)
     if protocol_id == PROTOCOL_CHAIN:
         c = DenseMatrix(F, A.a @ A.a % F.p)
@@ -296,7 +293,7 @@ CHEATS = [
 def _cheat(how):
     """(protocol id, parts, cheating prover, public verify) of a row."""
     if callable(how):
-        protocol_id, parts, verify = _minpoly_instance()
+        protocol_id, parts, verify = _instance(PROTOCOL_MINPOLY)
         return protocol_id, parts, how, verify
     if isinstance(how, str):
         protocol_id, parts, verify = _false_claim(how)
@@ -397,26 +394,26 @@ MODULES = ("proto", "certs_dense", "certs_sparse", "lift")
 
 
 def _source_reasons() -> set:
-    """Reason-shaped strings that a function returns, or passes first to a
-    call (a verdict, an exception), in the verifier modules; an f-string
+    """Reason-shaped strings that the verifier modules pass to a call (a
+    verdict, an exception, a shared check) or return; an f-string
     contributes its constant prefix."""
     found = set()
     for name in MODULES:
         tree = ast.parse(Path(vlac.__file__).with_name(f"{name}.py").read_text())
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and node.args:
-                cand = node.args[0]
+            if isinstance(node, ast.Call):
+                cands = node.args
             elif isinstance(node, ast.Return) and node.value is not None:
-                cand = node.value
-                if isinstance(cand, ast.Tuple) and cand.elts:
-                    cand = cand.elts[0]
+                value = node.value
+                cands = value.elts[:1] if isinstance(value, ast.Tuple) else [value]
             else:
                 continue
-            if isinstance(cand, ast.JoinedStr):
-                cand = cand.values[0]
-            if isinstance(cand, ast.Constant) and isinstance(cand.value, str):
-                if REASON.match(cand.value):
-                    found.add(cand.value)
+            for cand in cands:
+                if isinstance(cand, ast.JoinedStr):
+                    cand = cand.values[0]
+                if isinstance(cand, ast.Constant) and isinstance(cand.value, str):
+                    if REASON.match(cand.value):
+                        found.add(cand.value)
     return found
 
 
@@ -429,17 +426,14 @@ def test_every_reason_has_a_row():
 # -- public entry points return verdicts -------------------------------------------
 
 
-def _diag45():
-    return DenseMatrix(F, [[4, 0], [0, 5]])
-
-
+DIAG45 = DenseMatrix(F, [[4, 0], [0, 5]])
 ZERO = DenseMatrix(F, [[0] * N for _ in range(N)])
 PZERO = Poly.zero(F)
 
 # a public certify call on an instance it must reject, and the reason
 CERTIFY_REJECTS = [
     (PROTOCOL_MATMUL, "CheckFailed:product",
-     lambda src: matmul_certify(A, A, DenseMatrix(F, (A.a @ A.a + 1) % F.p), src)),
+     lambda src: matmul_certify(A, A, WRONG_SQUARE, src)),
     (PROTOCOL_CHAIN, "CheckFailed:chain.0",
      lambda src: chain_certify([MatMulClaim(Literal(A), Literal(A), A)], src)),
     (PROTOCOL_INVERSE, "CheckFailed:inverse", lambda src: inverse_certify(A, A, src)),
@@ -448,7 +442,7 @@ CERTIFY_REJECTS = [
     (PROTOCOL_RANK, "ProverFailed", lambda src: rank_certify(RANK2, 3, src)),
     # every shift in {4, 5} is an eigenvalue
     (PROTOCOL_MINPOLY, "SingularShift",
-     lambda src: minpoly_certify(_diag45(), [1, 1], [1, 1], src, s=SampleSet(F, 2, offset=4))),
+     lambda src: minpoly_certify(DIAG45, [1, 1], [1, 1], src, s=SampleSet(F, 2, offset=4))),
     (PROTOCOL_DET, "DegreeDeficient", lambda src: det_certify(ZERO, src)),
     (PROTOCOL_INTDET, "DegreeDeficient",
      lambda src: intdet_certify(IntMatrix([[0, 0], [0, 0]]), src)),
