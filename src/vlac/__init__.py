@@ -37,14 +37,12 @@ from .la import (
     CostCounter,
     DenseMatrix,
     SparseMatrix,
-    as_blackbox,
     butterfly_padding,
     butterfly_param_count,
     compose,
     dense_matmul,
     det_dense,
     diagonal_scaling,
-    identity_blackbox,
     invert_dense,
     kernel_vector,
     leading_projection,

@@ -384,7 +384,7 @@ def _cmd_serve(args) -> int:
                 return
             tr.send_frame(HELLO_OK)
             serve_session(tr, prover)
-        except (Timeout, TransportError, ProtocolViolation) as exc:
+        except (Timeout, TransportError, ProtocolViolation, Malformed) as exc:
             print(f"session failed: {exc}", file=sys.stderr)
         finally:
             tr.close()

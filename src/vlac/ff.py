@@ -110,27 +110,10 @@ class PrimeField:
 
     # -- scalar arithmetic ------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise DivisionByZero("inverse of 0")
         return pow(a, -1, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
 
     # -- array helpers -----------------------------------------------------
 

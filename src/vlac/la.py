@@ -129,12 +129,6 @@ class DenseMatrix(Operator):
     def mu(self) -> int:
         return 2 * self.rows * self.cols
 
-    def entry(self, i: int, j: int) -> int:
-        return int(self.a[i, j])
-
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self.field, self.a.T)
-
     def _apply(self, x: np.ndarray) -> np.ndarray:
         if self._limbs is None and not _one_plane(self.field, self.cols):
             self._limbs = False  # applied once, not split
@@ -278,11 +272,6 @@ class SparseMatrix(Operator):
         out = field.zeros(size)
         np.add.at(out, out_idx, _reduce(self.vals * x[in_idx], p))
         return _reduce(out, p)
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_arrays(
-            self.field, self.cols, self.rows, self.ci, self.ri, self.vals
-        )
 
     def to_dense(self) -> DenseMatrix:
         a = self.field.zeros(self.shape)
@@ -478,13 +467,6 @@ class Blackbox(Operator):
         return f"Blackbox({self.rows}x{self.cols}, mu={self.mu})"
 
 
-def as_blackbox(m: Operator) -> Blackbox:
-    """Any operator as a Blackbox of the same products (a blackbox passes through)."""
-    if isinstance(m, Blackbox):
-        return m
-    return Blackbox(m.field, m.rows, m.cols, m.mu, m._apply, m._apply_t)
-
-
 def diagonal_scaling(field: PrimeField, d: Sequence[int]) -> Blackbox:
     """Invertible diagonal operator diag(d); every entry must be nonzero."""
     dv = field.arr(d)
@@ -496,11 +478,6 @@ def diagonal_scaling(field: PrimeField, d: Sequence[int]) -> Blackbox:
     p = field.p
     fn = lambda x: dv * x % p
     return Blackbox(field, n, n, n, fn, fn)
-
-
-def identity_blackbox(field: PrimeField, n: int) -> Blackbox:
-    fn = lambda x: x.copy()
-    return Blackbox(field, n, n, 0, fn, fn)
 
 
 def compose(*ops: Operator) -> Blackbox:

@@ -93,9 +93,6 @@ class IntMatrix:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    def entry(self, i: int, j: int) -> int:
-        return int(self.a[i, j])
-
     def reduce(self, field: PrimeField) -> DenseMatrix:
         """The matrix mod p, reduced once (in int64 when the entries fit)."""
         a64 = self._int64()

@@ -57,16 +57,13 @@ ROLE_VERIFIER = 1
 TAG_COMMIT = 0
 TAG_CHALLENGE = 1
 TAG_RESPONSE = 2
-TAG_CLAIM = 3
 
 KIND_EMPTY = 0
 KIND_SCALAR = 1
 KIND_UINT = 2
 KIND_VEC = 3
 KIND_POLY = 4
-KIND_MATRIX = 5
 KIND_BIGINT = 6
-KIND_BYTES = 7
 
 MODE_INTERACTIVE = 0
 MODE_FIAT_SHAMIR = 1
@@ -155,16 +152,12 @@ def encode_payload(kind: int, value) -> bytes:
         if kind == KIND_POLY and len(vals) and vals[-1] == 0:
             raise Malformed("polynomial encoding must be trimmed")
         return _u32(len(vals)) + _u64_block(vals)
-    if kind == KIND_MATRIX:
-        return bytes(matrix_chunks(value))
     if kind == KIND_BIGINT:
         v = int(value)
         sign = 1 if v < 0 else 0
         mag = abs(v)
         data = mag.to_bytes((mag.bit_length() + 7) // 8, "little") if mag else b""
         return bytes([sign]) + _u32(len(data)) + data
-    if kind == KIND_BYTES:
-        return bytes(value)
     raise Malformed(f"unknown payload kind {kind}")
 
 
@@ -193,27 +186,23 @@ class Chunks:
 
 
 def matrix_chunks(value, tag: bytes = b"") -> Chunks:
-    """``tag`` followed by the KIND_MATRIX encoding of ``value``, as the
-    header and the entries.
+    """The dense instance encoding of ``value``, a ``DenseMatrix`` or a
+    2-d array, as the header and the entries: ``tag``, the row and column
+    counts as u32s, then every entry in row-major order as a u64.
 
     A little-endian int64 or u64 array in C order is not copied: its
     entries are a u64 view of its buffer, which holds the same bytes as
-    a cast to u64.  Any other input is packed once.
+    a cast to u64.  Any other array (``object`` for wide fields) is
+    packed once.
     """
-    if isinstance(value, tuple) and len(value) == 3:
-        # canonical (rows, cols, flat) form, as produced by decoding
-        rows, cols, flat = value
-    else:
-        arr = value.a if hasattr(value, "a") else value
-        if not isinstance(arr, np.ndarray):
-            arr = np.array(arr, dtype=object)
-        rows, cols = arr.shape if arr.ndim == 2 else (0, 0)
-        flat = np.ascontiguousarray(arr).reshape(-1)
-    if isinstance(flat, np.ndarray) and flat.dtype in _WORD_DTYPES:
+    arr = value.a if hasattr(value, "a") else value
+    rows, cols = arr.shape
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    if flat.dtype in _WORD_DTYPES:
         body = flat.view(np.uint8)
     else:
         body = _u64_block(flat)
-    return Chunks(tag + _u32(int(rows)) + _u32(int(cols)), body)
+    return Chunks(tag + _u32(rows) + _u32(cols), body)
 
 
 def decode_payload(kind: int, buf: bytes):
@@ -240,10 +229,6 @@ def _decode_payload_inner(kind: int, r: _Reader):
         if kind == KIND_POLY and vals and vals[-1] == 0:
             raise Malformed("polynomial encoding not canonical")
         return vals
-    if kind == KIND_MATRIX:
-        rows = r.u32()
-        cols = r.u32()
-        return (rows, cols, _u64_list(r, rows * cols))
     if kind == KIND_BIGINT:
         sign = r.u8()
         if sign not in (0, 1):
@@ -256,8 +241,6 @@ def _decode_payload_inner(kind: int, r: _Reader):
         if sign == 1 and mag == 0:
             raise Malformed("negative zero")
         return -mag if sign else mag
-    if kind == KIND_BYTES:
-        return r.take(len(r.buf) - r.pos)
     raise Malformed(f"unknown payload kind {kind}")
 
 
@@ -280,7 +263,7 @@ def decode_message(buf: bytes) -> Message:
     role, tag, kind = buf[0], buf[1], buf[2]
     if role not in (ROLE_PROVER, ROLE_VERIFIER):
         raise Malformed(f"bad role byte {role}")
-    if tag not in (TAG_COMMIT, TAG_CHALLENGE, TAG_RESPONSE, TAG_CLAIM):
+    if tag not in (TAG_COMMIT, TAG_CHALLENGE, TAG_RESPONSE):
         raise Malformed(f"bad tag byte {tag}")
     return Message(role, tag, kind, decode_payload(kind, buf[3:]))
 
@@ -288,9 +271,7 @@ def decode_message(buf: bytes) -> Message:
 def _payload_in_field(kind: int, value, p: int) -> bool:
     if kind == KIND_SCALAR:
         return 0 <= value < p
-    if kind == KIND_MATRIX:
-        value = value[2]
-    elif kind not in (KIND_VEC, KIND_POLY):
+    if kind not in (KIND_VEC, KIND_POLY):
         return True
     return not value or (min(value) >= 0 and max(value) < p)
 
@@ -495,13 +476,13 @@ class Verdict:
 
     @classmethod
     def accept(
-        cls, error_bound: Fraction, heuristics: tuple[str, ...] = (), ops: int = 0
+        cls, error_bound: Fraction, heuristics: tuple[str, ...] = ()
     ) -> "Verdict":
-        return cls(True, None, error_bound, heuristics, ops)
+        return cls(True, None, error_bound, heuristics)
 
     @classmethod
-    def reject(cls, reason: str, ops: int = 0) -> "Verdict":
-        return cls(False, reason, Fraction(0), (), ops)
+    def reject(cls, reason: str) -> "Verdict":
+        return cls(False, reason, Fraction(0))
 
 
 class Reject(Exception):

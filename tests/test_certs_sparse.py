@@ -301,6 +301,28 @@ def test_rank_wrong_claims_reject(gf101):
     assert rank_certify(a, 2, InteractiveSource(9)).accepted
 
 
+# Rank-2 diagonals on which the butterfly rank bound fails with certainty:
+# a claim of rank 1 is accepted, under the butterfly-preconditioner label,
+# at every seed tried and in both modes.  A fix changes the pinned
+# transcripts, so it needs a new protocol id.
+RANK_TWO_DIAGONALS = [
+    pytest.param((1, 0, 1), seed, id=f"101-seed{seed}") for seed in range(5)
+] + [
+    pytest.param(diagonal, None, id="".join(map(str, diagonal)) + "-fiat-shamir")
+    for diagonal in ((1, 0, 1), (1, 0, 1, 0), (1, 0, 0, 0, 1, 0, 0, 0))
+]
+
+
+@pytest.mark.xfail(strict=True, reason="the butterfly rank bound accepts a false rank 1")
+@pytest.mark.parametrize("certify", [rank_certify, rank_upper_certify], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("diagonal, seed", RANK_TWO_DIAGONALS)
+def test_rank_one_claim_on_a_rank_two_diagonal_rejects(gf10007, certify, diagonal, seed):
+    n = len(diagonal)
+    a = DenseMatrix(gf10007, [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    source = FiatShamirSource() if seed is None else InteractiveSource(seed)
+    assert not certify(a, 1, source).accepted
+
+
 def test_rank_perfect_completeness_sweep(gf101, gf10007):
     rng = Random(13)
     for field in (gf101, gf10007):

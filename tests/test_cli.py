@@ -24,7 +24,9 @@ from vlac.matrixmarket import (
     write_poly,
     write_sparse,
 )
-from vlac.proto import lp
+from vlac.proto import lp, transcript_deserialize
+
+from test_proto import UNASSIGNED_CODES, with_first_message
 
 
 # -- matrix market parsing ------------------------------------------------------
@@ -39,7 +41,7 @@ def test_parse_array_is_column_major(gf101):
     mf = parse_matrix_market(text)
     m = mf.matrix
     assert isinstance(m, DenseMatrix)
-    assert [[m.entry(i, j) for j in range(2)] for i in range(2)] == [[1, 3], [2, 4]]
+    assert m.a.tolist() == [[1, 3], [2, 4]]
     assert mf.modulus == 101 and mf.layout == "array"
 
 
@@ -197,6 +199,17 @@ def test_cli_missing_transcript_exit_2(tmp_path, gf101, capsys):
         ["verify", "--problem", "matmul", *paths, "--transcript", str(tmp_path / "no")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("raw", UNASSIGNED_CODES)
+def test_cli_verify_exits_2_on_an_unassigned_code(tmp_path, gf101, capsys, raw):
+    path = sparse_det_file(tmp_path, gf101, n=4)
+    out = tmp_path / "det.vlac"
+    assert main(["prove", "--problem", "det", path, "--output", str(out)]) == 0
+    out.write_bytes(with_first_message(transcript_deserialize(out.read_bytes()), raw))
+    capsys.readouterr()
+    assert main(["verify", "--problem", "det", path, "--transcript", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_det_and_friends_round_trip(tmp_path, gf101, capsys):
@@ -522,6 +535,30 @@ def test_cli_serve_drops_an_oversized_frame_after_the_hello(tmp_path, gf101):
             assert time.monotonic() - start < 5
     finally:
         proc.wait(timeout=10)
+
+
+@pytest.mark.parametrize("kind", [5, 9])
+def test_cli_serve_logs_an_unknown_kind_and_serves_on(tmp_path, gf101, capsys, kind):
+    path = sparse_det_file(tmp_path, gf101, n=4)
+    a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
+    params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
+    proc, port = spawn_server(["serve", "--problem", "det", path, "--timeout", "60"],
+                              stderr=subprocess.PIPE)
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+            tr = SocketTransport(s, timeout=10)
+            tr.send_frame(hello_frame(PROTOCOL_DET, params, digest))
+            assert tr.recv_frame(MAX_HELLO) == HELLO_OK
+            # a message frame of an unassigned kind where a challenge is due
+            tr.send_frame(b"\x00" + bytes([1, 1, kind]) + struct.pack("<IIQ", 1, 1, 1))
+            while s.recv(1 << 16):
+                pass
+        code = main(["delegate", "--problem", "det", path, "--port", str(port)])
+        assert code == 0 and "ACCEPT" in capsys.readouterr().out
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    assert proc.stderr.read() == f"session failed: unknown payload kind {kind}\n"
 
 
 def delegate_against(tmp_path, gf101, capsys, before: bytes):

@@ -4,12 +4,13 @@ Every channel encodes what it sends with ``encode_payload`` and every
 reader decodes with ``decode_payload``, so decoding an encoding must give
 back exactly the canonical form of the value sent (``canon`` below, a
 reference written apart from the codec), for every payload kind and at
-the edges: empty vectors, trimmed and zero polynomials, 0x0 and 1x1
-matrices, and big integers past +-2^64.
+the edges: empty vectors, trimmed and zero polynomials, and big integers
+past +-2^64.
 
-The codec packs and reads vectors and matrices as whole arrays; the
-differential tests below hold it to a per-entry ``struct`` reference of
-the same wire format.
+The codec packs and reads vectors as whole arrays, and ``matrix_chunks``
+packs a dense instance matrix the same way; the differential tests below
+hold both to a per-entry ``struct`` reference of the same format, 0x0
+and 1x1 matrices included.
 """
 
 import struct
@@ -25,9 +26,7 @@ from vlac.ff import Poly, field_new
 from vlac.la import DenseMatrix
 from vlac.proto import (
     KIND_BIGINT,
-    KIND_BYTES,
     KIND_EMPTY,
-    KIND_MATRIX,
     KIND_POLY,
     KIND_SCALAR,
     KIND_UINT,
@@ -35,13 +34,13 @@ from vlac.proto import (
     ROLE_PROVER,
     ROLE_VERIFIER,
     TAG_CHALLENGE,
-    TAG_CLAIM,
     TAG_COMMIT,
     TAG_RESPONSE,
     Message,
     decode_message,
     decode_payload,
     encode_payload,
+    matrix_chunks,
 )
 
 P_WORD = 3037000493  # int64 storage
@@ -57,8 +56,6 @@ def canon(kind, value):
         return int(value)
     if kind in (KIND_VEC, KIND_POLY):
         return [int(v) for v in getattr(value, "coeffs", value)]
-    if kind == KIND_MATRIX and isinstance(value, DenseMatrix):
-        return (value.rows, value.cols, [int(v) for v in value.a.reshape(-1)])
     return value
 
 
@@ -79,29 +76,11 @@ def poly_objects(draw):
     return Poly(field, coeffs)
 
 
-@st.composite
-def matrix_tuples(draw):
-    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-    flat = draw(st.lists(u64, min_size=rows * cols, max_size=rows * cols))
-    return rows, cols, flat
-
-
-@st.composite
-def dense_matrices(draw):
-    field = draw(st.sampled_from(FIELDS))
-    rows, cols = draw(st.sampled_from([(0, 0), (1, 1), (1, 3), (3, 1), (2, 2), (4, 3)]))
-    entries = draw(
-        st.lists(st.integers(0, field.p - 1), min_size=rows * cols, max_size=rows * cols)
-    )
-    return DenseMatrix(field, np.array(entries, dtype=object).reshape(rows, cols))
-
-
 PAYLOADS = st.one_of(
     st.tuples(st.just(KIND_EMPTY), st.none()),
     st.tuples(st.sampled_from([KIND_SCALAR, KIND_UINT]), u64),
     st.tuples(st.just(KIND_VEC), u64_vec),
     st.tuples(st.just(KIND_POLY), st.one_of(trimmed, poly_objects())),
-    st.tuples(st.just(KIND_MATRIX), st.one_of(matrix_tuples(), dense_matrices())),
     st.tuples(
         st.just(KIND_BIGINT),
         st.one_of(
@@ -110,7 +89,6 @@ PAYLOADS = st.one_of(
             st.sampled_from([0, 2**64, -(2**64), 2**64 - 1, -(2**64) + 1]),
         ),
     ),
-    st.tuples(st.just(KIND_BYTES), st.binary(max_size=40)),
 )
 
 
@@ -126,17 +104,17 @@ def test_payload_round_trip(payload):
 
 def test_matrix_edge_shapes():
     for field in FIELDS:
-        for data, canon in (([[]], (1, 0, [])), ([[field.p - 1]], (1, 1, [field.p - 1]))):
+        for data, shape in (([[]], (1, 0)), ([[field.p - 1]], (1, 1))):
             m = DenseMatrix(field, data)
-            assert decode_payload(KIND_MATRIX, encode_payload(KIND_MATRIX, m)) == canon
+            assert bytes(matrix_chunks(m)) == ref_matrix(*shape, sum(data, []))
         empty = DenseMatrix(field, field.zeros((0, 0)))
-        assert decode_payload(KIND_MATRIX, encode_payload(KIND_MATRIX, empty)) == (0, 0, [])
+        assert bytes(matrix_chunks(empty)) == ref_matrix(0, 0, [])
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from([ROLE_PROVER, ROLE_VERIFIER]),
-    st.sampled_from([TAG_COMMIT, TAG_CHALLENGE, TAG_RESPONSE, TAG_CLAIM]),
+    st.sampled_from([TAG_COMMIT, TAG_CHALLENGE, TAG_RESPONSE]),
     PAYLOADS,
 )
 def test_message_round_trip(role, tag, payload):
@@ -151,15 +129,15 @@ def test_message_round_trip(role, tag, payload):
 
 
 def ref_encode(kind, value) -> bytes:
-    """The wire format one entry at a time: u32 count (or u32 rows, u32
-    cols), then one little-endian u64 per entry."""
-    if kind == KIND_MATRIX:
-        rows, cols, flat = value
-        head = struct.pack("<II", rows, cols)
-    else:
-        flat = value
-        head = struct.pack("<I", len(flat))
-    return head + b"".join(struct.pack("<Q", v) for v in flat)
+    """The wire format one entry at a time: u32 count, then one
+    little-endian u64 per entry."""
+    return struct.pack("<I", len(value)) + b"".join(struct.pack("<Q", v) for v in value)
+
+
+def ref_matrix(rows, cols, flat) -> bytes:
+    """The dense instance encoding one entry at a time: u32 rows, u32
+    cols, then one little-endian u64 per entry in row-major order."""
+    return struct.pack("<II", rows, cols) + b"".join(struct.pack("<Q", v) for v in flat)
 
 
 def ref_decode(kind, buf: bytes):
@@ -173,13 +151,9 @@ def ref_decode(kind, buf: bytes):
         pos += size
         return struct.unpack_from(fmt, buf, pos - size)
 
-    if kind == KIND_MATRIX:
-        rows, cols = unpack("<II")
-        value = (rows, cols, [unpack("<Q")[0] for _ in range(rows * cols)])
-    else:
-        value = [unpack("<Q")[0] for _ in range(unpack("<I")[0])]
-        if kind == KIND_POLY and value and value[-1] == 0:
-            raise Malformed("polynomial encoding not canonical")
+    value = [unpack("<Q")[0] for _ in range(unpack("<I")[0])]
+    if kind == KIND_POLY and value and value[-1] == 0:
+        raise Malformed("polynomial encoding not canonical")
     if pos != len(buf):
         raise Malformed("payload has trailing bytes")
     return value
@@ -213,13 +187,11 @@ def test_vectors_match_the_reference(field):
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"p={f.p}")
 def test_matrices_match_the_reference(field):
     for rows, cols, flat in edge_matrices(field.p):
-        blob = encode_payload(KIND_MATRIX, (rows, cols, flat))
-        assert blob == ref_encode(KIND_MATRIX, (rows, cols, flat))
-        assert decode_payload(KIND_MATRIX, blob) == ref_decode(KIND_MATRIX, blob)
-        assert decode_payload(KIND_MATRIX, blob) == (rows, cols, flat)
+        blob = ref_matrix(rows, cols, flat)
+        assert bytes(matrix_chunks(np.array(flat, dtype=object).reshape(rows, cols))) == blob
         if all(v < field.p for v in flat):
             m = DenseMatrix(field, field.arr(flat).reshape(rows, cols))
-            assert encode_payload(KIND_MATRIX, m) == blob
+            assert bytes(matrix_chunks(m)) == blob
 
 
 def test_polys_match_the_reference():
@@ -243,9 +215,7 @@ def _peak_bytes(fn) -> int:
 def test_count_past_the_end_is_truncated_without_allocating(count):
     head = struct.pack("<I", count)
     body = b"\x07" * 8 * min(count - 1, 2)  # fewer entries than counted
-    cases = [(KIND_VEC, head + body), (KIND_POLY, head + body),
-             (KIND_MATRIX, head + struct.pack("<I", count) + body),
-             (KIND_MATRIX, struct.pack("<II", 1, count) + body)]
+    cases = [(KIND_VEC, head + body), (KIND_POLY, head + body)]
     for kind, blob in cases:
         def decode():
             with pytest.raises(Malformed, match="record truncated"):
@@ -257,7 +227,7 @@ def test_count_past_the_end_is_truncated_without_allocating(count):
 
 
 def test_trailing_bytes_and_untrimmed_polys_keep_their_messages():
-    for kind, value in ((KIND_VEC, [1, 2]), (KIND_POLY, [1, 2]), (KIND_MATRIX, (1, 2, [1, 2]))):
+    for kind, value in ((KIND_VEC, [1, 2]), (KIND_POLY, [1, 2])):
         with pytest.raises(Malformed, match="payload has trailing bytes"):
             decode_payload(kind, encode_payload(kind, value) + b"\x00")
     untrimmed = encode_payload(KIND_VEC, [1, 0])
@@ -273,12 +243,12 @@ def test_entries_outside_u64_raise_malformed(bad):
         (KIND_VEC, [0, bad]),
         (KIND_VEC, np.array([0, bad], dtype=object)),
         (KIND_POLY, [bad]),
-        (KIND_MATRIX, (1, 2, [bad, 0])),
-        (KIND_MATRIX, np.array([[bad, 0]], dtype=object)),
-        (KIND_MATRIX, [[0], [bad]]),
     ]
     if bad == -1:
         values.append((KIND_VEC, np.array([3, -1], dtype=np.int64)))
     for kind, value in values:
         with pytest.raises(Malformed, match="does not fit a u64"):
             encode_payload(kind, value)
+    for value in (np.array([[bad, 0]], dtype=object), np.array([[0], [bad]], dtype=object)):
+        with pytest.raises(Malformed, match="does not fit a u64"):
+            matrix_chunks(value)

@@ -12,14 +12,12 @@ from vlac.la import (
     CostCounter,
     DenseMatrix,
     SparseMatrix,
-    as_blackbox,
     butterfly_padding,
     butterfly_param_count,
     compose,
     dense_matmul,
     det_dense,
     diagonal_scaling,
-    identity_blackbox,
     invert_dense,
     kernel_vector,
     leading_projection,
@@ -82,9 +80,9 @@ def test_matvec_object_dtype_path():
     assert big.dtype is object
     rng = Random(5)
     a = rand_dense(big, rng, 4, 4)
-    s = SparseMatrix(big, 4, 4, [(i, j, a.entry(i, j)) for i in range(4) for j in range(4)])
+    s = SparseMatrix(big, 4, 4, [(i, j, a.a[i, j]) for i in range(4) for j in range(4)])
     x = [rng.randrange(big.p) for _ in range(4)]
-    want = [sum(a.entry(i, j) * x[j] for j in range(4)) % big.p for i in range(4)]
+    want = [sum(a.a[i, j] * x[j] for j in range(4)) % big.p for i in range(4)]
     assert list(matvec(a, x)) == want
     assert list(matvec(s, x)) == want
 
@@ -114,8 +112,8 @@ def test_dense_matmul_wide_accumulation(gf_big):
     got = dense_matmul(a, b)
     for i in range(2):
         for j in range(2):
-            want = sum(a.entry(i, t) * b.entry(t, j) for t in range(k)) % gf_big.p
-            assert got.entry(i, j) == want
+            want = sum(int(a.a[i, t]) * int(b.a[t, j]) for t in range(k)) % gf_big.p
+            assert got.a[i, j] == want
 
 
 @pytest.mark.parametrize("p", (101, 3037000507))
@@ -125,12 +123,13 @@ def test_dense_matrix_is_c_ordered_whatever_the_input(p):
     cells = [[rng.randrange(3 * p) for _ in range(5)] for _ in range(3)]
     m = DenseMatrix(field, cells)
     fortran = DenseMatrix(field, np.asfortranarray(np.array(cells, dtype=field.dtype)))
-    for d in (m, fortran, m.transpose(), fortran.transpose()):
+    transposed = DenseMatrix(field, m.a.T)
+    for d in (m, fortran, transposed, DenseMatrix(field, fortran.a.T)):
         assert d.a.flags.c_contiguous
         assert d.a.dtype == field.dtype
     want = [[v % p for v in row] for row in cells]
     assert fortran.a.tolist() == want
-    assert m.transpose().a.tolist() == [list(col) for col in zip(*want)]
+    assert transposed.a.tolist() == [list(col) for col in zip(*want)]
 
 
 def test_sparse_validation(gf101):
@@ -166,7 +165,7 @@ def test_sparse_entries_sorted_reduced_and_transposed(gf101):
     s = SparseMatrix(gf101, 3, 2, [(2, 1, -1), (0, 1, 2**70), (0, 0, 202), (1, 0, 5)])
     assert list(s.triples()) == [(0, 1, 2**70 % 101), (1, 0, 5), (2, 1, 100)]
     assert s.ri.dtype == s.ci.dtype == np.int64 and s.vals.dtype == np.int64
-    t = s.transpose()
+    t = SparseMatrix.from_arrays(gf101, 2, 3, s.ci, s.ri, s.vals)
     assert t.shape == (2, 3)
     assert list(t.triples()) == [(0, 1, 5), (1, 0, 2**70 % 101), (1, 2, 100)]
     same = SparseMatrix.from_arrays(gf101, 3, 2, s.ri, s.ci, s.vals)
@@ -182,19 +181,18 @@ def all_probe_ops(field, rng):
     d = [rng.randrange(1, field.p) for _ in range(4)]
     bf = Butterfly(field, 4, rand_thetas(rng, field.p, butterfly_param_count(4)))
     s = SparseMatrix(
-        field, 4, 4, [(i, j, a.entry(i, j)) for i in range(4) for j in range(4) if (i + j) % 2]
+        field, 4, 4, [(i, j, a.a[i, j]) for i in range(4) for j in range(4) if (i + j) % 2]
     )
     diag = DenseMatrix(field, np.diag(d))
     pairs = [
         (a, a),
         (s, s.to_dense()),
         (bf, None),
-        (as_blackbox(a), a),
-        (as_blackbox(s), s.to_dense()),
-        (identity_blackbox(field, 4), DenseMatrix(field, np.eye(4, dtype=int))),
+        (compose(a), a),
+        (compose(s), s.to_dense()),
         (diagonal_scaling(field, d), diag),
-        (as_blackbox(bf), bf.to_dense()),
-        (as_blackbox(s).scale_rows(field.arr(d)), dense_matmul(diag, s.to_dense())),
+        (compose(bf), bf.to_dense()),
+        (compose(s).scale_rows(field.arr(d)), dense_matmul(diag, s.to_dense())),
         (compose(a, s), dense_matmul(a, s.to_dense())),
         (padded(a, 6, 5), None),
         (leading_projection(a, 2), None),
@@ -237,12 +235,11 @@ def test_blackbox_linearity_and_transpose(gf101):
 
 def _probed(m) -> np.ndarray:
     """The operator's matrix, one identity column at a time."""
-    bb = as_blackbox(m)
-    out = bb.field.zeros(bb.shape)
-    for j in range(bb.cols):
-        e = bb.field.zeros(bb.cols)
+    out = m.field.zeros(m.shape)
+    for j in range(m.cols):
+        e = m.field.zeros(m.cols)
         e[j] = 1
-        out[:, j] = bb.apply(e)
+        out[:, j] = m.apply(e)
     return out
 
 
@@ -258,7 +255,7 @@ def test_materialize_matrices_is_a_fresh_copy(p, shape):
         field, rows, cols,
         [(i, j, rng.randrange(1, p)) for i in range(rows) for j in range(cols) if (i + j) % 2 == 0],
     )
-    for m in (dense, sparse, as_blackbox(dense)):
+    for m in (dense, sparse, compose(dense)):
         before = _probed(m)
         out = m.to_dense()
         assert out.shape == shape
@@ -285,7 +282,7 @@ def test_padded_embeds_and_keeps_rank(gf101):
     a = DenseMatrix(gf101, [[1, 2], [2, 4]])
     big = padded(a, 4, 3).to_dense()
     assert big.shape == (4, 3)
-    assert big.entry(0, 1) == 2 and big.entry(3, 2) == 0
+    assert big.a[0, 1] == 2 and big.a[3, 2] == 0
     assert brute_rank(gf101, big) == brute_rank(gf101, a) == 1
 
 

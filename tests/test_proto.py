@@ -23,9 +23,7 @@ from vlac.ff import SampleSet, field_new, full_sample_set
 from vlac.la import DenseMatrix
 from vlac.proto import (
     KIND_BIGINT,
-    KIND_BYTES,
     KIND_EMPTY,
-    KIND_MATRIX,
     KIND_POLY,
     KIND_SCALAR,
     KIND_UINT,
@@ -35,9 +33,9 @@ from vlac.proto import (
     ROLE_PROVER,
     ROLE_VERIFIER,
     TAG_CHALLENGE,
-    TAG_CLAIM,
     TAG_COMMIT,
     TAG_RESPONSE,
+    _REC_MESSAGE,
     FiatShamirSource,
     InteractiveSource,
     Message,
@@ -68,10 +66,8 @@ ALL_KINDS = [
     (KIND_UINT, 1 << 40),
     (KIND_VEC, [0, 1, 2**63, 5]),
     (KIND_POLY, [3, 0, 1]),
-    (KIND_MATRIX, (2, 3, [1, 2, 3, 4, 5, 6])),
     (KIND_BIGINT, -(10**30)),
     (KIND_BIGINT, 0),
-    (KIND_BYTES, b"\x00\x01\xff"),
 ]
 
 
@@ -93,10 +89,8 @@ def test_payload_rejects_trailing_bytes():
 
 
 def test_payload_rejects_truncation():
-    # raw bytes are the one kind whose prefixes stay valid; their length
-    # comes from the record frame, not the payload
     for kind, value in ALL_KINDS:
-        if kind in (KIND_EMPTY, KIND_BYTES):
+        if kind == KIND_EMPTY:
             continue
         blob = encode_payload(kind, value)
         for cut in range(len(blob)):
@@ -116,10 +110,9 @@ def test_payload_canonical_forms_rejected():
         decode_payload(KIND_BIGINT, b"\x00" + (2).to_bytes(4, "little") + b"\x07\x00")
 
 
-def test_matrix_payload_from_dense(gf101):
+def test_dense_matrix_encoding(gf101):
     m = DenseMatrix(gf101, [[1, 2], [3, 4]])
-    blob = encode_payload(KIND_MATRIX, m)
-    assert decode_payload(KIND_MATRIX, blob) == (2, 2, [1, 2, 3, 4])
+    assert dense_bytes(m) == b"D" + struct.pack("<II4Q", 2, 2, 1, 2, 3, 4)
 
 
 def test_matrix_encoding_is_the_same_for_every_array_layout():
@@ -127,10 +120,8 @@ def test_matrix_encoding_is_the_same_for_every_array_layout():
     want = (b"D" + (2).to_bytes(4, "little") + (3).to_bytes(4, "little")
             + b"".join(v.to_bytes(8, "little") for row in rows for v in row))
     a = np.array(rows, dtype=np.int64)
-    for value in (a, a.astype(object), np.asfortranarray(a), a.T.copy().T,
-                  [list(r) for r in rows], (2, 3, [v for row in rows for v in row])):
+    for value in (a, a.astype(object), np.asfortranarray(a), a.T.copy().T):
         assert bytes(matrix_chunks(value, b"D")) == want
-        assert encode_payload(KIND_MATRIX, value) == want[1:]
     # an int64 entry reads as its two's-complement u64, as a cast gives
     assert bytes(matrix_chunks(np.array([[-1]])))[8:] == b"\xff" * 8
     assert bytes(matrix_chunks(np.zeros((0, 4), dtype=np.int64))) == b"\0\0\0\0\x04\0\0\0"
@@ -152,6 +143,34 @@ def test_message_rejects_bad_header():
         decode_message(good[:1] + bytes([9]) + good[2:])
     with pytest.raises(Malformed):
         decode_message(good[:2] + bytes([99]) + good[3:])
+
+
+# Message records that carry a code no protocol sends: kinds 5 and 7 and
+# tag 3 are unassigned.
+UNASSIGNED_CODES = [
+    pytest.param(bytes([ROLE_PROVER, TAG_COMMIT, 5]) + struct.pack("<IIQ", 1, 1, 1), id="kind5"),
+    pytest.param(bytes([ROLE_PROVER, TAG_COMMIT, 7]) + b"\x01\x02", id="kind7"),
+    pytest.param(bytes([ROLE_PROVER, 3, KIND_SCALAR]) + struct.pack("<Q", 1), id="tag3"),
+]
+
+
+def with_first_message(t: Transcript, raw: bytes) -> bytes:
+    """``t`` serialized with the record of its first message holding ``raw``."""
+    head = transcript_serialize(
+        Transcript(t.protocol_id, t.mode, t.instance_digest, t.params, []))
+    rest = transcript_serialize(
+        Transcript(t.protocol_id, t.mode, t.instance_digest, t.params, t.messages[1:]))
+    return head + bytes([_REC_MESSAGE]) + struct.pack("<I", len(raw)) + raw + rest[len(head):]
+
+
+@pytest.mark.parametrize("raw", UNASSIGNED_CODES)
+def test_unassigned_codes_are_malformed(raw):
+    with pytest.raises(Malformed):
+        decode_message(raw)
+    t = sample_transcript()
+    assert transcript_deserialize(with_first_message(t, t.messages[0].encode())) == t
+    with pytest.raises(Malformed):
+        transcript_deserialize(with_first_message(t, raw))
 
 
 # -- transcripts ----------------------------------------------------------------
@@ -392,13 +411,13 @@ def toy_parts(field, s, secret, cheat=False):
     digest = instance_digest(pid, (secret.to_bytes(8, "little"),))
 
     def prover(ch):
-        ch.send(TAG_CLAIM, KIND_SCALAR, secret)
+        ch.send(TAG_COMMIT, KIND_SCALAR, secret)
         r = ch.challenge_scalar("toy.r", s)
         answer = secret * r % field.p
         ch.send(TAG_RESPONSE, KIND_VEC, [answer + (1 if cheat else 0)])
 
     def verifier(ch):
-        _, claim = ch.recv(TAG_CLAIM, (KIND_SCALAR,), field)
+        _, claim = ch.recv(TAG_COMMIT, (KIND_SCALAR,), field)
         r = ch.challenge_scalar("toy.r", s)
         _, resp = ch.recv(TAG_RESPONSE, (KIND_VEC,), field)
         if resp != [claim * r % field.p]:
@@ -427,7 +446,7 @@ def test_live_session_accepts(gf101):
     assert verdict.error_bound == Fraction(1, 101)
     assert transcript.mode == MODE_INTERACTIVE
     assert [m.tag for m in transcript.messages] == [
-        TAG_CLAIM,
+        TAG_COMMIT,
         TAG_CHALLENGE,
         TAG_RESPONSE,
     ]
@@ -593,7 +612,7 @@ def test_replay_reject_keeps_ops_and_transcript():
 def test_replay_out_of_range_scalar_rejected(gf101):
     pid, params, digest, verifier, t = toy_transcript(gf101)
     msgs = list(t.messages)
-    msgs[0] = Message(ROLE_PROVER, TAG_CLAIM, KIND_SCALAR, 101)
+    msgs[0] = Message(ROLE_PROVER, TAG_COMMIT, KIND_SCALAR, 101)
     forged = Transcript(pid, t.mode, digest, params, msgs)
     verdict, _ = verify_recorded(forged, pid, digest, params, verifier)
     assert not verdict.accepted
@@ -605,11 +624,10 @@ def test_replay_out_of_range_scalar_rejected(gf101):
 @pytest.mark.parametrize("kind, value", [
     (KIND_VEC, [3, 101, 4]),
     (KIND_POLY, [1, 2**64 - 1]),
-    (KIND_MATRIX, (1, 2, [101, 0])),
 ])
 def test_replay_out_of_field_entry_rejected(gf101, kind, value):
-    """An entry past p in a recorded vector, polynomial or matrix is
-    caught before the verifier reads the message."""
+    """An entry past p in a recorded vector or polynomial is caught
+    before the verifier reads the message."""
     def verifier(ch):
         ch.recv(TAG_COMMIT, (kind,), gf101)
         return Verdict.accept(Fraction(0)), None
