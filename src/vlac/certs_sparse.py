@@ -147,12 +147,10 @@ def _prove_solve(ch, label: str, s: SampleSet, dense: DenseMatrix) -> None:
 
 
 def _recv_answer(ch, field: PrimeField, n: int) -> np.ndarray:
-    """The prover's answer vector, which must be there and of length n."""
+    """The prover's answer vector of length n, which must be there."""
     kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=n)
     if kind == KIND_EMPTY:
         raise Reject("ProverFailed")
-    if len(wv) != n:
-        raise Reject("Malformed:vector-length")
     return field.arr(wv)
 
 
@@ -416,8 +414,6 @@ def _rank_parts(
         if r > 0:
             _, u_th = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=butterfly_param_count(m))
             _, v_th = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=butterfly_param_count(n))
-            if len(u_th) != butterfly_param_count(m) or len(v_th) != butterfly_param_count(n):
-                raise Reject("Malformed:vector-length")
             if any(t == 0 for t in u_th) or any(t == 0 for t in v_th):
                 raise Reject("Malformed:zero-theta")
             op = _preconditioned(field, a, m, n, u_th, v_th)
@@ -564,8 +560,6 @@ def _verify_minpoly_exchange(
         kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=n)
         if kind == KIND_EMPTY:
             continue
-        if len(wv) != n:
-            raise Reject("Malformed:vector-length")
         w = field.arr(wv)
         shifted = (r1 * w - matvec(operator, w, counter)) % field.p
         counter.add(2 * n)
@@ -725,14 +719,10 @@ def det_verifier_flow(ch, field: PrimeField, operator, s: SampleSet, n: int):
     kind, scale = ch.recv(TAG_COMMIT, (KIND_VEC, KIND_EMPTY), field, count=n)
     if kind == KIND_EMPTY:
         raise Reject("DegreeDeficient")
-    if len(scale) != n:
-        raise Reject("Malformed:vector-length")
     if any(x == 0 for x in scale):
         raise Reject("CheckFailed:scaling")
     _, uv = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=n)
     _, vv = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=n)
-    if len(uv) != n or len(vv) != n:
-        raise Reject("Malformed:vector-length")
     u_arr, v_arr = field.arr(uv), field.arr(vv)
     scaled = compose(diagonal_scaling(field, scale), operator)
     gen, num = _verify_minpoly_exchange(

@@ -373,7 +373,7 @@ def _cmd_serve(args) -> int:
     host, port = server.getsockname()[:2]
     print(f"serving {args.problem} on {host}:{port}", flush=True)
 
-    def handle(conn) -> None:
+    def handle(conn) -> int:
         tr = SocketTransport(conn, args.timeout)
         try:
             deadline = time.monotonic() + min(args.timeout, HELLO_SECONDS)
@@ -381,13 +381,17 @@ def _cmd_serve(args) -> int:
             conn.settimeout(args.timeout)
             if their != (protocol_id, params, digest):
                 tr.send_frame(_abort_frame("instance or protocol mismatch"))
-                return
+                return EXIT_ACCEPT
             tr.send_frame(HELLO_OK)
             serve_session(tr, prover)
         except (Timeout, TransportError, ProtocolViolation, Malformed) as exc:
             print(f"session failed: {exc}", file=sys.stderr)
+        except Exception as exc:  # serve_session has sent the abort
+            print(f"session failed: prover failed: {exc}", file=sys.stderr)
+            return EXIT_PROVER
         finally:
             tr.close()
+        return EXIT_ACCEPT
 
     slots = threading.BoundedSemaphore(MAX_SESSIONS)
 
@@ -401,8 +405,7 @@ def _cmd_serve(args) -> int:
         while True:
             conn, _ = server.accept()
             if args.once:
-                handle(conn)
-                return EXIT_ACCEPT
+                return handle(conn)
             if not slots.acquire(blocking=False):
                 print(f"session refused: {MAX_SESSIONS} sessions running", file=sys.stderr)
                 conn.close()

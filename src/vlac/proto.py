@@ -486,8 +486,8 @@ class Verdict:
 
 
 class Reject(Exception):
-    """Raised by a verifier, or by the replay channel under it, to refuse
-    a run with a stable reason; the runner turns it into the verdict."""
+    """Raised by a verifier, or by the live or replayed channel under it,
+    to refuse a run with a stable reason; the runner builds the verdict."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -565,10 +565,6 @@ class _ChallengeChannel:
     def challenge_prime(self, label: str, bits: int) -> int:
         return self._drawn(KIND_UINT, draw_prime(self._src, label, bits))
 
-    def finish(self) -> None:
-        """Check what the run left behind once the verifier has accepted;
-        only a replayed transcript can have anything left."""
-
 
 class FSProverChannel(_ChallengeChannel):
     """Prover running alone against the hash chain."""
@@ -597,7 +593,33 @@ def _draw_nonzero(source, label: str, s: SampleSet) -> int:
             return v
 
 
-class ReplayVerifierChannel(_ChallengeChannel):
+class _VerifierChannel(_ChallengeChannel):
+    """Verifier half of a run, live or replayed; a subclass supplies where
+    the next prover message comes from (``_next``) and ``_drawn``."""
+
+    def recv(self, tag: int, kinds: tuple[int, ...], field: Optional[PrimeField] = None,
+             count: int = 1):
+        """The next prover message as (kind, value), refused unless its
+        role, tag and kind are the step's, its entries lie in the field and
+        a vector holds exactly count entries.  For the other kinds count is
+        the most 8-byte entries (coefficients or big-integer words) of an
+        honest message; a live channel sizes its frame limit from it."""
+        m = self._next(count)
+        if m.role != ROLE_PROVER or m.tag != tag or m.kind not in kinds:
+            raise Reject("ProtocolViolation:unexpected-message")
+        if field is not None and not _payload_in_field(m.kind, m.value, field.p):
+            raise Reject("Malformed:scalar-out-of-range")
+        if m.kind == KIND_VEC and len(m.value) != count:
+            raise Reject("Malformed:vector-length")
+        self._src.absorb(m.encode())
+        return m.kind, m.value
+
+    def finish(self) -> None:
+        """Check what the run left behind once the verifier has accepted;
+        only a replayed transcript can have anything left."""
+
+
+class ReplayVerifierChannel(_VerifierChannel):
     """Feeds a verifier from a recorded transcript, re-deriving challenges."""
 
     def __init__(self, source: FiatShamirSource, transcript: Transcript):
@@ -605,23 +627,13 @@ class ReplayVerifierChannel(_ChallengeChannel):
         self._msgs = transcript.messages
         self._pos = 0
 
-    def _next(self) -> Message:
+    def _next(self, count: int = 1) -> Message:
+        # a recorded message is already in memory: count bounds no read
         if self._pos >= len(self._msgs):
             raise Reject("ProtocolViolation:transcript-truncated")
         m = self._msgs[self._pos]
         self._pos += 1
         return m
-
-    def recv(self, tag: int, kinds: tuple[int, ...], field: Optional[PrimeField] = None,
-             count: int = 1):
-        # a recorded message is already in memory: count bounds no read
-        m = self._next()
-        if m.role != ROLE_PROVER or m.tag != tag or m.kind not in kinds:
-            raise Reject("ProtocolViolation:unexpected-message")
-        if field is not None and not _payload_in_field(m.kind, m.value, field.p):
-            raise Reject("Malformed:scalar-out-of-range")
-        self._src.absorb(m.encode())
-        return m.kind, m.value
 
     def _drawn(self, kind: int, value):
         m = self._next()
@@ -647,27 +659,19 @@ def _frame_limit(count: int) -> int:
     return 4 + 8 * count + _FRAME_SLACK
 
 
-class LiveVerifierChannel(_ChallengeChannel):
-    """Interactive verifier half over a transport."""
+class LiveVerifierChannel(_VerifierChannel):
+    """Interactive verifier half over a transport; a decoded prover
+    message joins the transcript before recv checks it."""
 
     def __init__(self, source, transport, transcript: Transcript):
         super().__init__(source)
         self._tr = transport
         self._t = transcript
 
-    def recv(self, tag: int, kinds: tuple[int, ...], field: Optional[PrimeField] = None,
-             count: int = 1):
-        """The next prover message, read under a limit sized from count:
-        the most 8-byte entries (vector or polynomial entries, or words of
-        a big integer) an honest message of this step holds."""
+    def _next(self, count: int) -> Message:
         m = _parse_frame(self._tr.recv_frame(_frame_limit(count)))
-        if m.role != ROLE_PROVER or m.tag != tag or m.kind not in kinds:
-            raise ProtocolViolation("unexpected message from prover")
-        if field is not None and not _payload_in_field(m.kind, m.value, field.p):
-            raise ProtocolViolation("prover sent out-of-range scalar")
         self._t.messages.append(m)
-        self._src.absorb(m.encode())
-        return m.kind, m.value
+        return m
 
     def _drawn(self, kind: int, value):
         m = Message(ROLE_VERIFIER, TAG_CHALLENGE, kind, value)
@@ -760,8 +764,8 @@ def run_session(
     """Live session with the prover on a worker thread.
 
     Returns (verdict, result, transcript).  Raises Timeout,
-    ProtocolViolation or TransportError if the session itself breaks;
-    mere disbelief is a rejecting verdict instead.
+    ProtocolViolation or TransportError if the session itself breaks; a
+    wrong prover message, like disbelief, is a rejecting verdict instead.
     """
     to_prover: queue.Queue = queue.Queue()
     to_verifier: queue.Queue = queue.Queue()
@@ -770,9 +774,9 @@ def run_session(
 
     def prover_main():
         try:
-            prover_fn(LiveProverChannel(prover_tr))
-        except BaseException as exc:  # surface prover crashes to the peer
-            prover_tr.send_frame(_abort_frame(f"{type(exc).__name__}: {exc}"))
+            serve_session(prover_tr, prover_fn)
+        except BaseException:
+            pass  # a prover crash has reached the verifier as an abort
 
     worker = threading.Thread(target=prover_main, daemon=True)
     worker.start()

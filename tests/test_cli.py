@@ -24,7 +24,14 @@ from vlac.matrixmarket import (
     write_poly,
     write_sparse,
 )
-from vlac.proto import lp, transcript_deserialize
+from vlac.proto import (
+    KIND_VEC,
+    ROLE_PROVER,
+    TAG_RESPONSE,
+    Message,
+    lp,
+    transcript_deserialize,
+)
 
 from test_proto import UNASSIGNED_CODES, with_first_message
 
@@ -561,9 +568,53 @@ def test_cli_serve_logs_an_unknown_kind_and_serves_on(tmp_path, gf101, capsys, k
     assert proc.stderr.read() == f"session failed: unknown payload kind {kind}\n"
 
 
-def delegate_against(tmp_path, gf101, capsys, before: bytes):
-    """Run ``vlac delegate`` against a fake prover that, after reading the
-    hello, sends ``before`` and then announces a 2^30 - 1 byte frame."""
+def crashing_polydet_file(tmp_path):
+    """A 3x3 degree-3 polynomial matrix over GF(7): its determinant has
+    degree up to 9, and the prover cannot interpolate it from 7 points."""
+    gf7 = field_new(7)
+    rows = [[Poly(gf7, [(i + j) % 7, 0, 0, 1]) for j in range(3)] for i in range(3)]
+    path = tmp_path / "pd.mtx"
+    path.write_text(write_poly(PolyMatrix(gf7, rows)))
+    return str(path)
+
+
+CRASH_LOG = "session failed: prover failed: field too small to interpolate the determinant\n"
+
+
+def test_cli_serve_logs_a_prover_crash_and_exits_3_once(tmp_path, capsys):
+    path = crashing_polydet_file(tmp_path)
+    proc, port = spawn_server(["serve", "--problem", "polydet", path, "--once"],
+                              stderr=subprocess.PIPE)
+    try:
+        code = main(["delegate", "--problem", "polydet", path, "--port", str(port)])
+        assert code == 1 and "peer aborted" in capsys.readouterr().err
+        assert proc.wait(timeout=10) == 3
+        assert proc.stderr.read() == CRASH_LOG
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+
+
+def test_cli_serve_logs_a_prover_crash_and_serves_on(tmp_path, capsys):
+    path = crashing_polydet_file(tmp_path)
+    proc, port = spawn_server(["serve", "--problem", "polydet", path], stderr=subprocess.PIPE)
+    try:
+        for _ in range(2):
+            assert main(["delegate", "--problem", "polydet", path, "--port", str(port)]) == 1
+            assert proc.stderr.readline() == CRASH_LOG
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+
+
+def framed(data: bytes) -> bytes:
+    return struct.pack(">I", len(data)) + data
+
+
+def delegate_against(tmp_path, gf101, capsys, sent: bytes):
+    """Run ``vlac delegate`` on a 4x4 det against a fake prover that, after
+    reading the hello, sends ``sent``; returns the exit code, stdout and
+    stderr."""
     path = sparse_det_file(tmp_path, gf101, n=4)
     server = socket.create_server(("127.0.0.1", 0))
     port = server.getsockname()[1]
@@ -573,7 +624,7 @@ def delegate_against(tmp_path, gf101, capsys, before: bytes):
         conn, _ = server.accept()
         with conn:
             SocketTransport(conn, timeout=30).recv_frame(MAX_HELLO)
-            conn.sendall(before + struct.pack(">I", (1 << 30) - 1))
+            conn.sendall(sent)
             done.wait(30)
 
     worker = threading.Thread(target=fake_prover, daemon=True)
@@ -584,21 +635,37 @@ def delegate_against(tmp_path, gf101, capsys, before: bytes):
             ["delegate", "--problem", "det", path, "--port", str(port), "--timeout", "30"]
         )
         assert time.monotonic() - start < 5
-        assert code == 5
-        assert "frame of 1073741823 bytes refused" in capsys.readouterr().err
+        return (code, *capsys.readouterr())
     finally:
         done.set()
         worker.join(timeout=10)
         server.close()
 
 
+# a frame header announcing 2^30 - 1 bytes, with nothing after it
+HUGE_FRAME = struct.pack(">I", (1 << 30) - 1)
+
+
 def test_cli_delegate_refuses_an_oversized_hello_reply(tmp_path, gf101, capsys):
-    delegate_against(tmp_path, gf101, capsys, b"")
+    code, _, err = delegate_against(tmp_path, gf101, capsys, HUGE_FRAME)
+    assert code == 5
+    assert "frame of 1073741823 bytes refused" in err
 
 
 def test_cli_delegate_refuses_an_oversized_prover_message(tmp_path, gf101, capsys):
     # the verifier's first read after the hello is a length-4 vector
-    delegate_against(tmp_path, gf101, capsys, struct.pack(">I", len(HELLO_OK)) + HELLO_OK)
+    code, _, err = delegate_against(tmp_path, gf101, capsys, framed(HELLO_OK) + HUGE_FRAME)
+    assert code == 5
+    assert "frame of 1073741823 bytes refused" in err
+
+
+def test_cli_delegate_rejects_a_first_message_under_the_wrong_tag(tmp_path, gf101, capsys):
+    # the det verifier's first read is the row scaling, sent as a commitment
+    first = Message(ROLE_PROVER, TAG_RESPONSE, KIND_VEC, [1, 2, 3, 4]).encode()
+    sent = framed(HELLO_OK) + framed(b"\x00" + first)
+    code, out, _ = delegate_against(tmp_path, gf101, capsys, sent)
+    assert code == 1
+    assert "REJECT reason=ProtocolViolation:unexpected-message" in out
 
 
 def test_cli_serve_caps_live_sessions(tmp_path, gf101):

@@ -476,8 +476,14 @@ def test_session_wrong_tag_is_violation(gf101):
         ch.recv(TAG_COMMIT, (KIND_SCALAR,), gf101)
         return Verdict.accept(Fraction(0)), None
 
-    with pytest.raises(ProtocolViolation):
-        run_session("vlac.toy.v1", b"", DIGEST, prover, verifier, InteractiveSource(1))
+    verdict, _, transcript = run_session(
+        "vlac.toy.v1", b"", DIGEST, prover, verifier, InteractiveSource(1)
+    )
+    # a decodable but wrong prover message rejects as it does on replay
+    assert not verdict.accepted
+    assert verdict.reason == "ProtocolViolation:unexpected-message"
+    assert verdict.transcript is transcript
+    assert transcript.messages[-1] == Message(ROLE_PROVER, TAG_RESPONSE, KIND_SCALAR, 1)
 
 
 def test_session_prover_crash_surfaces(gf101):

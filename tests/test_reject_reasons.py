@@ -4,7 +4,8 @@ A row either runs a cheating prover (an honest prover whose chosen
 messages are rewritten before they are sent, or a false claim) against
 the public verifier, or tampers with an honest hash-compiled transcript,
 and asserts the exact ``verdict.reason``.  Cheating provers run both
-hash-compiled and live; tampered transcripts exist only on replay.
+hash-compiled and live, and reject the same way in both, the channel's
+own checks included; tampered transcripts exist only on replay.
 """
 
 import ast
@@ -248,6 +249,10 @@ CHEATS = [
     row("ProverFailed", "nonsingular", PROTOCOL_NONSINGULAR),
     row("ProverFailed", "rank-upper", PROTOCOL_RANK_UPPER),
     row("ProverFailed", "rank-lower", PROTOCOL_RANK),
+    row("ProtocolViolation:unexpected-message", "nonsingular",
+        (PROTOCOL_NONSINGULAR, {0: lambda tag, kind, value: (TAG_COMMIT, kind, value)})),
+    row("Malformed:scalar-out-of-range", "nonsingular",
+        (PROTOCOL_NONSINGULAR, {0: entries(lambda xs: [F.p] + xs[1:])})),
     row("CheckFailed:solve", "nonsingular", (PROTOCOL_NONSINGULAR, {0: entries(bump)})),
     row("CheckFailed:solve", "rank-lower", (PROTOCOL_RANK, {2: entries(bump)})),
     row("Malformed:vector-length", "nonsingular", (PROTOCOL_NONSINGULAR, {0: entries(shorten)})),
