@@ -49,8 +49,10 @@ from vlac.proto import (
     encode_payload,
     fs_prove,
     instance_digest,
+    _parse_frame,
     matrix_chunks,
     run_session,
+    serve_session,
     transcript_deserialize,
     transcript_serialize,
     verify_recorded,
@@ -517,6 +519,56 @@ def test_queue_transport_timeout():
     tr = QueueTransport(queue.Queue(), queue.Queue(), timeout=0.05)
     with pytest.raises(Timeout):
         tr.recv_frame()
+
+
+class FrameQueue:
+    """A transport half that hands out the given frames and keeps what
+    is sent to it."""
+
+    def __init__(self, *frames: bytes):
+        self.inbox = list(frames)
+        self.sent = []
+
+    def send_frame(self, data: bytes) -> None:
+        self.sent.append(data)
+
+    def recv_frame(self, limit=None, deadline=None) -> bytes:
+        return self.inbox.pop(0)
+
+
+def _challenge_frame(role, kind, value) -> bytes:
+    return b"\x00" + Message(role, TAG_CHALLENGE, kind, value).encode()
+
+
+# one verifier frame no honest draw could give, and the prover's call
+# that waits for it; a 10-element sample set and a 16-bit prime
+BAD_CHALLENGES = {
+    "prover-role": (ROLE_PROVER, KIND_SCALAR, 3, lambda ch, s: ch.challenge_scalar("c", s)),
+    "wrong-kind": (ROLE_VERIFIER, KIND_UINT, 3, lambda ch, s: ch.challenge_scalar("c", s)),
+    "scalar-outside": (ROLE_VERIFIER, KIND_SCALAR, 10, lambda ch, s: ch.challenge_scalar("c", s)),
+    "vector-short": (ROLE_VERIFIER, KIND_VEC, [1, 2, 3],
+                     lambda ch, s: ch.challenge_vector("c", s, 4)),
+    "vector-entry-outside": (ROLE_VERIFIER, KIND_VEC, [1, 2, 10, 3],
+                             lambda ch, s: ch.challenge_vector("c", s, 4)),
+    "nonzero-vector-zero": (ROLE_VERIFIER, KIND_VEC, [1, 0, 2, 3],
+                            lambda ch, s: ch.challenge_nonzero_vector("c", s, 4)),
+    "prime-composite": (ROLE_VERIFIER, KIND_UINT, 3 * 10923,  # 2^15 + 1
+                        lambda ch, s: ch.challenge_prime("c", 16)),
+    "prime-bit-short": (ROLE_VERIFIER, KIND_UINT, 32749,  # prime below 2^15
+                        lambda ch, s: ch.challenge_prime("c", 16)),
+}
+
+
+@pytest.mark.parametrize("row", sorted(BAD_CHALLENGES))
+def test_live_prover_refuses_a_challenge_no_draw_could_give(gf101, row):
+    role, kind, value, wait = BAD_CHALLENGES[row]
+    s = SampleSet(gf101, 10)
+    tr = FrameQueue(_challenge_frame(role, kind, value))
+    with pytest.raises(ProtocolViolation):
+        serve_session(tr, lambda ch: wait(ch, s))
+    assert len(tr.sent) == 1
+    with pytest.raises(ProtocolViolation, match="peer aborted"):
+        _parse_frame(tr.sent[0])
 
 
 # -- hash-compiled replay binding -------------------------------------------------
