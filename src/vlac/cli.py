@@ -69,16 +69,10 @@ from .lift import (
     _polydet_parts,
 )
 from .matrixmarket import MatrixFile, parse_matrix_market
-from .net import (
-    HELLO_OK,
-    HELLO_SECONDS,
-    MAX_HELLO,
-    SocketTransport,
-    hello_frame,
-    parse_hello,
-)
+from .net import HELLO_OK, HELLO_SECONDS, MAX_HELLO, hello_frame, parse_hello
 from .proto import (
     InteractiveSource,
+    SocketTransport,
     Verdict,
     _abort_frame,
     fs_prove,
@@ -117,12 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--epsilon",
             help="largest acceptable error bound, e.g. 1/1000 or 0.001",
-        )
-        p.add_argument(
-            "--mode",
-            choices=("interactive", "fiat-shamir"),
-            help="challenge provenance; prove/verify are hash-compiled "
-            "(fiat-shamir), serve/delegate run live (interactive)",
         )
         p.add_argument("--seed", type=int, help="challenge / derivation seed")
         p.add_argument("--timeout", type=float, default=60.0, help="round timeout (s)")
@@ -326,17 +314,11 @@ def _finish(verdict: Verdict, result, render, limit) -> int:
 # -- subcommands ----------------------------------------------------------------
 
 
-def _want_mode(args, required: str) -> None:
-    if args.mode is not None and args.mode != required:
-        raise Malformed(f"{args.command} only runs in {required} mode")
-
-
 def _prover_fault(reason: Optional[str]) -> bool:
     return reason in ("ProverFailed", "DegreeDeficient", "SingularShift")
 
 
 def _cmd_prove(args) -> int:
-    _want_mode(args, "fiat-shamir")
     protocol_id, parts, render = _assemble(args)
     params, digest, prover, _ = parts
     try:
@@ -359,7 +341,6 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _want_mode(args, "fiat-shamir")
     protocol_id, parts, render = _assemble(args)
     transcript = transcript_deserialize(Path(args.transcript).read_bytes())
     verdict, result = replay(transcript, protocol_id, parts)
@@ -367,13 +348,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    _want_mode(args, "interactive")
     protocol_id, (params, digest, prover, _), _ = _assemble(args)
     server = socket.create_server((args.host, args.port))
     host, port = server.getsockname()[:2]
     print(f"serving {args.problem} on {host}:{port}", flush=True)
 
+    def failed(why, code: int) -> int:
+        print(f"session failed: {why}", file=sys.stderr)
+        return code
+
     def handle(conn) -> int:
+        """Serve one connection; the exit code main gives its fault, or 0."""
         tr = SocketTransport(conn, args.timeout)
         try:
             deadline = time.monotonic() + min(args.timeout, HELLO_SECONDS)
@@ -381,14 +366,17 @@ def _cmd_serve(args) -> int:
             conn.settimeout(args.timeout)
             if their != (protocol_id, params, digest):
                 tr.send_frame(_abort_frame("instance or protocol mismatch"))
-                return EXIT_ACCEPT
+                raise ProtocolViolation("instance or protocol mismatch")
             tr.send_frame(HELLO_OK)
             serve_session(tr, prover)
-        except (Timeout, TransportError, ProtocolViolation, Malformed) as exc:
-            print(f"session failed: {exc}", file=sys.stderr)
+        except (Timeout, TransportError) as exc:
+            return failed(exc, EXIT_TRANSPORT)
+        except ProtocolViolation as exc:
+            return failed(exc, EXIT_REJECT)
+        except Malformed as exc:
+            return failed(exc, EXIT_MALFORMED)
         except Exception as exc:  # serve_session has sent the abort
-            print(f"session failed: prover failed: {exc}", file=sys.stderr)
-            return EXIT_PROVER
+            return failed(f"prover failed: {exc}", EXIT_PROVER)
         finally:
             tr.close()
         return EXIT_ACCEPT
@@ -416,7 +404,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_delegate(args) -> int:
-    _want_mode(args, "interactive")
     protocol_id, (params, digest, _, verifier), render = _assemble(args)
     try:
         sock = socket.create_connection((args.host, args.port), timeout=args.timeout)

@@ -5,7 +5,8 @@ verifier, that talk through a channel.  The channel decides where
 challenges come from:
 
 * live interactive sessions draw them from a seeded RNG and ship them to
-  the prover over a transport (in-process queues or TCP);
+  the prover over a framed socket transport (one end of a socket pair
+  in process, a TCP connection across hosts);
 * hash-compiled (Fiat-Shamir) runs derive them from a SHA-256 chain over
   the instance digest and every prover message so far, so the prover can
   run alone and leave a self-contained transcript;
@@ -28,9 +29,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import queue
+import socket
 import struct
 import threading
+import time
 
 import numpy as np
 from dataclasses import dataclass, field as dataclass_field
@@ -497,23 +499,70 @@ class Reject(Exception):
 # -- transports ---------------------------------------------------------------
 
 
-class QueueTransport:
-    """In-process transport half; two of these back a live session."""
+MAX_FRAME = 1 << 30
 
-    def __init__(self, send_q: queue.Queue, recv_q: queue.Queue, timeout: float):
-        self._send = send_q
-        self._recv = recv_q
-        self.timeout = timeout
+
+class SocketTransport:
+    """One framed, timeout-guarded connection half: one end of the socket
+    pair of an in-process session, or a TCP connection.
+
+    A frame is a 4-byte big-endian length followed by that many payload
+    bytes, whose first byte is the frame type.  ``recv_seconds``
+    accumulates wall time spent blocked on the peer, so a verifier client
+    can report how long the remote prover worked versus how long its own
+    checks took.
+    """
+
+    def __init__(self, sock: socket.socket, timeout: float = 60.0):
+        self.sock = sock
+        self.sock.settimeout(timeout)
+        self.recv_seconds = 0.0
 
     def send_frame(self, data: bytes) -> None:
-        self._send.put(data)
-
-    def recv_frame(self, limit: Optional[int] = None) -> bytes:
-        # frames come from this process, so the size limit is not needed
         try:
-            return self._recv.get(timeout=self.timeout)
-        except queue.Empty:
-            raise Timeout("peer did not respond within the round deadline")
+            self.sock.sendall(struct.pack(">I", len(data)) + data)
+        except socket.timeout:
+            raise Timeout("send stalled beyond the round deadline")
+        except OSError as exc:
+            raise TransportError(f"send failed: {exc}")
+
+    def _recv_exact(self, n: int, deadline: float | None) -> bytes:
+        chunks = []
+        got = 0
+        while got < n:
+            try:
+                if deadline is not None:
+                    # a timeout of 0 would make the socket non-blocking
+                    self.sock.settimeout(max(deadline - time.monotonic(), 1e-6))
+                part = self.sock.recv(n - got)
+            except socket.timeout:
+                raise Timeout("peer did not respond within the round deadline")
+            except OSError as exc:
+                raise TransportError(f"recv failed: {exc}")
+            if not part:
+                raise TransportError("connection closed mid-frame")
+            chunks.append(part)
+            got += len(part)
+        return b"".join(chunks)
+
+    def recv_frame(self, limit: int = MAX_FRAME, deadline: float | None = None) -> bytes:
+        """The next frame's payload; a frame announcing more than limit
+        bytes is refused before any of it is read, and with a deadline (a
+        ``time.monotonic()`` value) the whole frame must arrive by then."""
+        start = time.monotonic()
+        try:
+            (length,) = struct.unpack(">I", self._recv_exact(4, deadline))
+            if length > limit:
+                raise TransportError(f"frame of {length} bytes refused")
+            return self._recv_exact(length, deadline)
+        finally:
+            self.recv_seconds += time.monotonic() - start
+
+    def close(self) -> None:
+        try:
+            self.sock.close()
+        except OSError:
+            pass
 
 
 def _msg_frame(m: Message) -> bytes:
@@ -538,32 +587,52 @@ def _parse_frame(frame: bytes) -> Message:
 
 
 class _ChallengeChannel:
-    """Challenge core of the channels that hold the challenge source.
+    """Challenge core of every channel.
 
-    Each challenge is drawn from the source once; a subclass supplies only
-    the step after the draw (record it, match it against a transcript, or
-    emit it to the prover) through ``_drawn``, which returns the value.
+    Each challenge method states its draw from the source next to the
+    range every such draw lies in, and hands both to ``_challenge``,
+    which a subclass may replace: by default the challenge is drawn and
+    then passed to ``_drawn``, the subclass's step after the draw (record
+    it, match it against a transcript, or send it to the prover), which
+    returns the value.
     """
 
-    def __init__(self, source):
+    def __init__(self, source=None):
         self._src = source
-        self.is_fiat_shamir = source.kind == "fiat-shamir"
 
     def challenge_scalar(self, label: str, s: SampleSet) -> int:
-        return self._drawn(KIND_SCALAR, self._src.draw_scalar(label, s))
+        return self._challenge(
+            KIND_SCALAR, 1, lambda: self._src.draw_scalar(label, s), lambda v: v in s
+        )
 
     def challenge_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
-        return self._drawn(
-            KIND_VEC, [self._src.draw_scalar(f"{label}.{i}", s) for i in range(count)]
+        return self._challenge(
+            KIND_VEC,
+            count,
+            lambda: [self._src.draw_scalar(f"{label}.{i}", s) for i in range(count)],
+            lambda v: len(v) == count and all(x in s for x in v),
         )
 
     def challenge_nonzero_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
-        return self._drawn(
-            KIND_VEC, [_draw_nonzero(self._src, f"{label}.{i}", s) for i in range(count)]
+        return self._challenge(
+            KIND_VEC,
+            count,
+            lambda: [_draw_nonzero(self._src, f"{label}.{i}", s) for i in range(count)],
+            lambda v: len(v) == count and all(x != 0 and x in s for x in v),
         )
 
     def challenge_prime(self, label: str, bits: int) -> int:
-        return self._drawn(KIND_UINT, draw_prime(self._src, label, bits))
+        return self._challenge(
+            KIND_UINT,
+            1,
+            lambda: draw_prime(self._src, label, bits),
+            lambda v: 1 << (bits - 1) <= v < 1 << bits and is_probable_prime(v),
+        )
+
+    def _challenge(self, kind: int, count: int, draw: Callable, valid: Callable):
+        """A challenge of kind with count 8-byte entries, made by draw;
+        valid(value) holds for every value draw can give."""
+        return self._drawn(kind, draw())
 
 
 class FSProverChannel(_ChallengeChannel):
@@ -680,48 +749,25 @@ class LiveVerifierChannel(_VerifierChannel):
         return value
 
 
-class LiveProverChannel:
-    """Interactive prover half over a transport; each challenge frame is
-    read under a limit sized from the challenge it waits for."""
-
-    is_fiat_shamir = False
+class LiveProverChannel(_ChallengeChannel):
+    """Interactive prover half over a transport: each challenge frame is
+    read under a limit sized from the challenge it waits for, and refused
+    unless it holds a value the verifier's draw could give."""
 
     def __init__(self, transport):
+        super().__init__()
         self._tr = transport
 
     def send(self, tag: int, kind: int, value=None) -> None:
         self._tr.send_frame(_msg_frame(Message(ROLE_PROVER, tag, kind, value)))
 
-    def _challenge(self, kind: int, count: int = 0):
-        # a scalar or prime is one 8-byte entry
-        m = _parse_frame(self._tr.recv_frame(_frame_limit(count if kind == KIND_VEC else 1)))
+    def _challenge(self, kind: int, count: int, draw: Callable, valid: Callable):
+        m = _parse_frame(self._tr.recv_frame(_frame_limit(count)))
         if m.role != ROLE_VERIFIER or m.tag != TAG_CHALLENGE or m.kind != kind:
             raise ProtocolViolation("expected a challenge")
+        if not valid(m.value):
+            raise ProtocolViolation("challenge outside what the verifier draws")
         return m.value
-
-    def challenge_scalar(self, label: str, s: SampleSet) -> int:
-        v = self._challenge(KIND_SCALAR)
-        if v not in s:
-            raise ProtocolViolation("challenge outside the sample set")
-        return v
-
-    def challenge_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
-        v = self._challenge(KIND_VEC, count)
-        if len(v) != count or any(x not in s for x in v):
-            raise ProtocolViolation("malformed vector challenge")
-        return v
-
-    def challenge_nonzero_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
-        v = self.challenge_vector(label, s, count)
-        if any(x == 0 for x in v):
-            raise ProtocolViolation("zero entry in nonzero challenge")
-        return v
-
-    def challenge_prime(self, label: str, bits: int) -> int:
-        v = self._challenge(KIND_UINT)
-        if not (1 << (bits - 1) <= v < 1 << bits) or not is_probable_prime(v):
-            raise ProtocolViolation("challenge is not a prime of the agreed size")
-        return v
 
 
 # -- session runners ----------------------------------------------------------
@@ -747,7 +793,7 @@ def _run_verifier(verifier_fn: Callable, channel):
     except Reject as rej:
         verdict, result = Verdict.reject(rej.reason), None
     verdict.verifier_ops = channel.counter.ops
-    if verdict.accepted and channel.is_fiat_shamir:
+    if verdict.accepted and channel._src.kind == "fiat-shamir":
         verdict.heuristics = (HEURISTIC_FS,) + verdict.heuristics
     return verdict, result
 
@@ -761,22 +807,22 @@ def run_session(
     source,
     timeout: float = DEFAULT_ROUND_TIMEOUT,
 ):
-    """Live session with the prover on a worker thread.
+    """Live session with the prover on a worker thread, across a socket
+    pair framed and limited as a TCP session is.
 
     Returns (verdict, result, transcript).  Raises Timeout,
     ProtocolViolation or TransportError if the session itself breaks; a
     wrong prover message, like disbelief, is a rejecting verdict instead.
     """
-    to_prover: queue.Queue = queue.Queue()
-    to_verifier: queue.Queue = queue.Queue()
-    verifier_tr = QueueTransport(to_prover, to_verifier, timeout)
-    prover_tr = QueueTransport(to_verifier, to_prover, timeout)
+    verifier_tr, prover_tr = (SocketTransport(s, timeout) for s in socket.socketpair())
 
     def prover_main():
         try:
             serve_session(prover_tr, prover_fn)
         except BaseException:
             pass  # a prover crash has reached the verifier as an abort
+        finally:
+            prover_tr.close()  # a verifier still reading fails at once
 
     worker = threading.Thread(target=prover_main, daemon=True)
     worker.start()
@@ -785,8 +831,8 @@ def run_session(
             protocol_id, params, digest, verifier_tr, verifier_fn, source
         )
     finally:
-        # wake a prover still waiting on a challenge so the join is quick
-        verifier_tr.send_frame(_abort_frame("session closed"))
+        # a prover still waiting on a challenge reads the close and returns
+        verifier_tr.close()
         worker.join(timeout=timeout)
 
 

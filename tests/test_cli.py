@@ -15,7 +15,7 @@ from vlac.cli import MAX_SESSIONS, main
 from vlac.errors import Malformed, TransportError
 from vlac.ff import Poly, field_new, full_sample_set
 from vlac.la import DenseMatrix, SparseMatrix, dense_matmul, rank_dense
-from vlac.net import FRAME_HELLO, HELLO_OK, MAX_HELLO, SocketTransport, hello_frame
+from vlac.net import FRAME_HELLO, HELLO_OK, MAX_HELLO, hello_frame
 from vlac.lift import IntMatrix, PolyMatrix
 from vlac.matrixmarket import (
     parse_matrix_market,
@@ -29,6 +29,7 @@ from vlac.proto import (
     ROLE_PROVER,
     TAG_RESPONSE,
     Message,
+    SocketTransport,
     lp,
     transcript_deserialize,
 )
@@ -320,12 +321,16 @@ def test_cli_epsilon_gates(tmp_path, gf101, capsys):
 def test_cli_mode_and_modulus_guards(tmp_path, gf101, capsys):
     paths = matmul_files(tmp_path, gf101)
     out = str(tmp_path / "t.vlac")
-    assert main(["prove", "--problem", "matmul", *paths, "--output", out,
-                 "--mode", "interactive"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["prove", "--problem", "matmul", *paths, "--output", out,
+              "--mode", "interactive"])
+    assert exc.value.code == 2
     assert main(["prove", "--problem", "matmul", *paths, "--output", out,
                  "--modulus", "103"]) == 2
-    assert main(["delegate", "--problem", "matmul", *paths, "--port", "1",
-                 "--mode", "fiat-shamir"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["delegate", "--problem", "matmul", *paths, "--port", "1",
+              "--mode", "fiat-shamir"])
+    assert exc.value.code == 2
 
 
 # -- live TCP sessions ------------------------------------------------------------
@@ -501,7 +506,9 @@ def test_cli_serve_drops_an_oversized_hello_at_once(tmp_path, gf101):
             # announces a frame far past a hello, then sends nothing more
             s.sendall(struct.pack(">I", MAX_HELLO + 1))
             assert s.recv(1) == b""
+        assert proc.wait(timeout=10) == 5
     finally:
+        proc.kill()
         proc.wait(timeout=10)
 
 
@@ -516,8 +523,40 @@ def test_cli_serve_logs_a_hello_whose_id_is_not_utf8(tmp_path, gf101):
             tr = SocketTransport(s, timeout=10)
             tr.send_frame(bytes([FRAME_HELLO]) + lp(b"\xff") + lp(params) + digest)
             assert s.recv(1) == b""
-        assert proc.wait(timeout=10) == 0
+        assert proc.wait(timeout=10) == 1
         assert proc.stderr.read() == "session failed: unreadable handshake\n"
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+
+
+@pytest.mark.parametrize("case, code, log", [
+    ("mismatch", 1, "instance or protocol mismatch"),
+    ("silent", 5, "peer did not respond within the round deadline"),
+    ("aborted", 1, "peer aborted: bye"),
+    ("unknown-kind", 2, "unknown payload kind 9"),
+])
+def test_cli_serve_once_exits_with_the_code_of_its_fault(tmp_path, gf101, case, code, log):
+    path = sparse_det_file(tmp_path, gf101, n=4)
+    a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
+    params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
+    argv = ["serve", "--problem", "det", path, "--once", "--timeout", "1"]
+    proc, port = spawn_server(argv, stderr=subprocess.PIPE)
+    try:
+        # the client stays connected until the server has exited
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+            tr = SocketTransport(s, timeout=10)
+            if case == "mismatch":
+                tr.send_frame(hello_frame(PROTOCOL_DET, params, bytes(32)))
+            else:
+                tr.send_frame(hello_frame(PROTOCOL_DET, params, digest))
+                assert tr.recv_frame(MAX_HELLO) == HELLO_OK
+            if case == "aborted":
+                tr.send_frame(b"\x01bye")
+            if case == "unknown-kind":
+                tr.send_frame(b"\x00" + bytes([1, 1, 9]))
+            assert proc.wait(timeout=10) == code
+        assert proc.stderr.read() == f"session failed: {log}\n"
     finally:
         proc.kill()
         proc.wait(timeout=10)
