@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Exceptions are reserved for malformed inputs, broken encodings, and
-transport faults.  A verifier that merely disbelieves the prover does not
-raise; it returns a rejecting verdict with a reason string (see
-:mod:`vlac.proto`).
+transport faults.  A verifier that merely disbelieves the prover raises
+``proto.Reject`` with a reason string, which ``proto._run_verifier`` turns
+into the rejecting verdict (see :mod:`vlac.proto`).
 """
 
 

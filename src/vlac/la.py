@@ -856,15 +856,15 @@ def det_dense(a: DenseMatrix) -> int:
     return det
 
 
-# Entries in one determinant batch, so a batch stays a few MB whatever the
+# Entries in one det_stack call, so a stack stays a few MB whatever the
 # number of slices, and in one block of its row updates, so the update's
-# temporary stays far smaller than the batch.
+# temporary stays far smaller than the stack.
 STACK_ENTRIES = 1 << 20
 UPDATE_ENTRIES = 1 << 14
 
 
 def stack_cap(n: int) -> int:
-    """Most n x n slices one determinant batch holds."""
+    """Most n x n slices a caller puts in one det_stack call."""
     return max(1, STACK_ENTRIES // max(1, n * n))
 
 
@@ -873,42 +873,34 @@ def det_stack(stack: np.ndarray, moduli: Sequence[int]) -> list[int]:
 
     Entries must be canonical, in int64 when every modulus is int64-safe
     and in ``object`` otherwise; the stack is overwritten.  One forward
-    elimination runs on all the slices of a batch at once, with the pivot
-    search, row swaps and sign kept per slice, and stops at the triangular
-    form.  Each column reduces its pivot column and row; the trailing block
-    is reduced once per ``dot_chunk()`` rank-1 updates of the batch's largest
-    modulus (FFLAS-FFPACK's delayed reduction), every column at P_WORD and
-    over ``object``.  Batches hold at most ``stack_cap(n)`` slices.
+    elimination runs on all the slices at once, with the pivot search, row
+    swaps and sign kept per slice, and stops at the triangular form.  Each
+    column reduces its pivot column and row; the trailing block is reduced
+    once per ``dot_chunk()`` rank-1 updates of the largest modulus
+    (FFLAS-FFPACK's delayed reduction), every column at P_WORD and over
+    ``object``.  Callers build stacks of at most ``stack_cap(n)`` slices.
     """
     k, n, _ = stack.shape
     if len(moduli) != k:
         raise DimensionMismatch(f"{k} slices but {len(moduli)} moduli")
-    cap = stack_cap(n)
-    out = []
-    for lo in range(0, k, cap):
-        ps = np.array(moduli[lo : lo + cap], dtype=stack.dtype)
-        out += [int(d) for d in _det_batch(stack[lo : lo + cap], ps)]
-    return out
-
-
-def _det_batch(m: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """In-place forward elimination of a stack; returns the determinants."""
-    k, n, _ = m.shape
+    if not k:
+        return []
+    ps = np.array(moduli, dtype=stack.dtype)
     block = max(1, UPDATE_ENTRIES // max(1, k * n))
     every = np.arange(k)
-    det = np.ones(k, dtype=m.dtype)
+    det = np.ones(k, dtype=stack.dtype)
     budget = max(PrimeField(int(ps.max())).dot_chunk(), 1)
     for c in range(n):
-        m[:, c:, c] %= ps[:, None]
+        stack[:, c:, c] %= ps[:, None]
         # first nonzero entry at or below the diagonal; c when there is none
-        pr = c + (m[:, c:, c] != 0).argmax(axis=1)
+        pr = c + (stack[:, c:, c] != 0).argmax(axis=1)
         swap = every[pr != c]
         if len(swap):
-            top = m[swap, c].copy()
-            m[swap, c] = m[swap, pr[swap]]
-            m[swap, pr[swap]] = top
+            top = stack[swap, c].copy()
+            stack[swap, c] = stack[swap, pr[swap]]
+            stack[swap, pr[swap]] = top
             det[swap] = (ps[swap] - det[swap]) % ps[swap]
-        piv = m[:, c, c]
+        piv = stack[:, c, c]
         # a singular slice has a zero pivot: its det stays 0 and it never
         # changes again, since its multipliers are 0
         det = det * piv % ps
@@ -916,14 +908,14 @@ def _det_batch(m: np.ndarray, ps: np.ndarray) -> np.ndarray:
             break
         inv = np.array(
             [pow(v, -1, q) if v else 0 for v, q in zip(piv.tolist(), ps.tolist())],
-            dtype=m.dtype,
+            dtype=stack.dtype,
         )
-        f = m[:, c + 1 :, c] * inv[:, None] % ps[:, None]
-        row = m[:, c, None, c + 1 :]
+        f = stack[:, c + 1 :, c] * inv[:, None] % ps[:, None]
+        row = stack[:, c, None, c + 1 :]
         row %= ps[:, None, None]
         for lo in range(c + 1, n, block):
-            rest = m[:, lo : lo + block, c + 1 :]
+            rest = stack[:, lo : lo + block, c + 1 :]
             rest -= f[:, lo - c - 1 : lo - c - 1 + block, None] * row
             if (c + 1) % budget == 0:
                 rest %= ps[:, None, None]
-    return det
+    return [int(d) for d in det]

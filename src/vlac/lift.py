@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .certs_sparse import _prover_rng, det_prover_flow, det_verifier_flow
+from .certs_sparse import _evals, _prover_rng, _square_dims, det_prover_flow, det_verifier_flow
 from .errors import DimensionMismatch, FieldMismatch, NotSquare
 from .ff import (
     MAX_MODULUS_BITS,
@@ -28,7 +28,7 @@ from .ff import (
     is_probable_prime,
     word_dtype,
 )
-from .la import DenseMatrix, det_stack, stack_cap
+from .la import DenseMatrix, det_stack, int_array, stack_cap
 from .proto import (
     KIND_BIGINT,
     KIND_POLY,
@@ -59,27 +59,24 @@ _CRT_PRIMES: dict[int, list[int]] = {}
 _CRT_PRIMES_LOCK = threading.Lock()
 
 
-_to_int = np.frompyfunc(int, 1, 1)
-
-
 class IntMatrix:
-    """Square-friendly integer matrix with arbitrary-size entries."""
+    """Square-friendly integer matrix with arbitrary-size entries.
+
+    ``a`` is a C-ordered int64 array when every entry fits, else an
+    ``object`` array of exact Python ints (the rule of ``la.int_array``).
+    """
 
     __slots__ = ("a",)
 
     def __init__(self, data):
-        if isinstance(data, np.ndarray) and data.ndim == 2:
-            if data.dtype.kind in "iu":
-                self.a = data.astype(object)  # exact Python ints, any shape
-                return
-            cells = data
-        else:
-            cells = np.empty((len(data), len(data[0]) if len(data) else 0), dtype=object)
-            for i, row in enumerate(data):
-                if len(row) != cells.shape[1]:
-                    raise DimensionMismatch("ragged rows")
-                cells[i] = list(row)
-        self.a = _to_int(cells)  # int() of every entry, in one vectorised call
+        if isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype == np.int64:
+            self.a = np.ascontiguousarray(data)
+            return
+        rows = data.tolist() if isinstance(data, np.ndarray) else data
+        width = len(rows[0]) if len(rows) else 0
+        if any(len(row) != width for row in rows):
+            raise DimensionMismatch("ragged rows")
+        self.a = int_array([v for row in rows for v in row]).reshape(len(rows), width)
 
     @property
     def rows(self) -> int:
@@ -94,24 +91,14 @@ class IntMatrix:
         return self.a.shape
 
     def reduce(self, field: PrimeField) -> DenseMatrix:
-        """The matrix mod p, reduced once (in int64 when the entries fit)."""
-        a64 = self._int64()
-        a = self.a % field.p if a64 is None else a64 % field.p
-        return DenseMatrix._of(field, a.astype(field.dtype))
-
-    def _int64(self) -> Optional[np.ndarray]:
-        """The entries as an int64 array, or None when one does not fit."""
-        try:
-            return self.a.astype(np.int64)
-        except OverflowError:
-            return None
+        """The matrix mod p, reduced once."""
+        return DenseMatrix._of(field, (self.a % field.p).astype(field.dtype, copy=False))
 
     def encode(self) -> bytes:
         head = b"I" + _u32(self.rows) + _u32(self.cols)
-        a = self._int64()
-        if a is None:
+        if self.a.dtype == object:
             return head + b"".join(encode_payload(KIND_BIGINT, v) for v in self.a.flat)
-        return head + _bigint_records(a)
+        return head + _bigint_records(self.a)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and np.array_equal(self.a, other.a)
@@ -127,7 +114,7 @@ def _bigint_records(a: np.ndarray) -> bytes:
     little-endian magnitude.  All records are laid out at their widest,
     13 bytes, and a mask keeps the bytes each one uses.
     """
-    v = np.ascontiguousarray(a, dtype=np.int64).reshape(-1)
+    v = a.reshape(-1)
     neg = v < 0
     u = v.view(np.uint64)
     mag = np.where(neg, np.uint64(0) - u, u)  # exact for -2^63 too
@@ -150,11 +137,10 @@ def hadamard_bound(m: IntMatrix) -> int:
     the final square root is rounded.  Row squares are summed in int64
     when no sum can reach 2^63, and multiplied in Python ints.
     """
-    a = m._int64()
-    if a is not None and a.size and m.cols * max(int(a.max()), -int(a.min())) ** 2 < 2**63:
-        row_sq = (a * a).sum(axis=1).tolist()
-    else:
-        row_sq = [sum(int(v) * int(v) for v in row) for row in m.a]
+    a = m.a
+    if a.dtype == np.int64 and a.size and m.cols * max(int(a.max()), -int(a.min())) ** 2 >= 2**63:
+        a = a.astype(object)
+    row_sq = (a * a).sum(axis=1).tolist()
     if 0 in row_sq:
         return 0
     square = prod(row_sq)
@@ -202,11 +188,11 @@ def int_det_crt(m: IntMatrix, bits: int = CRT_PRIME_BITS) -> int:
     """Exact integer determinant by Chinese remaindering word-prime images.
 
     Prover-side.  Takes the first primes above 2**bits until their product
-    covers twice the Hadamard bound.  The matrix is reduced once into a
-    stack of one slice per prime, int64 when the primes are int64-safe (the
-    default 29 bits) and the entries fit, ``object`` otherwise, and
-    ``la.det_stack`` eliminates all the slices together, in batches of at
-    most ``la.stack_cap(n)``.  Garner's incremental recombination then
+    covers twice the Hadamard bound.  The matrix is reduced once into
+    stacks of at most ``la.stack_cap(n)`` slices, one per prime, in int64
+    when the primes are int64-safe (the default 29 bits) and the entries
+    fit, ``object`` otherwise, and ``la.det_stack`` eliminates the slices
+    of each stack together.  Garner's incremental recombination then
     lifts the images to the symmetric residue.
     """
     if m.rows != m.cols:
@@ -217,17 +203,12 @@ def int_det_crt(m: IntMatrix, bits: int = CRT_PRIME_BITS) -> int:
     if bound == 0:
         return 0
     primes = _crt_primes(bits, bound)
-    a64 = m._int64()
     residue, modulus = 0, 1
     cap = stack_cap(m.rows)
     for lo in range(0, len(primes), cap):
         batch = primes[lo : lo + cap]
         dtype = word_dtype(batch[-1])
-        ps = np.array(batch, dtype=object)[:, None, None]
-        if dtype is np.int64 and a64 is not None:
-            stack = a64 % ps.astype(np.int64)
-        else:
-            stack = (m.a % ps).astype(dtype)
+        stack = (m.a % np.array(batch, dtype=dtype)[:, None, None]).astype(dtype, copy=False)
         for p, r in zip(batch, det_stack(stack, batch)):
             # combine: find x = residue (mod modulus), x = r (mod p)
             t = (r - residue) % p * pow(modulus % p, -1, p) % p
@@ -239,11 +220,7 @@ def int_det_crt(m: IntMatrix, bits: int = CRT_PRIME_BITS) -> int:
 
 
 def _intdet_parts(m: IntMatrix, bits: int, prover_seed: Optional[int]):
-    if m.rows != m.cols:
-        raise NotSquare("determinant needs a square matrix")
-    n = m.rows
-    if n < 1:
-        raise DimensionMismatch("matrix must be at least 1x1")
+    n = _square_dims(m)
     if not 16 <= bits <= MAX_MODULUS_BITS - 1:
         raise ValueError("prime size out of range")
     params = _u32(n) + _u32(bits)
@@ -396,11 +373,7 @@ def polydet_epsilon(n: int, deg_bound: int, s_size: int, eps_field: Fraction) ->
 
 
 def _polydet_parts(m: PolyMatrix, deg_bound: Optional[int], prover_seed: Optional[int]):
-    if m.rows != m.cols:
-        raise NotSquare("determinant needs a square matrix")
-    n = m.rows
-    if n < 1:
-        raise DimensionMismatch("matrix must be at least 1x1")
+    n = _square_dims(m)
     field = m.field
     if deg_bound is None:
         deg_bound = m.max_degree
@@ -424,8 +397,7 @@ def _polydet_parts(m: PolyMatrix, deg_bound: Optional[int], prover_seed: Optiona
             raise Reject("DegreeOutOfBounds")
         alpha = ch.challenge_scalar("polydet.alpha", s)
         value, eps_field = det_verifier_flow(ch, field, m.evaluate(alpha), s, n)
-        ch.counter.add(2 * max(f.degree, 0))
-        if f(alpha) != value:
+        if _evals(field, (f,), alpha, ch.counter) != [value]:
             raise Reject("CheckFailed:lift")
         return Verdict.accept(polydet_epsilon(n, deg_bound, len(s), eps_field)), f
 

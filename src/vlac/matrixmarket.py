@@ -171,7 +171,7 @@ def _read_array(rows: int, cols: int, rest: str, field: Optional[PrimeField]):
     # array entries run down columns, per the format
     cells = vals.reshape(cols, rows).T
     if field is None:
-        return IntMatrix(np.ascontiguousarray(cells))
+        return IntMatrix(cells)
     if vals.dtype == object:  # ints past int64 are reduced before the field's cast
         np.remainder(vals, field.p, out=vals)
     # DenseMatrix reduces the column-major view into a fresh C-ordered

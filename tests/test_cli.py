@@ -1,5 +1,6 @@
 """Command-line interface, file formats, and the TCP delegation path."""
 
+import contextlib
 import re
 import socket
 import struct
@@ -336,19 +337,24 @@ def test_cli_mode_and_modulus_guards(tmp_path, gf101, capsys):
 # -- live TCP sessions ------------------------------------------------------------
 
 
+@contextlib.contextmanager
 def spawn_server(argv, stderr=subprocess.DEVNULL):
-    proc = subprocess.Popen(
+    """A ``vlac`` server process and the port it announces; on leaving,
+    the server is killed and waited for and its pipes are closed."""
+    with subprocess.Popen(
         [sys.executable, "-m", "vlac.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=stderr,
         text=True,
-    )
-    line = proc.stdout.readline()
-    m = re.search(r"serving .* on .*:(\d+)", line)
-    if not m:
-        proc.kill()
-        raise AssertionError(f"no port announcement in {line!r}")
-    return proc, int(m.group(1))
+    ) as proc:
+        try:
+            line = proc.stdout.readline()
+            m = re.search(r"serving .* on .*:(\d+)", line)
+            if not m:
+                raise AssertionError(f"no port announcement in {line!r}")
+            yield proc, int(m.group(1))
+        finally:
+            proc.kill()
 
 
 def sparse_det_file(tmp_path, gf101, n=64, seed=2):
@@ -368,10 +374,7 @@ def sparse_det_file(tmp_path, gf101, n=64, seed=2):
 
 def test_cli_delegate_round_trip(tmp_path, gf101, capsys):
     path = sparse_det_file(tmp_path, gf101)
-    proc, port = spawn_server(
-        ["serve", "--problem", "det", path, "--once", "--seed", "7"]
-    )
-    try:
+    with spawn_server(["serve", "--problem", "det", path, "--once", "--seed", "7"]) as (proc, port):
         code = main(
             ["delegate", "--problem", "det", path, "--port", str(port), "--seed", "7"]
         )
@@ -382,7 +385,6 @@ def test_cli_delegate_round_trip(tmp_path, gf101, capsys):
         assert m, text
         # delegation only makes sense if checking is cheaper than proving
         assert float(m.group(2)) < float(m.group(1))
-    finally:
         proc.wait(timeout=10)
 
 
@@ -420,25 +422,21 @@ def live_instance(tmp_path, name):
 def test_cli_delegate_long_messages_fit_their_frame_limits(tmp_path, name, capsys):
     files, flags = live_instance(tmp_path, name)
     args = ["--problem", name, *files, *flags, "--seed", "3"]
-    proc, port = spawn_server(["serve", *args, "--once"])
-    try:
+    with spawn_server(["serve", *args, "--once"]) as (proc, port):
         code = main(["delegate", *args, "--port", str(port)])
         text = capsys.readouterr().out
         assert code == 0 and "ACCEPT" in text, text
-    finally:
         proc.wait(timeout=30)
 
 
 def test_cli_delegate_instance_mismatch(tmp_path, gf101, capsys):
     path = sparse_det_file(tmp_path, gf101)
-    proc, port = spawn_server(["serve", "--problem", "det", path, "--once"])
-    try:
+    with spawn_server(["serve", "--problem", "det", path, "--once"]) as (proc, port):
         code = main(
             ["delegate", "--problem", "nonsingular", path, "--port", str(port)]
         )
         assert code == 1
         assert "REJECT reason=ProtocolViolation" in capsys.readouterr().out
-    finally:
         proc.wait(timeout=10)
 
 
@@ -456,7 +454,6 @@ def test_cli_delegate_no_server_exit_5(tmp_path, gf101, capsys):
 
 def test_cli_concurrent_delegations(tmp_path, gf101):
     path = sparse_det_file(tmp_path, gf101, n=16)
-    proc, port = spawn_server(["serve", "--problem", "det", path])
     codes = []
 
     def delegate(seed):
@@ -469,16 +466,13 @@ def test_cli_concurrent_delegations(tmp_path, gf101):
         )
         codes.append((r.returncode, r.stdout))
 
-    try:
+    with spawn_server(["serve", "--problem", "det", path]) as (proc, port):
         threads = [threading.Thread(target=delegate, args=(s,)) for s in (1, 2)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
         assert [c for c, _ in codes] == [0, 0], codes
-    finally:
-        proc.kill()
-        proc.wait(timeout=10)
 
 
 def test_socket_transport_refuses_a_frame_over_its_limit():
@@ -500,16 +494,13 @@ def test_socket_transport_refuses_a_frame_over_its_limit():
 
 def test_cli_serve_drops_an_oversized_hello_at_once(tmp_path, gf101):
     path = sparse_det_file(tmp_path, gf101, n=4)
-    proc, port = spawn_server(["serve", "--problem", "det", path, "--once", "--timeout", "60"])
-    try:
+    argv = ["serve", "--problem", "det", path, "--once", "--timeout", "60"]
+    with spawn_server(argv) as (proc, port):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
             # announces a frame far past a hello, then sends nothing more
             s.sendall(struct.pack(">I", MAX_HELLO + 1))
             assert s.recv(1) == b""
         assert proc.wait(timeout=10) == 5
-    finally:
-        proc.kill()
-        proc.wait(timeout=10)
 
 
 def test_cli_serve_logs_a_hello_whose_id_is_not_utf8(tmp_path, gf101):
@@ -517,17 +508,13 @@ def test_cli_serve_logs_a_hello_whose_id_is_not_utf8(tmp_path, gf101):
     a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
     params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
     argv = ["serve", "--problem", "det", path, "--once", "--timeout", "60"]
-    proc, port = spawn_server(argv, stderr=subprocess.PIPE)
-    try:
+    with spawn_server(argv, stderr=subprocess.PIPE) as (proc, port):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
             tr = SocketTransport(s, timeout=10)
             tr.send_frame(bytes([FRAME_HELLO]) + lp(b"\xff") + lp(params) + digest)
             assert s.recv(1) == b""
         assert proc.wait(timeout=10) == 1
         assert proc.stderr.read() == "session failed: unreadable handshake\n"
-    finally:
-        proc.kill()
-        proc.wait(timeout=10)
 
 
 @pytest.mark.parametrize("case, code, log", [
@@ -541,8 +528,7 @@ def test_cli_serve_once_exits_with_the_code_of_its_fault(tmp_path, gf101, case, 
     a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
     params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
     argv = ["serve", "--problem", "det", path, "--once", "--timeout", "1"]
-    proc, port = spawn_server(argv, stderr=subprocess.PIPE)
-    try:
+    with spawn_server(argv, stderr=subprocess.PIPE) as (proc, port):
         # the client stays connected until the server has exited
         with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
             tr = SocketTransport(s, timeout=10)
@@ -557,17 +543,14 @@ def test_cli_serve_once_exits_with_the_code_of_its_fault(tmp_path, gf101, case, 
                 tr.send_frame(b"\x00" + bytes([1, 1, 9]))
             assert proc.wait(timeout=10) == code
         assert proc.stderr.read() == f"session failed: {log}\n"
-    finally:
-        proc.kill()
-        proc.wait(timeout=10)
 
 
 def test_cli_serve_drops_an_oversized_frame_after_the_hello(tmp_path, gf101):
     path = sparse_det_file(tmp_path, gf101, n=4)
     a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
     params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
-    proc, port = spawn_server(["serve", "--problem", "det", path, "--once", "--timeout", "60"])
-    try:
+    argv = ["serve", "--problem", "det", path, "--once", "--timeout", "60"]
+    with spawn_server(argv) as (proc, port):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
             tr = SocketTransport(s, timeout=10)
             tr.send_frame(hello_frame(PROTOCOL_DET, params, digest))
@@ -579,7 +562,6 @@ def test_cli_serve_drops_an_oversized_frame_after_the_hello(tmp_path, gf101):
             while s.recv(1 << 16):
                 pass
             assert time.monotonic() - start < 5
-    finally:
         proc.wait(timeout=10)
 
 
@@ -588,9 +570,8 @@ def test_cli_serve_logs_an_unknown_kind_and_serves_on(tmp_path, gf101, capsys, k
     path = sparse_det_file(tmp_path, gf101, n=4)
     a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
     params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
-    proc, port = spawn_server(["serve", "--problem", "det", path, "--timeout", "60"],
-                              stderr=subprocess.PIPE)
-    try:
+    argv = ["serve", "--problem", "det", path, "--timeout", "60"]
+    with spawn_server(argv, stderr=subprocess.PIPE) as (proc, port):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
             tr = SocketTransport(s, timeout=10)
             tr.send_frame(hello_frame(PROTOCOL_DET, params, digest))
@@ -601,10 +582,9 @@ def test_cli_serve_logs_an_unknown_kind_and_serves_on(tmp_path, gf101, capsys, k
                 pass
         code = main(["delegate", "--problem", "det", path, "--port", str(port)])
         assert code == 0 and "ACCEPT" in capsys.readouterr().out
-    finally:
         proc.kill()
         proc.wait(timeout=10)
-    assert proc.stderr.read() == f"session failed: unknown payload kind {kind}\n"
+        assert proc.stderr.read() == f"session failed: unknown payload kind {kind}\n"
 
 
 def crashing_polydet_file(tmp_path):
@@ -622,28 +602,21 @@ CRASH_LOG = "session failed: prover failed: field too small to interpolate the d
 
 def test_cli_serve_logs_a_prover_crash_and_exits_3_once(tmp_path, capsys):
     path = crashing_polydet_file(tmp_path)
-    proc, port = spawn_server(["serve", "--problem", "polydet", path, "--once"],
-                              stderr=subprocess.PIPE)
-    try:
+    argv = ["serve", "--problem", "polydet", path, "--once"]
+    with spawn_server(argv, stderr=subprocess.PIPE) as (proc, port):
         code = main(["delegate", "--problem", "polydet", path, "--port", str(port)])
         assert code == 1 and "peer aborted" in capsys.readouterr().err
         assert proc.wait(timeout=10) == 3
         assert proc.stderr.read() == CRASH_LOG
-    finally:
-        proc.kill()
-        proc.wait(timeout=10)
 
 
 def test_cli_serve_logs_a_prover_crash_and_serves_on(tmp_path, capsys):
     path = crashing_polydet_file(tmp_path)
-    proc, port = spawn_server(["serve", "--problem", "polydet", path], stderr=subprocess.PIPE)
-    try:
+    argv = ["serve", "--problem", "polydet", path]
+    with spawn_server(argv, stderr=subprocess.PIPE) as (proc, port):
         for _ in range(2):
             assert main(["delegate", "--problem", "polydet", path, "--port", str(port)]) == 1
             assert proc.stderr.readline() == CRASH_LOG
-    finally:
-        proc.kill()
-        proc.wait(timeout=10)
 
 
 def framed(data: bytes) -> bytes:
@@ -711,34 +684,32 @@ def test_cli_serve_caps_live_sessions(tmp_path, gf101):
     path = sparse_det_file(tmp_path, gf101, n=4)
     a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
     params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
-    proc, port = spawn_server(["serve", "--problem", "det", path, "--timeout", "60"])
-    idle = []
-    try:
-        # each idle client holds a session, waiting for its hello
-        idle = [socket.create_connection(("127.0.0.1", port), timeout=10)
-                for _ in range(MAX_SESSIONS)]
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as extra:
-            start = time.monotonic()
-            assert extra.recv(1) == b""
-            assert time.monotonic() - start < 5
-        idle.pop().close()  # its session ends on the early EOF
-        deadline = time.monotonic() + 10
-        while True:
-            with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
-                tr = SocketTransport(s, timeout=10)
-                tr.send_frame(hello_frame(PROTOCOL_DET, params, digest))
-                try:
-                    assert tr.recv_frame(MAX_HELLO) == HELLO_OK
-                    break
-                except TransportError:
-                    # closed before the freed session slot was seen
-                    assert time.monotonic() < deadline
-                    time.sleep(0.05)
-    finally:
-        for s in idle:
-            s.close()
-        proc.kill()
-        proc.wait(timeout=10)
+    with spawn_server(["serve", "--problem", "det", path, "--timeout", "60"]) as (proc, port):
+        idle = []
+        try:
+            # each idle client holds a session, waiting for its hello
+            idle = [socket.create_connection(("127.0.0.1", port), timeout=10)
+                    for _ in range(MAX_SESSIONS)]
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as extra:
+                start = time.monotonic()
+                assert extra.recv(1) == b""
+                assert time.monotonic() - start < 5
+            idle.pop().close()  # its session ends on the early EOF
+            deadline = time.monotonic() + 10
+            while True:
+                with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+                    tr = SocketTransport(s, timeout=10)
+                    tr.send_frame(hello_frame(PROTOCOL_DET, params, digest))
+                    try:
+                        assert tr.recv_frame(MAX_HELLO) == HELLO_OK
+                        break
+                    except TransportError:
+                        # closed before the freed session slot was seen
+                        assert time.monotonic() < deadline
+                        time.sleep(0.05)
+        finally:
+            for s in idle:
+                s.close()
 
 
 def test_cli_serve_drops_a_silent_client_after_the_hello_wait(tmp_path, gf101):
@@ -747,27 +718,25 @@ def test_cli_serve_drops_a_silent_client_after_the_hello_wait(tmp_path, gf101):
     path = sparse_det_file(tmp_path, gf101, n=4)
     a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
     params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
-    proc, port = spawn_server(["serve", "--problem", "det", path, "--timeout", "60"])
-    idle = []
-    try:
-        # every slot is taken by a client that never sends its hello
-        start = time.monotonic()
-        idle = [socket.create_connection(("127.0.0.1", port), timeout=net.HELLO_SECONDS + 10)
-                for _ in range(MAX_SESSIONS)]
-        for s in idle:
-            assert s.recv(1) == b""  # dropped by the server, not by this timeout
-        assert time.monotonic() - start < net.HELLO_SECONDS + 5
-        time.sleep(0.5)  # a session releases its slot just after it closes
-        # the freed slots serve the next client, while the round timeout is 60 s
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
-            tr = SocketTransport(s, timeout=10)
-            tr.send_frame(hello_frame(PROTOCOL_DET, params, digest))
-            assert tr.recv_frame(MAX_HELLO) == HELLO_OK
-    finally:
-        for s in idle:
-            s.close()
-        proc.kill()
-        proc.wait(timeout=10)
+    with spawn_server(["serve", "--problem", "det", path, "--timeout", "60"]) as (proc, port):
+        idle = []
+        try:
+            # every slot is taken by a client that never sends its hello
+            start = time.monotonic()
+            idle = [socket.create_connection(("127.0.0.1", port), timeout=net.HELLO_SECONDS + 10)
+                    for _ in range(MAX_SESSIONS)]
+            for s in idle:
+                assert s.recv(1) == b""  # dropped by the server, not by this timeout
+            assert time.monotonic() - start < net.HELLO_SECONDS + 5
+            time.sleep(0.5)  # a session releases its slot just after it closes
+            # the freed slots serve the next client, while the round timeout is 60 s
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+                tr = SocketTransport(s, timeout=10)
+                tr.send_frame(hello_frame(PROTOCOL_DET, params, digest))
+                assert tr.recv_frame(MAX_HELLO) == HELLO_OK
+        finally:
+            for s in idle:
+                s.close()
 
 
 def test_cli_serve_bounds_the_whole_hello(tmp_path, gf101):
@@ -780,8 +749,8 @@ def test_cli_serve_bounds_the_whole_hello(tmp_path, gf101):
     frame = struct.pack(">I", len(hello)) + hello
     limit = net.HELLO_SECONDS + 2
     assert len(frame) > 2 * limit  # one byte a second cannot finish it in time
-    proc, port = spawn_server(["serve", "--problem", "det", path, "--once", "--timeout", "60"])
-    try:
+    argv = ["serve", "--problem", "det", path, "--once", "--timeout", "60"]
+    with spawn_server(argv) as (proc, port):
         with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
             s.settimeout(1.0)
             start = time.monotonic()
@@ -800,9 +769,6 @@ def test_cli_serve_bounds_the_whole_hello(tmp_path, gf101):
                     break
             assert closed
             assert time.monotonic() - start < limit
-    finally:
-        proc.kill()
-        proc.wait(timeout=10)
 
 
 # -- bench ------------------------------------------------------------------------

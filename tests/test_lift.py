@@ -175,6 +175,21 @@ def test_int_matrix_from_arrays_holds_python_ints():
         int_det_crt(IntMatrix([[1, 2, 3], [4, 5, 6]]))
 
 
+def test_int_matrix_is_int64_when_every_entry_fits():
+    rows = [[3, -1], [0, 2**63 - 1], [-(2**63), 7]]
+    kept = np.array(rows, dtype=np.int64)
+    assert IntMatrix(kept).a is kept
+    for data in (kept, np.array(rows, dtype=object), rows):
+        m = IntMatrix(data)
+        assert m.a.dtype == np.int64 and m.a.flags.c_contiguous and m.a.tolist() == rows
+    assert IntMatrix([[2**63, 0], [0, 1]]).a.dtype == object
+    array_file = "%%MatrixMarket matrix array integer general\n2 2\n1\n-2\n3\n4\n"
+    coordinate_file = "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 2 -7\n2 1 5\n"
+    for text, want in ((array_file, [[1, 3], [-2, 4]]), (coordinate_file, [[0, -7], [5, 0]])):
+        m = parse_matrix_market(text).matrix
+        assert m.a.dtype == np.int64 and m.a.flags.c_contiguous and m.a.tolist() == want
+
+
 def test_lifting_consistency_with_random_primes():
     """The quotient map commutes with the determinant."""
     rng = Random(3)

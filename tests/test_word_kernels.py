@@ -3,7 +3,7 @@
 The edges are where the int64 code changes strategy: p = 3, the largest
 int64-safe prime P_WORD (``dot_chunk() == 1``), the first object-dtype prime
 P_BIG, lengths and row widths on either side of ``dot_chunk()``, 0x0 and 1x1
-shapes, the determinant batch cap and its reduction budget, integer
+shapes, the determinant stack cap and its reduction budget, integer
 entries past int64, the steps of the limb widths, the largest 63-bit
 prime for the limb products, and the panel edges of the blocked
 elimination.
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlac import la
+from vlac import la, lift
 from vlac.certs_dense import _geometric_vector
 from vlac.certs_sparse import (
     KRYLOV_BLOCK,
@@ -57,11 +57,20 @@ from vlac.la import (
     matvec,
     stack_cap,
 )
-from vlac.lift import CRT_PRIME_BITS, IntMatrix, _crt_primes, hadamard_bound, int_det_crt
+from vlac.lift import (
+    CRT_PRIME_BITS,
+    IntMatrix,
+    PolyMatrix,
+    _crt_primes,
+    hadamard_bound,
+    int_det_crt,
+    poly_det_interp,
+)
 from vlac.oracle import (
     _solve_field,
     brute_det_field,
     brute_det_int,
+    brute_det_poly,
     brute_minpoly_fuv,
     brute_rank,
     projected_powers,
@@ -620,23 +629,40 @@ def test_stack_cap_values():
     assert stack_cap(1) == 1 << 20
 
 
-@pytest.mark.parametrize("p", (P_DET, P_BIG))
-def test_det_stack_larger_than_cap_runs_in_batches(p, monkeypatch):
-    field = field_new(p)
-    slices = _edge_slices(p, 4, Random(43))
+@pytest.fixture
+def stack_sizes(monkeypatch):
+    """Slices in each det_stack call the lifts make, with stack_cap(4) == 3."""
     monkeypatch.setattr(la, "STACK_ENTRIES", 3 * 16)
     assert stack_cap(4) == 3
     seen = []
-    batch = la._det_batch
 
-    def spy(m, ps):
-        seen.append(len(m))
-        return batch(m, ps)
+    def spy(stack, moduli):
+        seen.append(len(stack))
+        return det_stack(stack, moduli)
 
-    monkeypatch.setattr(la, "_det_batch", spy)
-    got = det_stack(_stack(field, slices), [p] * len(slices))
-    assert got == [brute_det_field(field, s) for s in slices]
-    assert len(slices) > 3 and max(seen) == 3 and sum(seen) == len(slices)
+    monkeypatch.setattr(lift, "det_stack", spy)
+    return seen
+
+
+@pytest.mark.parametrize("top, bits", ((2**40, CRT_PRIME_BITS), (2**70, 40)))
+def test_int_det_crt_hands_det_stack_at_most_the_cap(top, bits, stack_sizes):
+    rng = Random(43)
+    rows = [[rng.randint(-top, top) for _ in range(4)] for _ in range(4)]
+    assert int_det_crt(IntMatrix(rows), bits) == brute_det_int(rows)
+    assert len(stack_sizes) > 1 and max(stack_sizes) == 3
+    assert sum(stack_sizes) == len(_crt_primes(bits, hadamard_bound(IntMatrix(rows))))
+
+
+@pytest.mark.parametrize("p", (P_DET, P_BIG))
+def test_poly_det_interp_hands_det_stack_at_most_the_cap(p, stack_sizes):
+    field = field_new(p)
+    rng = Random(44)
+    entries = [[Poly(field, [rng.randrange(p) for _ in range(3)]) for _ in range(4)]
+               for _ in range(4)]
+    got = poly_det_interp(PolyMatrix(field, entries))
+    assert got.coeffs == brute_det_poly(entries, field).coeffs
+    # degree at most 4 * 2: nine points, in stacks of three
+    assert stack_sizes == [3, 3, 3]
 
 
 # -- the CRT lift ------------------------------------------------------------------
@@ -664,14 +690,14 @@ def test_int_det_crt_past_int64_takes_the_fallback(n):
     rows = [[rng.randint(-(2**70), 2**70) for _ in range(n)] for _ in range(n)]
     rows[0][0] = 2**63  # one past int64
     m = IntMatrix(rows)
-    assert m._int64() is None
+    assert m.a.dtype == object
     assert int_det_crt(m) == brute_det_int(rows)
 
 
 def test_int_det_crt_int64_edges_and_object_primes():
     rows = [[2**63 - 1, -(2**63)], [-(2**63) + 1, 2**62]]
     m = IntMatrix(rows)
-    assert m._int64() is not None
+    assert m.a.dtype == np.int64
     assert int_det_crt(m) == brute_det_int(rows)
     rng = Random(59)
     rows = [[rng.randint(-(2**40), 2**40) for _ in range(7)] for _ in range(7)]
@@ -876,7 +902,7 @@ def _encode_by_entries(m: IntMatrix) -> bytes:
 
 def test_intmatrix_encode_int64_buffer_matches_entries():
     m = IntMatrix([_EDGE_INTS, _EDGE_INTS[::-1]])
-    assert m._int64() is not None
+    assert m.a.dtype == np.int64
     assert m.encode() == _encode_by_entries(m)
     rng = Random(67)
     for n in (1, 3, 16):
@@ -888,7 +914,7 @@ def test_intmatrix_encode_int64_buffer_matches_entries():
 
 def test_intmatrix_encode_past_int64_matches_entries():
     m = IntMatrix([_EDGE_INTS + [2**70], [-(2**70)] + _EDGE_INTS])
-    assert m._int64() is None
+    assert m.a.dtype == object
     assert m.encode() == _encode_by_entries(m)
 
 
