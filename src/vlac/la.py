@@ -49,8 +49,9 @@ class Operator:
     cost (multiplies + adds) of one apply, which verifier cost assertions
     use verbatim.  It defines ``_apply`` and ``_apply_t``, x -> A x and
     x -> A^T x: each takes a canonical vector of the right length and dtype,
-    leaves it as it is, and returns a fresh canonical vector.  ``apply`` and
-    ``apply_t`` check the length and reduce any input first.
+    or a (length, k) block of such columns, k >= 0, each mapped on its own;
+    it leaves x as it is and returns a fresh canonical vector or block.
+    ``apply`` and ``apply_t`` check the length and reduce any input first.
     """
 
     __slots__ = ()
@@ -76,9 +77,8 @@ class Operator:
         return compose(diagonal_scaling(self.field, d), self)
 
     def to_dense(self) -> "DenseMatrix":
-        """The operator as a fresh dense matrix, probed with identity columns."""
-        columns = [self.apply(e) for e in np.eye(self.cols, dtype=np.int64)]
-        return DenseMatrix(self.field, np.reshape(columns, (self.cols, self.rows)).T)
+        """The operator as a fresh dense matrix: one apply of the identity block."""
+        return DenseMatrix(self.field, self.apply(np.eye(self.cols, dtype=np.int64)))
 
 
 class DenseMatrix(Operator):
@@ -256,7 +256,7 @@ class SparseMatrix(Operator):
         return self._product(x, transpose=True)
 
     def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        """self @ x, or self^T @ x, for a canonical vector x."""
+        """self @ x, or self^T @ x, for a canonical vector or block x."""
         field = self.field
         p = field.p
         # a CSR product sums one row of unreduced products at a time
@@ -269,8 +269,8 @@ class SparseMatrix(Operator):
             out_idx, in_idx, size = self.ri, self.ci, self.rows
         # object dtype, or rows too wide for unreduced int64 sums: reduce every
         # product before summing
-        out = field.zeros(size)
-        np.add.at(out, out_idx, _reduce(self.vals * x[in_idx], p))
+        out = field.zeros((size,) + x.shape[1:])
+        np.add.at(out, out_idx, _reduce((x[in_idx].T * self.vals).T, p))
         return _reduce(out, p)
 
     def to_dense(self) -> DenseMatrix:
@@ -476,7 +476,7 @@ def diagonal_scaling(field: PrimeField, d: Sequence[int]) -> Blackbox:
         raise DivisionByZero("diagonal scaling requires nonzero entries")
     n = len(dv)
     p = field.p
-    fn = lambda x: dv * x % p
+    fn = lambda x: (x.T * dv % p).T
     return Blackbox(field, n, n, n, fn, fn)
 
 
@@ -523,12 +523,12 @@ def padded(m: Operator, rows: int, cols: int) -> Blackbox:
     field = m.field
 
     def apply(x):
-        out = field.zeros(rows)
+        out = field.zeros((rows,) + x.shape[1:])
         out[: m.rows] = m.apply(x[: m.cols])
         return out
 
     def apply_t(x):
-        out = field.zeros(cols)
+        out = field.zeros((cols,) + x.shape[1:])
         out[: m.cols] = m.apply_t(x[: m.rows])
         return out
 
@@ -546,12 +546,12 @@ def leading_projection(m: Operator, k: int) -> Blackbox:
     field = m.field
 
     def apply(x):
-        xx = field.zeros(m.cols)
+        xx = field.zeros((m.cols,) + x.shape[1:])
         xx[:k] = x
         return m.apply(xx)[:k]
 
     def apply_t(x):
-        xx = field.zeros(m.rows)
+        xx = field.zeros((m.rows,) + x.shape[1:])
         xx[:k] = x
         return m.apply_t(xx)[:k]
 
@@ -597,10 +597,11 @@ class Butterfly(Operator):
         if any(int(v) == 0 for v in th):
             raise DivisionByZero("butterfly parameters must be nonzero")
         pairs = th.reshape(self.layers, 2, half)
-        # layer t acts on the (-1, 2, 2^t) view of a vector (below): its
-        # switch parameters, alphas then betas, in the same shape
+        # layer t acts on the (-1, 2, 2^t, k) view of a block of k columns,
+        # a vector viewed as one column (below): its switch parameters,
+        # alphas then betas, in that shape with one column to broadcast
         self._switches = [
-            np.ascontiguousarray(pairs[t].reshape(2, -1, 1 << t).swapaxes(0, 1))
+            np.ascontiguousarray(pairs[t].reshape(2, -1, 1 << t, 1).swapaxes(0, 1))
             for t in range(self.layers)
         ]
 
@@ -622,10 +623,11 @@ class Butterfly(Operator):
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         p = self.field.p
-        x = x.copy()
+        x = x.copy()  # C-ordered, so the views below write into it
         for t in range(self.layers):
-            # layer t pairs i with i + 2^t (bit t of i clear) along axis 1 of v
-            v = x.reshape(-1, 2, 1 << t)
+            # layer t pairs i with i + 2^t (bit t of i clear) along axis 1 of
+            # v; its leading length is explicit, as k may be 0
+            v = x.reshape(len(x) >> (t + 1), 2, 1 << t, -1)
             ab = v * self._switches[t] % p
             v[:, 0] = ab[:, 0] + ab[:, 1]
             v[:, 1] = ab[:, 0] - ab[:, 1]
@@ -634,9 +636,9 @@ class Butterfly(Operator):
 
     def _apply_t(self, x: np.ndarray) -> np.ndarray:
         p = self.field.p
-        x = x.copy()
+        x = x.copy()  # C-ordered, so the views below write into it
         for t in reversed(range(self.layers)):
-            v = x.reshape(-1, 2, 1 << t)
+            v = x.reshape(len(x) >> (t + 1), 2, 1 << t, -1)
             a, b = v[:, 0], v[:, 1]
             # a + b is below 2p: reduce it first, or the product can pass 2^63
             total = (a + b) % p

@@ -8,6 +8,7 @@ import pytest
 from vlac.errors import DimensionMismatch, DivisionByZero, FieldMismatch
 from vlac.ff import field_new
 from vlac.la import (
+    Blackbox,
     Butterfly,
     CostCounter,
     DenseMatrix,
@@ -262,6 +263,77 @@ def test_materialize_matrices_is_a_fresh_copy(p, shape):
         assert np.array_equal(out.a, before)
         out.a[...] = 1
         assert np.array_equal(_probed(m), before)
+
+
+def block_ops(field, rng):
+    """Every operator kind and combinator: rectangular and 1x1 ones, butterfly
+    mixings of a padded square at n = 3 and 5 with their 0x0 corners, and a
+    sparse matrix with a row and a column of three entries, wider than
+    ``dot_chunk()`` at P_WORD."""
+    a = rand_dense(field, rng, 3, 5)
+    d = [rng.randrange(1, field.p) for _ in range(5)]
+    s = SparseMatrix(
+        field, 5, 4,
+        [(0, 0, 1), (0, 1, field.p - 1), (0, 3, rng.randrange(1, field.p)),
+         (2, 0, rng.randrange(1, field.p)), (4, 0, field.p - 1), (3, 2, 1)],
+    )
+    ops = [
+        a,
+        rand_dense(field, rng, 1, 1),
+        s,
+        s.scale_rows(field.arr(d)),
+        Butterfly(field, 1, []),
+        diagonal_scaling(field, d),
+        compose(a, s),
+        compose(s).scale_rows(field.arr(d)),
+        padded(a, 4, 6),
+        leading_projection(a, 2),
+        leading_projection(a, 0),
+    ]
+    for n in (3, 5):
+        count = butterfly_param_count(n)
+        u = Butterfly(field, n, rand_thetas(rng, field.p, count))
+        v = Butterfly(field, n, rand_thetas(rng, field.p, count))
+        size = u.n_padded
+        mixed = compose(u, padded(rand_dense(field, rng, n, n), size, size), v)
+        ops += [u, mixed, leading_projection(mixed, n), leading_projection(mixed, 0)]
+    return ops
+
+
+# p = 3, GF(10007), P_WORD (``dot_chunk() == 1``) and P_BIG (``object``)
+@pytest.mark.parametrize("p", (3, 10007, 3037000493, 3037000507))
+def test_block_applies_are_the_stack_of_column_applies(p):
+    field = field_new(p)
+    rng = Random(p % 1009)
+    for op in block_ops(field, rng):
+        for name, n, m in (("apply", op.cols, op.rows), ("apply_t", op.rows, op.cols)):
+            for k in (0, 1, 3):
+                block = field.arr([rng.randrange(p) for _ in range(n * k)]).reshape(n, k)
+                given = block.copy()
+                want = field.zeros((m, k))
+                for j in range(k):
+                    want[:, j] = getattr(op, name)(block[:, j])
+                # the canonical block straight to the class's own apply
+                out = getattr(op, "_" + name)(block)
+                assert out.shape == (m, k) and out.dtype == field.dtype, op
+                assert np.array_equal(out, want), op
+                assert np.array_equal(block, given)
+                assert np.array_equal(getattr(op, name)(block), want), op
+        dense = op.to_dense()
+        assert dense.shape == op.shape
+        assert np.array_equal(dense.a, _probed(op)), op
+
+
+def test_to_dense_is_one_apply(gf101):
+    a = rand_dense(gf101, Random(29), 3, 4)
+    calls = []
+
+    def apply(x):
+        calls.append(x.shape)
+        return a.apply(x)
+
+    assert Blackbox(gf101, 3, 4, a.mu, apply, a.apply_t).to_dense() == a
+    assert calls == [(4, 4)]
 
 
 def test_compose_shapes_and_cost(gf101):
