@@ -69,13 +69,13 @@ from .lift import (
     _polydet_parts,
 )
 from .matrixmarket import MatrixFile, parse_matrix_market
-from .net import HELLO_OK, HELLO_SECONDS, MAX_HELLO, hello_frame, parse_hello
 from .proto import (
     InteractiveSource,
     SocketTransport,
     Verdict,
-    _abort_frame,
+    accept_hello,
     fs_prove,
+    offer_hello,
     replay,
     run_remote_session,
     serve_session,
@@ -361,13 +361,7 @@ def _cmd_serve(args) -> int:
         """Serve one connection; the exit code main gives its fault, or 0."""
         tr = SocketTransport(conn, args.timeout)
         try:
-            deadline = time.monotonic() + min(args.timeout, HELLO_SECONDS)
-            their = parse_hello(tr.recv_frame(MAX_HELLO, deadline))
-            conn.settimeout(args.timeout)
-            if their != (protocol_id, params, digest):
-                tr.send_frame(_abort_frame("instance or protocol mismatch"))
-                raise ProtocolViolation("instance or protocol mismatch")
-            tr.send_frame(HELLO_OK)
+            accept_hello(tr, protocol_id, params, digest)
             serve_session(tr, prover)
         except (Timeout, TransportError) as exc:
             return failed(exc, EXIT_TRANSPORT)
@@ -411,16 +405,12 @@ def _cmd_delegate(args) -> int:
         raise TransportError(f"cannot reach {args.host}:{args.port}: {exc}") from exc
     tr = SocketTransport(sock, args.timeout)
     try:
-        tr.send_frame(hello_frame(protocol_id, params, digest))
-        reply = tr.recv_frame(MAX_HELLO)
-        if reply != HELLO_OK:
-            if reply and reply[0] == 1:
-                print(
-                    f"REJECT reason=ProtocolViolation:"
-                    f"{reply[1:].decode(errors='replace')}"
-                )
-                return EXIT_REJECT
-            raise TransportError("unreadable handshake reply")
+        try:
+            offer_hello(tr, protocol_id, params, digest)
+        except ProtocolViolation as exc:
+            print(f"REJECT reason=ProtocolViolation:{exc}")
+            return EXIT_REJECT
+        tr.recv_seconds = 0.0  # prover time is the session's reads, not the hello's
         source = InteractiveSource(args.seed)
         start = time.monotonic()
         verdict, result, _ = run_remote_session(

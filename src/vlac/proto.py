@@ -21,6 +21,10 @@ keep the verifier's books: each verifier channel carries a fresh
 operations counted before it, and accepted verdicts over hash-derived
 challenges get the ``fiat-shamir`` heuristic label.
 
+A live frame's first byte is its type: 0 a message, 1 an abort and its
+reason, 2 the TCP hello (protocol id, parameters, instance digest) that
+``offer_hello`` sends and ``accept_hello`` checks before any proving.
+
 Transcripts serialize to a small tagged binary format (magic ``VLAC``)
 with exactly one valid encoding per transcript.
 """
@@ -78,6 +82,14 @@ _REC_MESSAGE = 0x10
 
 _FRAME_MSG = 0
 _FRAME_ABORT = 1
+FRAME_HELLO = 2
+HELLO_OK = b"\x02OK"
+
+# A hello is 41 bytes plus the protocol id and the parameter blob, both short.
+MAX_HELLO = 1 << 12
+# A server waits at most this long for a client's whole hello, so an idle
+# or trickling connection cannot hold a session slot for a round deadline.
+HELLO_SECONDS = 5.0
 
 HEURISTIC_FS = "fiat-shamir"
 
@@ -515,6 +527,7 @@ class SocketTransport:
 
     def __init__(self, sock: socket.socket, timeout: float = 60.0):
         self.sock = sock
+        self.timeout = timeout
         self.sock.settimeout(timeout)
         self.recv_seconds = 0.0
 
@@ -546,9 +559,9 @@ class SocketTransport:
         return b"".join(chunks)
 
     def recv_frame(self, limit: int = MAX_FRAME, deadline: float | None = None) -> bytes:
-        """The next frame's payload; a frame announcing more than limit
-        bytes is refused before any of it is read, and with a deadline (a
-        ``time.monotonic()`` value) the whole frame must arrive by then."""
+        """The next frame's payload; a frame over limit bytes is refused
+        unread.  With a deadline (a ``time.monotonic()`` value) the whole
+        frame must arrive by then; the next read has the round timeout."""
         start = time.monotonic()
         try:
             (length,) = struct.unpack(">I", self._recv_exact(4, deadline))
@@ -557,6 +570,8 @@ class SocketTransport:
             return self._recv_exact(length, deadline)
         finally:
             self.recv_seconds += time.monotonic() - start
+            if deadline is not None:
+                self.sock.settimeout(self.timeout)
 
     def close(self) -> None:
         try:
@@ -581,6 +596,41 @@ def _parse_frame(frame: bytes) -> Message:
     if frame[0] != _FRAME_MSG:
         raise TransportError(f"unknown frame type {frame[0]}")
     return decode_message(frame[1:])
+
+
+def hello_frame(protocol_id: str, params: bytes, digest: bytes) -> bytes:
+    return bytes([FRAME_HELLO]) + lp(protocol_id.encode()) + lp(params) + digest
+
+
+def accept_hello(transport, protocol_id: str, params: bytes, digest: bytes) -> None:
+    """Server half of the hello: read it within ``min(transport.timeout,
+    HELLO_SECONDS)``; answer ``HELLO_OK``, or abort on a mismatch."""
+    deadline = time.monotonic() + min(transport.timeout, HELLO_SECONDS)
+    frame = transport.recv_frame(MAX_HELLO, deadline)
+    if not frame or frame[0] != FRAME_HELLO:
+        raise ProtocolViolation("expected a handshake frame")
+    r = _Reader(frame[1:])
+    try:
+        their_id = r.take(r.u32()).decode("utf-8", errors="strict")
+        their = (their_id, r.take(r.u32()), r.take(32))
+    except (Malformed, UnicodeDecodeError):
+        raise ProtocolViolation("unreadable handshake")
+    if not r.done:
+        raise ProtocolViolation("oversized handshake")
+    if their != (protocol_id, params, digest):
+        transport.send_frame(_abort_frame("instance or protocol mismatch"))
+        raise ProtocolViolation("instance or protocol mismatch")
+    transport.send_frame(HELLO_OK)
+
+
+def offer_hello(transport, protocol_id: str, params: bytes, digest: bytes) -> None:
+    """Client half of the hello; an abort raises ``ProtocolViolation(reason)``."""
+    transport.send_frame(hello_frame(protocol_id, params, digest))
+    reply = transport.recv_frame(MAX_HELLO)
+    if reply[:1] == bytes([_FRAME_ABORT]):
+        raise ProtocolViolation(reply[1:].decode(errors="replace"))
+    if reply != HELLO_OK:
+        raise TransportError("unreadable handshake reply")
 
 
 # -- channels -----------------------------------------------------------------

@@ -16,7 +16,7 @@ from vlac.cli import MAX_SESSIONS, main
 from vlac.errors import Malformed, TransportError
 from vlac.ff import Poly, field_new, full_sample_set
 from vlac.la import DenseMatrix, SparseMatrix, dense_matmul, rank_dense
-from vlac.net import FRAME_HELLO, HELLO_OK, MAX_HELLO, hello_frame
+from vlac.proto import FRAME_HELLO, HELLO_OK, MAX_HELLO, hello_frame
 from vlac.lift import IntMatrix, PolyMatrix
 from vlac.matrixmarket import (
     parse_matrix_market,
@@ -623,10 +623,10 @@ def framed(data: bytes) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
-def delegate_against(tmp_path, gf101, capsys, sent: bytes):
+def delegate_against(tmp_path, gf101, capsys, sent: bytes, delay: float = 0.0):
     """Run ``vlac delegate`` on a 4x4 det against a fake prover that, after
-    reading the hello, sends ``sent``; returns the exit code, stdout and
-    stderr."""
+    reading the hello and waiting ``delay`` seconds, sends ``sent``; returns
+    the exit code, stdout and stderr."""
     path = sparse_det_file(tmp_path, gf101, n=4)
     server = socket.create_server(("127.0.0.1", 0))
     port = server.getsockname()[1]
@@ -636,6 +636,7 @@ def delegate_against(tmp_path, gf101, capsys, sent: bytes):
         conn, _ = server.accept()
         with conn:
             SocketTransport(conn, timeout=30).recv_frame(MAX_HELLO)
+            time.sleep(delay)
             conn.sendall(sent)
             done.wait(30)
 
@@ -680,6 +681,15 @@ def test_cli_delegate_rejects_a_first_message_under_the_wrong_tag(tmp_path, gf10
     assert "REJECT reason=ProtocolViolation:unexpected-message" in out
 
 
+def test_cli_delegate_does_not_count_the_hello_as_prover_time(tmp_path, gf101, capsys):
+    first = Message(ROLE_PROVER, TAG_RESPONSE, KIND_VEC, [1, 2, 3, 4]).encode()
+    sent = framed(HELLO_OK) + framed(b"\x00" + first)
+    code, out, _ = delegate_against(tmp_path, gf101, capsys, sent, delay=0.5)
+    assert code == 1
+    prover_s = float(re.search(r"prover ([0-9.]+)s", out).group(1))
+    assert prover_s < 0.4, out
+
+
 def test_cli_serve_caps_live_sessions(tmp_path, gf101):
     path = sparse_det_file(tmp_path, gf101, n=4)
     a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
@@ -713,7 +723,7 @@ def test_cli_serve_caps_live_sessions(tmp_path, gf101):
 
 
 def test_cli_serve_drops_a_silent_client_after_the_hello_wait(tmp_path, gf101):
-    from vlac import net
+    from vlac import proto
 
     path = sparse_det_file(tmp_path, gf101, n=4)
     a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
@@ -723,11 +733,11 @@ def test_cli_serve_drops_a_silent_client_after_the_hello_wait(tmp_path, gf101):
         try:
             # every slot is taken by a client that never sends its hello
             start = time.monotonic()
-            idle = [socket.create_connection(("127.0.0.1", port), timeout=net.HELLO_SECONDS + 10)
+            idle = [socket.create_connection(("127.0.0.1", port), timeout=proto.HELLO_SECONDS + 10)
                     for _ in range(MAX_SESSIONS)]
             for s in idle:
                 assert s.recv(1) == b""  # dropped by the server, not by this timeout
-            assert time.monotonic() - start < net.HELLO_SECONDS + 5
+            assert time.monotonic() - start < proto.HELLO_SECONDS + 5
             time.sleep(0.5)  # a session releases its slot just after it closes
             # the freed slots serve the next client, while the round timeout is 60 s
             with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
@@ -740,14 +750,14 @@ def test_cli_serve_drops_a_silent_client_after_the_hello_wait(tmp_path, gf101):
 
 
 def test_cli_serve_bounds_the_whole_hello(tmp_path, gf101):
-    from vlac import net
+    from vlac import proto
 
     path = sparse_det_file(tmp_path, gf101, n=4)
     a = parse_matrix_market((tmp_path / "big.mtx").read_text()).matrix
     params, digest, _, _ = _det_parts(a, full_sample_set(gf101), None, None)
     hello = hello_frame(PROTOCOL_DET, params, digest)
     frame = struct.pack(">I", len(hello)) + hello
-    limit = net.HELLO_SECONDS + 2
+    limit = proto.HELLO_SECONDS + 2
     assert len(frame) > 2 * limit  # one byte a second cannot finish it in time
     argv = ["serve", "--problem", "det", path, "--once", "--timeout", "60"]
     with spawn_server(argv) as (proc, port):

@@ -29,6 +29,8 @@ from vlac.proto import (
     KIND_SCALAR,
     KIND_UINT,
     KIND_VEC,
+    HELLO_OK,
+    MAX_HELLO,
     MODE_FIAT_SHAMIR,
     MODE_INTERACTIVE,
     ROLE_PROVER,
@@ -44,14 +46,17 @@ from vlac.proto import (
     SocketTransport,
     Transcript,
     Verdict,
+    accept_hello,
     decode_message,
     decode_payload,
     draw_prime,
     encode_payload,
     fs_prove,
+    hello_frame,
     instance_digest,
     _parse_frame,
     matrix_chunks,
+    offer_hello,
     run_session,
     serve_session,
     transcript_deserialize,
@@ -539,6 +544,63 @@ def test_socket_transport_timeout():
     finally:
         tr.close()
         b.close()
+
+
+def test_socket_transport_restores_its_timeout_after_a_deadline_read():
+    a, b = socket.socketpair()
+    tr = SocketTransport(a, timeout=30)
+    try:
+        b.sendall(struct.pack(">I", 2) + b"hi")
+        assert tr.recv_frame(100, time.monotonic() + 5) == b"hi"
+        assert a.gettimeout() == 30
+        with pytest.raises(Timeout):
+            tr.recv_frame(100, time.monotonic() + 0.05)
+        assert a.gettimeout() == 30
+    finally:
+        tr.close()
+        b.close()
+
+
+def _hello_pair():
+    a, b = socket.socketpair()
+    return SocketTransport(a, timeout=10), SocketTransport(b, timeout=10)
+
+
+@pytest.mark.parametrize("frame, reason", [
+    (b"\x00" + hello_frame("vlac.toy.v1", b"", DIGEST)[1:], "expected a handshake frame"),
+    (hello_frame("vlac.toy.v1", b"", DIGEST)[:-1], "unreadable handshake"),
+    (hello_frame("vlac.toy.v1", b"", DIGEST) + b"x", "oversized handshake"),
+])
+def test_accept_hello_refuses_a_malformed_hello(frame, reason):
+    client, server = _hello_pair()
+    try:
+        client.send_frame(frame)
+        with pytest.raises(ProtocolViolation, match=f"^{reason}$"):
+            accept_hello(server, "vlac.toy.v1", b"", DIGEST)
+    finally:
+        client.close()
+        server.close()
+
+
+@pytest.mark.parametrize("reply, error, text", [
+    (HELLO_OK, None, None),
+    (b"\x01instance or protocol mismatch", ProtocolViolation, "instance or protocol mismatch"),
+    (b"\x02NO", TransportError, "unreadable handshake reply"),
+    (b"", TransportError, "unreadable handshake reply"),
+])
+def test_offer_hello_reads_the_reply(reply, error, text):
+    client, server = _hello_pair()
+    try:
+        server.send_frame(reply)
+        if error is None:
+            offer_hello(client, "vlac.toy.v1", b"", DIGEST)
+        else:
+            with pytest.raises(error, match=f"^{text}$"):
+                offer_hello(client, "vlac.toy.v1", b"", DIGEST)
+        assert server.recv_frame(MAX_HELLO) == hello_frame("vlac.toy.v1", b"", DIGEST)
+    finally:
+        client.close()
+        server.close()
 
 
 class FrameQueue:
