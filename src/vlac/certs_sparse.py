@@ -32,6 +32,7 @@ from .ff import (
     _check_sample_set,
     _dot,
     _powers,
+    _prod,
     _reduce,
     minpoly_package,
 )
@@ -148,10 +149,10 @@ def _prove_solve(ch, label: str, s: SampleSet, dense: DenseMatrix) -> None:
 
 def _recv_answer(ch, field: PrimeField, n: int) -> np.ndarray:
     """The prover's answer vector of length n, which must be there."""
-    kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=n)
+    kind, w = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=n)
     if kind == KIND_EMPTY:
         raise Reject("ProverFailed")
-    return field.arr(wv)
+    return w
 
 
 def _check_solve(ch, label: str, s: SampleSet, op) -> None:
@@ -414,7 +415,7 @@ def _rank_parts(
         if r > 0:
             _, u_th = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=butterfly_param_count(m))
             _, v_th = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=butterfly_param_count(n))
-            if any(t == 0 for t in u_th) or any(t == 0 for t in v_th):
+            if not ((u_th != 0).all() and (v_th != 0).all()):
                 raise Reject("Malformed:zero-theta")
             op = _preconditioned(field, a, m, n, u_th, v_th)
             _check_solve(ch, "rank.low.b", s, leading_projection(op, r))
@@ -492,15 +493,16 @@ def _prove_shifted_solves(ch, field, s, solve_fn) -> None:
 
 
 def _evals(field: PrimeField, polys: tuple, x: int, counter: CostCounter) -> list:
-    """Each polynomial's value at x, from one table of powers of x.
+    """Each polynomial's value at x, from one table of powers of x; a
+    polynomial is its trimmed array of canonical coefficients, low first,
+    as ``recv`` gives it.
 
     Counts one Horner pass, 2 * degree operations, per polynomial.
     """
-    powers = _powers(field, x, max(len(poly.coeffs) for poly in polys))
+    powers = _powers(field, x, max(len(coeffs) for coeffs in polys))
     out = []
-    for poly in polys:
-        counter.add(2 * max(poly.degree, 0))
-        coeffs = np.array(poly.coeffs, dtype=field.dtype)
+    for coeffs in polys:
+        counter.add(2 * max(len(coeffs) - 1, 0))
         out.append(_dot(field, coeffs, powers[: len(coeffs)]))
     return out
 
@@ -527,29 +529,32 @@ def _verify_minpoly_exchange(
 
     def committed():
         # each committed polynomial has degree at most n; recv has checked
-        # every coefficient against [0, p)
+        # every coefficient against [0, p), and the wire format that it is
+        # trimmed, so its degree is its length less one
         _, coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field, count=n + 1)
-        return Poly.from_canonical(field, coeffs)
+        return coeffs
 
-    gen = committed()
+    gen_c = committed()
+    gen = Poly.from_canonical(field, gen_c)
     if gen.is_zero or not gen.is_monic:
         raise Reject("DegreeViolation")
     if gen.degree > n:
         raise Reject("DegreeViolation")
     if full_degree and gen.degree != n:
         raise Reject("DegreeDeficient")
-    num = committed()
+    num_c = committed()
+    num = Poly.from_canonical(field, num_c)
     if num.degree >= gen.degree:
         raise Reject("DegreeViolation")
-    phi = committed()
-    if phi.degree > max(num.degree - 1, 0):
+    phi_c = committed()
+    if len(phi_c) - 1 > max(num.degree - 1, 0):
         raise Reject("DegreeViolation")
-    psi = committed()
-    if psi.degree > max(gen.degree - 1, 0):
+    psi_c = committed()
+    if len(psi_c) - 1 > max(gen.degree - 1, 0):
         raise Reject("DegreeViolation")
 
     r0 = ch.challenge_scalar("minpoly.r0", s)
-    at_gen, at_num, at_phi, at_psi = _evals(field, (gen, num, phi, psi), r0, counter)
+    at_gen, at_num, at_phi, at_psi = _evals(field, (gen_c, num_c, phi_c, psi_c), r0, counter)
     lhs = (at_phi * at_gen + at_psi * at_num) % field.p
     counter.add(3)
     if lhs != 1:
@@ -557,17 +562,16 @@ def _verify_minpoly_exchange(
 
     for attempt in range(SHIFT_DRAWS):
         r1 = ch.challenge_scalar(f"minpoly.r1.{attempt}", s)
-        kind, wv = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=n)
+        kind, w = ch.recv(TAG_RESPONSE, (KIND_VEC, KIND_EMPTY), field, count=n)
         if kind == KIND_EMPTY:
             continue
-        w = field.arr(wv)
         shifted = (r1 * w - matvec(operator, w, counter)) % field.p
         counter.add(2 * n)
         if not np.array_equal(shifted, v):
             raise Reject("CheckFailed:resolvent")
         uw = _dot(field, u, w)
         counter.add(2 * n)
-        at_gen, right = _evals(field, (gen, num), r1, counter)
+        at_gen, right = _evals(field, (gen_c, num_c), r1, counter)
         left = uw * at_gen % field.p
         counter.add(1)
         if left != right:
@@ -719,11 +723,10 @@ def det_verifier_flow(ch, field: PrimeField, operator, s: SampleSet, n: int):
     kind, scale = ch.recv(TAG_COMMIT, (KIND_VEC, KIND_EMPTY), field, count=n)
     if kind == KIND_EMPTY:
         raise Reject("DegreeDeficient")
-    if any(x == 0 for x in scale):
+    if not (scale != 0).all():
         raise Reject("CheckFailed:scaling")
-    _, uv = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=n)
-    _, vv = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=n)
-    u_arr, v_arr = field.arr(uv), field.arr(vv)
+    _, u_arr = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=n)
+    _, v_arr = ch.recv(TAG_COMMIT, (KIND_VEC,), field, count=n)
     scaled = compose(diagonal_scaling(field, scale), operator)
     gen, num = _verify_minpoly_exchange(
         ch, field, s, scaled, u_arr, v_arr, n, full_degree=True
@@ -733,9 +736,7 @@ def det_verifier_flow(ch, field: PrimeField, operator, s: SampleSet, n: int):
     det_scaled = gen.coeff(0)
     if n % 2 == 1:
         det_scaled = (-det_scaled) % p
-    scale_det = 1
-    for x in scale:
-        scale_det = scale_det * int(x) % p
+    scale_det = _prod(field, scale)
     ch.counter.add(n + 2)
     value = det_scaled * field.inv(scale_det) % p
     return value, minpoly_epsilon(n, num.degree, s)

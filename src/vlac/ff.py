@@ -236,12 +236,13 @@ class Poly:
         return cls(field, [c])
 
     @classmethod
-    def from_canonical(cls, field: PrimeField, coeffs: list) -> "Poly":
-        """A polynomial from a list of Python ints already in [0, p), such
-        as a received payload that has been range-checked: no reduction."""
+    def from_canonical(cls, field: PrimeField, coeffs: np.ndarray) -> "Poly":
+        """A polynomial from an array of entries already in [0, p), such as
+        a received payload that has been range-checked: no reduction, and
+        one ``tolist``, so its coefficients are Python ints."""
         poly = cls.__new__(cls)
         poly.field = field
-        c = list(coeffs)
+        c = coeffs.tolist()
         while c and c[-1] == 0:
             c.pop()
         poly.coeffs = c
@@ -505,6 +506,20 @@ def _dot(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
     if field.dtype is object:
         return int(np.dot(a, b)) % field.p if len(a) else 0
     return int((a * b % field.p).sum()) % field.p
+
+
+def _prod(field: PrimeField, a: np.ndarray) -> int:
+    """prod a[i] mod p for a canonical vector, multiplied in pairs: each
+    pass multiplies the first half by the second, entry by entry, and
+    reduces, so no int64 product passes (p - 1)^2."""
+    p = field.p
+    while len(a) > 1:
+        half = len(a) // 2
+        head = a[:half] * a[half : 2 * half] % p
+        if len(a) % 2:
+            head[0] = head[0] * a[-1] % p
+        a = head
+    return int(a[0]) if len(a) else 1
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:

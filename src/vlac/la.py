@@ -472,7 +472,7 @@ def diagonal_scaling(field: PrimeField, d: Sequence[int]) -> Blackbox:
     dv = field.arr(d)
     if dv.ndim != 1:
         raise DimensionMismatch("diagonal needs a vector")
-    if any(int(v) == 0 for v in dv):
+    if not (dv != 0).all():
         raise DivisionByZero("diagonal scaling requires nonzero entries")
     n = len(dv)
     p = field.p
@@ -591,10 +591,10 @@ class Butterfly(Operator):
         self.layers = self.n_padded.bit_length() - 1
         half = self.n_padded // 2
         need = butterfly_param_count(n)
-        th = field.arr(list(thetas))
+        th = field.arr(thetas)
         if th.ndim != 1 or len(th) != need:
             raise DimensionMismatch(f"butterfly wants {need} parameters")
-        if any(int(v) == 0 for v in th):
+        if not (th != 0).all():
             raise DivisionByZero("butterfly parameters must be nonzero")
         pairs = th.reshape(self.layers, 2, half)
         # layer t acts on the (-1, 2, 2^t, k) view of a block of k columns,

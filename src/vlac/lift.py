@@ -392,13 +392,13 @@ def _polydet_parts(m: PolyMatrix, deg_bound: Optional[int], prover_seed: Optiona
 
     def verifier(ch):
         _, f_coeffs = ch.recv(TAG_COMMIT, (KIND_POLY,), field, count=n * deg_bound + 1)
-        f = Poly(field, f_coeffs)
-        if f.degree > n * deg_bound:
+        if len(f_coeffs) - 1 > n * deg_bound:
             raise Reject("DegreeOutOfBounds")
         alpha = ch.challenge_scalar("polydet.alpha", s)
         value, eps_field = det_verifier_flow(ch, field, m.evaluate(alpha), s, n)
-        if _evals(field, (f,), alpha, ch.counter) != [value]:
+        if _evals(field, (f_coeffs,), alpha, ch.counter) != [value]:
             raise Reject("CheckFailed:lift")
+        f = Poly.from_canonical(field, f_coeffs)
         return Verdict.accept(polydet_epsilon(n, deg_bound, len(s), eps_field)), f
 
     return params, digest, prover, verifier

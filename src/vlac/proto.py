@@ -260,12 +260,22 @@ def _decode_payload_inner(kind: int, r: _Reader):
 
 @dataclass(frozen=True)
 class Message:
+    """One protocol message.  A decoded message keeps the bytes it was
+    decoded from as ``raw``, which only ``decode_message`` sets: a message
+    built or ``dataclasses.replace``d from values has none, so its
+    ``encode`` encodes its value."""
+
     role: int
     tag: int
     kind: int
     value: object = None
+    raw: Optional[bytes] = dataclass_field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def encode(self) -> bytes:
+        if self.raw is not None:
+            return self.raw
         return bytes([self.role, self.tag, self.kind]) + encode_payload(
             self.kind, self.value
         )
@@ -279,15 +289,11 @@ def decode_message(buf: bytes) -> Message:
         raise Malformed(f"bad role byte {role}")
     if tag not in (TAG_COMMIT, TAG_CHALLENGE, TAG_RESPONSE):
         raise Malformed(f"bad tag byte {tag}")
-    return Message(role, tag, kind, decode_payload(kind, buf[3:]))
-
-
-def _payload_in_field(kind: int, value, p: int) -> bool:
-    if kind == KIND_SCALAR:
-        return 0 <= value < p
-    if kind not in (KIND_VEC, KIND_POLY):
-        return True
-    return not value or (min(value) >= 0 and max(value) < p)
+    m = Message(role, tag, kind, decode_payload(kind, buf[3:]))
+    # the decode accepts only canonical encodings, so these bytes are what
+    # encoding the value would give
+    object.__setattr__(m, "raw", bytes(buf))
+    return m
 
 
 # -- transcripts --------------------------------------------------------------
@@ -722,16 +728,36 @@ class _VerifierChannel(_ChallengeChannel):
         role, tag and kind are the step's, its entries lie in the field and
         a vector holds exactly count entries.  For the other kinds count is
         the most 8-byte entries (coefficients or big-integer words) of an
-        honest message; a live channel sizes its frame limit from it."""
+        honest message; a live channel sizes its frame limit from it.
+
+        A vector or polynomial step must give its field: the value comes
+        back as a fresh canonical array of ``field.dtype``, read from the
+        message's bytes in one step and range-checked there once, while
+        the message's own ``value`` stays a list."""
         m = self._next(count)
         if m.role != ROLE_PROVER or m.tag != tag or m.kind not in kinds:
             raise Reject("ProtocolViolation:unexpected-message")
-        if field is not None and not _payload_in_field(m.kind, m.value, field.p):
+        try:
+            data = m.encode()
+        except Malformed:
+            # only a message built in memory can fail to encode: an entry
+            # outside [0, 2^64), or a polynomial that is not trimmed
+            raise Reject("Malformed:scalar-out-of-range") from None
+        value = m.value
+        if m.kind in (KIND_VEC, KIND_POLY):
+            # past the role, tag and kind bytes and the u32 entry count, the
+            # entries are little-endian u64s; compare them as u64, since a
+            # cast to int64 turns an entry of 2^63 or more negative
+            entries = np.frombuffer(data, "<u8", offset=7)
+            if (entries >= np.uint64(field.p)).any():
+                raise Reject("Malformed:scalar-out-of-range")
+            if m.kind == KIND_VEC and len(entries) != count:
+                raise Reject("Malformed:vector-length")
+            value = entries.astype(field.dtype)
+        elif m.kind == KIND_SCALAR and field is not None and not 0 <= value < field.p:
             raise Reject("Malformed:scalar-out-of-range")
-        if m.kind == KIND_VEC and len(m.value) != count:
-            raise Reject("Malformed:vector-length")
-        self._src.absorb(m.encode())
-        return m.kind, m.value
+        self._src.absorb(data)
+        return m.kind, value
 
     def finish(self) -> None:
         """Check what the run left behind once the verifier has accepted;

@@ -1,5 +1,6 @@
 """Wire format, challenge sources, transcripts, and session plumbing."""
 
+import dataclasses
 import hashlib
 import socket
 import struct
@@ -205,6 +206,46 @@ def test_fs_prover_records_what_its_bytes_decode_to(name):
     replays, is what its serialization reads back as: every protocol id."""
     t = GOLDEN_CASES[name]().transcript
     assert transcript_deserialize(transcript_serialize(t)) == t
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_kept_bytes_are_what_the_value_encodes_to(name):
+    """A decoded message encodes as the bytes it was read from, and those
+    are the bytes its value encodes to."""
+    blob = transcript_serialize(GOLDEN_CASES[name]().transcript)
+    for m in transcript_deserialize(blob).messages:
+        assert m.raw is not None
+        assert m.encode() == Message(m.role, m.tag, m.kind, m.value).encode()
+
+
+def test_a_replaced_message_encodes_its_new_value():
+    m = decode_message(Message(ROLE_PROVER, TAG_RESPONSE, KIND_VEC, [7, 8]).encode())
+    moved = dataclasses.replace(m, value=[7, 9])
+    assert moved.raw is None
+    assert moved.encode() == Message(ROLE_PROVER, TAG_RESPONSE, KIND_VEC, [7, 9]).encode()
+    assert decode_message(moved.encode()) == moved
+    with pytest.raises(TypeError):
+        Message(ROLE_PROVER, TAG_RESPONSE, KIND_VEC, [7, 8], raw=m.raw)
+
+
+def test_replay_reads_a_replaced_vector_not_its_old_bytes():
+    """A transcript whose last response has one entry bumped through
+    ``dataclasses.replace`` rejects as the bumped bytes would: the verifier
+    reads the new value, not the bytes the old one was decoded from."""
+    field = field_new(10007)
+    a = DenseMatrix(field, [[2, 7, 1], [5, 3, 8], [4, 6, 9]])
+    honest = det_certify(a, FiatShamirSource())[0].transcript
+    t = transcript_deserialize(transcript_serialize(honest))
+    assert det_verify(a, t)[0].accepted
+    msgs = list(t.messages)
+    m = msgs[-1]
+    assert m.kind == KIND_VEC and m.raw is not None
+    msgs[-1] = dataclasses.replace(m, value=[(m.value[0] + 1) % field.p] + m.value[1:])
+    forged = Transcript(t.protocol_id, t.mode, t.instance_digest, t.params, msgs)
+    verdict, _ = det_verify(a, forged)
+    assert verdict.reason == "CheckFailed:resolvent"
+    verdict, _ = det_verify(a, transcript_deserialize(transcript_serialize(forged)))
+    assert verdict.reason == "CheckFailed:resolvent"
 
 
 def test_transcript_rejects_bad_magic():
@@ -773,5 +814,25 @@ def test_replay_out_of_field_entry_rejected(gf101, kind, value):
                         [Message(ROLE_PROVER, TAG_COMMIT, kind, value)])
     back = transcript_deserialize(transcript_serialize(forged))
     verdict, _ = verify_recorded(back, pid, digest, params, verifier)
+    assert not verdict.accepted
+    assert verdict.reason == "Malformed:scalar-out-of-range"
+
+
+@pytest.mark.parametrize("kind, value", [
+    (KIND_VEC, [-1]),
+    (KIND_VEC, [2**64]),
+    (KIND_POLY, [1, 0]),
+])
+def test_replay_of_a_message_with_no_encoding_rejects(gf101, kind, value):
+    """A message built in memory whose value has no wire encoding is
+    refused like an entry past p, not raised out of the verify call."""
+    def verifier(ch):
+        ch.recv(TAG_COMMIT, (kind,), gf101)
+        return Verdict.accept(Fraction(0)), None
+
+    pid, params, digest = "vlac.one.v1", b"", bytes(32)
+    forged = Transcript(pid, MODE_FIAT_SHAMIR, digest, params,
+                        [Message(ROLE_PROVER, TAG_COMMIT, kind, value)])
+    verdict, _ = verify_recorded(forged, pid, digest, params, verifier)
     assert not verdict.accepted
     assert verdict.reason == "Malformed:scalar-out-of-range"

@@ -11,6 +11,7 @@ own checks included; tampered transcripts exist only on replay.
 import ast
 import dataclasses
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,8 @@ from vlac.lift import (
 )
 from vlac.proto import (
     KIND_EMPTY,
+    KIND_POLY,
+    KIND_VEC,
     MODE_INTERACTIVE,
     TAG_COMMIT,
     TAG_RESPONSE,
@@ -82,6 +85,7 @@ from vlac.proto import (
     Verdict,
     fs_prove,
     run_session,
+    verify_recorded,
 )
 
 F = field_new(10007)
@@ -389,6 +393,64 @@ def test_honest_instances_accept():
         _, parts, verify = _instance(protocol_id)
         t = fs_prove(protocol_id, parts[0], parts[1], parts[2])
         assert _verdict(verify(t)).accepted, protocol_id
+
+
+# -- range edges at the wire -----------------------------------------------------
+
+
+P_WORD = 3037000493  # largest prime whose products (p-1)^2 fit int64
+P_BIG = 3037000507  # first prime past it: object dtype
+PROTOCOL_EDGE = "vlac.edge.v1"
+
+# an entry past the field, and the reason; 2^63 is the entry that a cast
+# to int64 would turn negative
+EDGES = [
+    ("p-1", lambda p: p - 1, None),
+    ("p", lambda p: p, "Malformed:scalar-out-of-range"),
+    ("2^63", lambda p: 2**63, "Malformed:scalar-out-of-range"),
+    ("2^64-1", lambda p: 2**64 - 1, "Malformed:scalar-out-of-range"),
+]
+
+
+def _edge_parts(field, kind, value):
+    """(params, digest, prover, verifier) of a one-message protocol: the
+    prover sends value as a vector or a polynomial, and the verifier
+    accepts whatever its channel lets through, returning it."""
+
+    def prover(ch):
+        ch.send(TAG_COMMIT, kind, value)
+
+    def verifier(ch):
+        _, got = ch.recv(TAG_COMMIT, (kind,), field, count=len(value))
+        return Verdict.accept(Fraction(0)), got
+
+    return b"", bytes(32), prover, verifier
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["replayed", "live"])
+@pytest.mark.parametrize("kind", [KIND_VEC, KIND_POLY], ids=["vec", "poly"])
+@pytest.mark.parametrize("p", [P_WORD, P_BIG], ids=["int64", "object"])
+@pytest.mark.parametrize("entry, reason", [(e, r) for _, e, r in EDGES],
+                         ids=[name for name, _, _ in EDGES])
+def test_range_edges_at_the_wire(entry, reason, p, kind, live):
+    field = field_new(p)
+    value = [1, entry(p)]
+    params, digest, prover, verifier = _edge_parts(field, kind, value)
+    if live:
+        verdict, got, _ = run_session(PROTOCOL_EDGE, params, digest, prover, verifier,
+                                      InteractiveSource(1), timeout=10)
+    else:
+        t = fs_prove(PROTOCOL_EDGE, params, digest, prover)
+        verdict, got = verify_recorded(t, PROTOCOL_EDGE, digest, params, verifier)
+    if reason is not None:
+        assert not verdict.accepted
+        assert verdict.reason == reason
+        return
+    assert verdict.accepted
+    assert got.dtype == field.dtype
+    assert got.tolist() == value
+    if field.dtype is object:
+        assert all(type(x) is int for x in got)  # Python ints, not numpy scalars
 
 
 # -- the rows cover every reason -------------------------------------------------

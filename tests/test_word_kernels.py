@@ -34,6 +34,7 @@ from vlac.errors import BothZero, DivisionByZero, GeneratorMismatch
 from vlac.ff import (
     Poly,
     _mul_arrays,
+    _prod,
     _quotient,
     berlekamp_massey,
     field_new,
@@ -147,6 +148,25 @@ def test_dot_matches_python_ints(p, length, seed):
     a = [rng.randrange(p) for _ in range(length)]
     b = [rng.randrange(p) for _ in range(length)]
     assert _dot(field, field.arr(a), field.arr(b)) == sum(x * y for x, y in zip(a, b)) % p
+
+
+# -- the pairwise product ------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", (3, P_WORD, P_BIG))
+@pytest.mark.parametrize("length", (1, 2, 3, 2048, 2049))
+def test_prod_matches_the_python_loop(p, length):
+    """The verifier's product of a received scaling, taken in pairs, is
+    the running product, worst-case entries (p - 1 everywhere) included."""
+    field = field_new(p)
+    rng = Random(length)
+    for entries in ([rng.randrange(1, p) for _ in range(length)], [p - 1] * length):
+        expected = 1
+        for x in entries:
+            expected = expected * x % p
+        a = field.arr(entries)
+        assert _prod(field, a) == expected
+        assert a.tolist() == entries  # the input is left as it was
 
 
 # -- the limb projection ---------------------------------------------------------
