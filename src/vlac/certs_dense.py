@@ -5,8 +5,9 @@ verifier draws a challenge, builds the vector of its powers
 v = (1, r, r^2, ...), and tests A(Bv) = Cv with three matrix-vector
 products.  A wrong product survives only if r is a root of a nonzero
 polynomial of degree below the column count, so the error rate is
-(n-1)/|S| over a sample set S.  The zero-one variant repeats a random
-{0,1} vector k times for error 2^-k instead.
+(n-1)/|S| over a sample set S.  The zero-one variant draws k random
+{0,1} vectors for error 2^-k instead, and checks them as one block of k
+columns: three block products, not 3k matrix-vector products.
 
 Nothing here needs a prover message: the claimed product is part of the
 instance, so transcripts carry challenges only.
@@ -65,7 +66,8 @@ def _geometric_vector(field: PrimeField, r: int, n: int, counter: CostCounter) -
 
 
 def _check_product(a, b, c, v: np.ndarray, counter: CostCounter, reason: str) -> None:
-    """Test a(bv) = cv; raise Reject(reason) when it fails."""
+    """Test a(bv) = cv for a vector or a block of columns v; raise
+    Reject(reason) when it fails."""
     inner = matvec(b, v, counter)
     left = matvec(a, inner, counter)
     right = matvec(c, v, counter)
@@ -128,9 +130,9 @@ def _matmul_parts(
             _check_product(a, b, c, v, ch.counter, "CheckFailed:product")
         else:
             bits = SampleSet(field, 2)
-            for t in range(rounds):
-                v = field.arr(ch.challenge_vector(f"product.v.{t}", bits, c.cols))
-                _check_product(a, b, c, v, ch.counter, "CheckFailed:product")
+            vs = [ch.challenge_vector(f"product.v.{t}", bits, c.cols) for t in range(rounds)]
+            block = np.array(vs, dtype=field.dtype).T  # column t is round t's vector
+            _check_product(a, b, c, block, ch.counter, "CheckFailed:product")
         return Verdict.accept(matmul_epsilon(variant, c.cols, s, rounds)), None
 
     return params, digest, prover, verifier

@@ -421,9 +421,10 @@ def _limb_product(field: PrimeField, a: np.ndarray) -> Callable[[np.ndarray], np
 
 
 def matvec(m: Operator, x, counter: CostCounter | None = None) -> np.ndarray:
-    """Product m @ x for any operator, its cost ``mu`` charged to counter."""
+    """Product m @ x for any operator and a vector or an (n, k) block x,
+    its cost ``mu`` charged to counter once per column."""
     if counter is not None:
-        counter.add(m.mu)
+        counter.add(m.mu * (np.shape(x)[1] if np.ndim(x) == 2 else 1))
     return m.apply(x)
 
 

@@ -31,7 +31,6 @@ with exactly one valid encoding per transcript.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import socket
 import struct
@@ -396,22 +395,22 @@ class InteractiveSource:
 
 # one SHA-256 block of a draw as four little-endian u64 candidates
 _FOUR_U64 = struct.Struct("<4Q").unpack
-
-
-@functools.lru_cache(maxsize=1024)
-def _label_tag(label: str) -> bytes:
-    """A draw label as the hash chain encodes it."""
-    return lp(label.encode())
+_sha256 = hashlib.sha256
 
 
 class FiatShamirSource:
-    """SHA-256 challenge chain.
+    """SHA-256 challenge chain, version 1.
 
-    The state starts from the protocol id, parameter blob, and instance
-    digest; every prover message is absorbed; every draw hashes the state
-    with a domain label and splits the digest into little-endian u64
-    chunks, rejection-sampled into the requested range.  Each draw folds
-    the drawn value back into the state.
+    ``begin`` sets the state to SHA-256("vlac.fs.v1", lp(protocol id),
+    lp(params), lp(instance digest)), where lp(x) is x prefixed by its
+    length as a little-endian u32.  ``absorb`` of a prover message sets it
+    to SHA-256(state, "M", message bytes).  A draw below ``bound`` under a
+    label hashes SHA-256(state, "C", lp(label in UTF-8), u32 counter) for
+    counter 0, 1, ...; it reads each digest as four little-endian u64s in
+    order and takes the first one u below the largest multiple of bound
+    that fits in 2^64 (rejection sampling, so the draw is uniform).  The
+    draw is u mod bound, and it sets the state to SHA-256(state, "D",
+    lp(label), u64 draw), so every draw depends on every draw before it.
     """
 
     kind = "fiat-shamir"
@@ -422,34 +421,34 @@ class FiatShamirSource:
     def begin(self, protocol_id: str, params: bytes, digest: bytes) -> None:
         if self._state is not None:
             raise ProtocolViolation("hash chain already bound to an instance")
-        h = hashlib.sha256(b"vlac.fs.v1")
+        h = _sha256(b"vlac.fs.v1")
         h.update(lp(protocol_id.encode()))
         h.update(lp(params))
         h.update(lp(digest))
         self._state = h.digest()
 
-    def _require_state(self) -> bytes:
+    def absorb(self, data: bytes) -> None:
         if self._state is None:
             raise ProtocolViolation("hash chain not bound to an instance yet")
-        return self._state
-
-    def absorb(self, data: bytes) -> None:
-        state = self._require_state()
-        self._state = hashlib.sha256(state + b"M" + data).digest()
+        self._state = _sha256(self._state + b"M" + data).digest()
 
     def draw_uint(self, label: str, bound: int) -> int:
-        state = self._require_state()
-        if not (0 < bound <= 1 << 64):
+        # one body per draw: a challenge vector makes one call per entry
+        state = self._state
+        if state is None:
+            raise ProtocolViolation("hash chain not bound to an instance yet")
+        if not 0 < bound <= 1 << 64:
             raise ValueError("draw bound out of range")
         threshold = (1 << 64) // bound * bound
-        tag = _label_tag(label)
+        raw = label.encode()
+        tag = _u32(len(raw)) + raw
         prefix = state + b"C" + tag
         ctr = 0
         while True:
-            for u in _FOUR_U64(hashlib.sha256(prefix + _u32(ctr)).digest()):
+            for u in _FOUR_U64(_sha256(prefix + _u32(ctr)).digest()):
                 if u < threshold:
                     val = u % bound
-                    self._state = hashlib.sha256(state + b"D" + tag + _u64(val)).digest()
+                    self._state = _sha256(state + b"D" + tag + _u64(val)).digest()
                     return val
             ctr += 1
 
@@ -658,22 +657,36 @@ class _ChallengeChannel:
 
     def challenge_scalar(self, label: str, s: SampleSet) -> int:
         return self._challenge(
-            KIND_SCALAR, 1, lambda: self._src.draw_scalar(label, s), lambda v: v in s
+            KIND_SCALAR, 1, lambda: s.offset + self._src.draw_uint(label, s.size), lambda v: v in s
         )
 
     def challenge_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
+        def draw():
+            draw_uint, offset, size = self._src.draw_uint, s.offset, s.size
+            return [offset + draw_uint(f"{label}.{i}", size) for i in range(count)]
+
         return self._challenge(
-            KIND_VEC,
-            count,
-            lambda: [self._src.draw_scalar(f"{label}.{i}", s) for i in range(count)],
-            lambda v: len(v) == count and all(x in s for x in v),
+            KIND_VEC, count, draw, lambda v: len(v) == count and all(x in s for x in v)
         )
 
     def challenge_nonzero_vector(self, label: str, s: SampleSet, count: int) -> list[int]:
+        def draw():
+            draw_uint, offset, size = self._src.draw_uint, s.offset, s.size
+            out = []
+            for i in range(count):
+                entry = f"{label}.{i}"
+                v = offset + draw_uint(entry, size)
+                while v == 0:
+                    # redrawn under the same label: the state has moved on,
+                    # so a replay makes the same retries
+                    v = offset + draw_uint(entry, size)
+                out.append(v)
+            return out
+
         return self._challenge(
             KIND_VEC,
             count,
-            lambda: [_draw_nonzero(self._src, f"{label}.{i}", s) for i in range(count)],
+            draw,
             lambda v: len(v) == count and all(x != 0 and x in s for x in v),
         )
 
@@ -707,15 +720,6 @@ class FSProverChannel(_ChallengeChannel):
     def _drawn(self, kind: int, value):
         self._t.messages.append(Message(ROLE_VERIFIER, TAG_CHALLENGE, kind, value))
         return value
-
-
-def _draw_nonzero(source, label: str, s: SampleSet) -> int:
-    # zero draws are rejection-resampled; the state advance makes the
-    # retry well-defined under replay
-    while True:
-        v = source.draw_scalar(label, s)
-        if v != 0:
-            return v
 
 
 class _VerifierChannel(_ChallengeChannel):

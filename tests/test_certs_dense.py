@@ -3,6 +3,7 @@
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from vlac.certs_dense import (
@@ -22,7 +23,7 @@ from vlac.certs_dense import (
     matmul_verify,
 )
 from vlac.errors import BrokenReference, DimensionMismatch
-from vlac.ff import SampleSet, full_sample_set
+from vlac.ff import SampleSet, field_new, full_sample_set
 from vlac.la import DenseMatrix, dense_matmul, invert_dense
 from vlac.proto import FiatShamirSource, InteractiveSource, fs_prove, verify_recorded
 
@@ -47,9 +48,6 @@ class ScriptedSource:
         v = self.values.pop(0)
         assert 0 <= v < bound
         return v
-
-    def draw_scalar(self, label, s):
-        return s.offset + self.draw_uint(label, s.size)
 
 
 def eye(field, n):
@@ -194,6 +192,47 @@ def test_zero_one_variant(gf101):
     eps = 1 / 8
     sigma = (trials * eps * (1 - eps)) ** 0.5
     assert hits <= trials * eps + 3 * sigma
+
+
+# (rows of a, inner size, cols of b, verifier_ops of three rounds)
+ZERO_ONE_EDGE_SHAPES = [
+    (1, 1, 1, 18),
+    (2, 0, 3, 36),
+    (0, 2, 2, 24),
+    (2, 2, 0, 24),
+    (0, 0, 0, 0),
+    (3, 1, 2, 66),
+]
+
+
+@pytest.mark.parametrize("m, k, n, ops", ZERO_ONE_EDGE_SHAPES)
+@pytest.mark.parametrize("source", ["interactive", "fiat-shamir"])
+def test_zero_one_block_check_on_edge_shapes(m, k, n, ops, source):
+    gf3 = field_new(3)
+    rng = Random(100 * m + 10 * k + n)
+
+    def rand(rows, cols):
+        entries = [[rng.randrange(3) for _ in range(cols)] for _ in range(rows)]
+        return DenseMatrix(gf3, np.array(entries, dtype=np.int64).reshape(rows, cols))
+
+    a, b = rand(m, k), rand(k, n)
+    src = InteractiveSource(1) if source == "interactive" else FiatShamirSource()
+    v = matmul_certify(a, b, dense_matmul(a, b), src, variant=ZERO_ONE, rounds=3)
+    assert v.accepted
+    assert v.error_bound == Fraction(1, 8)
+    assert v.verifier_ops == ops  # mu of a, b and c, once per round
+
+
+def test_zero_one_block_check_reads_every_round(gf101):
+    """A=B=I, C=[[1,1],[0,1]]: only a vector with a 1 in entry 1 sees the
+    wrong entry, and only the last of three rounds draws one."""
+    i2 = eye(gf101, 2)
+    c = DenseMatrix(gf101, [[1, 1], [0, 1]])
+    v = matmul_certify(i2, i2, c, ScriptedSource([1, 0, 1, 0, 0, 1]), variant=ZERO_ONE, rounds=3)
+    assert not v.accepted
+    assert v.reason == "CheckFailed:product"
+    v = matmul_certify(i2, i2, c, ScriptedSource([1, 0, 1, 0, 1, 0]), variant=ZERO_ONE, rounds=3)
+    assert v.accepted
 
 
 def test_verifier_never_multiplies_matrices(gf101):

@@ -73,9 +73,6 @@ class ScriptedSource:
         assert 0 <= v < bound
         return v
 
-    def draw_scalar(self, label, s):
-        return s.offset + self.draw_uint(label, s.size)
-
 
 def eye(field, n):
     return DenseMatrix(field, [[int(i == j) for j in range(n)] for i in range(n)])

@@ -234,6 +234,17 @@ def test_blackbox_linearity_and_transpose(gf101):
             assert op.to_dense() == ref
 
 
+def test_matvec_charges_mu_per_block_column(gf101):
+    rng = Random(12)
+    for op, _ in all_probe_ops(gf101, rng):
+        for k in (0, 1, 3):
+            rows = [[rng.randrange(gf101.p) for _ in range(k)] for _ in range(op.cols)]
+            block = gf101.arr(rows).reshape(op.cols, k)
+            counter = CostCounter()
+            assert np.array_equal(matvec(op, block, counter), op.apply(block))
+            assert counter.ops == k * op.mu
+
+
 def _probed(m) -> np.ndarray:
     """The operator's matrix, one identity column at a time."""
     out = m.field.zeros(m.shape)

@@ -429,6 +429,76 @@ def test_fs_draws_match_the_chain_definition():
         assert src._state == state
 
 
+def _reference_vector(state: bytes, label: str, s: SampleSet, count: int, nonzero: bool):
+    """A vector challenge as the chain defines it: entry i is drawn under
+    label.i, and in a nonzero vector a zero is drawn again under the same
+    label.  Returns the entries, the state they leave and the redraws."""
+    out, redraws = [], 0
+    for i in range(count):
+        val, state = _reference_draw(state, f"{label}.{i}", s.size)
+        while nonzero and s.offset + val == 0:
+            redraws += 1
+            val, state = _reference_draw(state, f"{label}.{i}", s.size)
+        out.append(s.offset + val)
+    return out, state, redraws
+
+
+@pytest.mark.parametrize("size, offset", [(2, 0), (11, 3)])
+@pytest.mark.parametrize("nonzero", [False, True])
+def test_fs_vector_challenges_match_the_chain_definition(gf101, size, offset, nonzero):
+    s = SampleSet(gf101, size, offset)
+    src = FiatShamirSource()
+    got = []
+
+    def prover(ch):
+        draw = ch.challenge_nonzero_vector if nonzero else ch.challenge_vector
+        got.append(draw("v", s, 40))
+
+    fs_prove("vlac.toy.v1", b"p", DIGEST, prover, src)
+    start = bound_fs("vlac.toy.v1", b"p")._state
+    want, state, redraws = _reference_vector(start, "v", s, 40, nonzero)
+    assert got == [want]
+    assert src._state == state
+    if nonzero and offset == 0:
+        assert redraws > 0  # the zeros were there to redraw
+
+
+@pytest.mark.parametrize("seed", [0, 5, 12])
+def test_seeded_interactive_challenges_follow_the_rng(gf101, seed):
+    s, bits = SampleSet(gf101, 11, offset=3), SampleSet(gf101, 2)
+
+    def walk(ch):
+        return [
+            ch.challenge_scalar("r", s),
+            ch.challenge_vector("v", s, 6),
+            ch.challenge_nonzero_vector("z", bits, 8),
+            ch.challenge_vector("w", s, 3),
+        ]
+
+    got = []
+
+    def verifier(ch):
+        got.extend(walk(ch))
+        return Verdict.accept(Fraction(0)), None
+
+    source = InteractiveSource(seed)
+    verdict, _, _ = run_session("vlac.toy.v1", b"p", DIGEST, walk, verifier, source)
+    assert verdict.accepted
+    rng = Random(seed)
+    nonzero, zeros = [], 0
+    scalar = 3 + rng.randrange(11)
+    vector = [3 + rng.randrange(11) for _ in range(6)]
+    for _ in range(8):
+        v = rng.randrange(2)
+        while v == 0:
+            zeros += 1
+            v = rng.randrange(2)
+        nonzero.append(v)
+    after = [3 + rng.randrange(11) for _ in range(3)]
+    assert zeros > 0
+    assert got == [scalar, vector, nonzero, after]
+
+
 def test_interactive_source_seeded(gf101):
     s = full_sample_set(gf101)
     a, b = InteractiveSource(99), InteractiveSource(99)
