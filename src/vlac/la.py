@@ -298,13 +298,20 @@ def coordinate_order(rows: int, cols: int, ri, ci):
     """The positions ``(ri[k], ci[k])`` sorted row-major, as int64 arrays,
     and the permutation that sorts them.
 
-    Raises DimensionMismatch for the first position, in the given order,
-    that lies outside rows x cols or repeats an earlier one.
+    Positions that already rise strictly row-major, as a written file's
+    do, come back as they are with the identity permutation, found by one
+    pass; any others are sorted.  Raises DimensionMismatch for the first
+    position, in the given order, that lies outside rows x cols or
+    repeats an earlier one.
     """
     outside = np.flatnonzero((ri < 0) | (ri >= rows) | (ci < 0) | (ci >= cols))
     stop = outside[0] if len(outside) else len(ri)
     r = np.asarray(ri[:stop], dtype=np.int64)
     c = np.asarray(ci[:stop], dtype=np.int64)
+    if not len(outside):
+        rises = (r[1:] > r[:-1]) | (r[1:] == r[:-1]) & (c[1:] > c[:-1])
+        if rises.all():
+            return r, c, np.arange(len(r))
     order = np.lexsort((c, r))  # stable: a repeat sorts after its first
     r, c = r[order], c[order]
     again = (r[1:] == r[:-1]) & (c[1:] == c[:-1])

@@ -14,6 +14,13 @@ Two structured comment lines extend the format:
   occupies one line of D+1 numbers.
 
 Files without a modulus parse as arbitrary-precision integer matrices.
+
+A body of scalar entries, array or coordinate, is read a piece of text at
+a time by one strict int64 kernel; in a coordinate body the same bytes
+show that each data line holds three integers, and a body already in
+row-major order, as every file written here is, is not sorted.  What the
+kernel refuses takes the exact path, ``str.split`` and ``int()``, and a
+malformed body raises the message a line-by-line read would.
 """
 
 from __future__ import annotations
@@ -68,12 +75,15 @@ def parse_matrix_market(text: str) -> MatrixFile:
     """Read a Matrix Market text.
 
     Only the header is walked line by line.  A body of scalar entries is
-    read in one vectorised pass: an array body by a strict int64 kernel
-    (``_piece_ints``), a coordinate body by one split; a token that kernel
-    refuses or that does not fit int64 sends the body through ``str.split``
-    and ``int()`` into exact Python ints.  A body that fails
-    a check goes to the per-line checks, which raise the Malformed naming
-    its first faulty line; polynomial entries are read by those lines.
+    read in one vectorised pass by a strict int64 kernel (``_piece_ints``),
+    which for a coordinate body also checks that each data line holds
+    three integers; a piece that kernel refuses, for a token past int64
+    among other things, sends the body through ``str.split`` and ``int()``
+    into exact Python ints.  Coordinate positions go through
+    ``coordinate_order``, which sorts only a body not already row-major.
+    A body that fails a check goes to the per-line checks, which raise the
+    Malformed naming its first faulty line; polynomial entries are read by
+    those lines.
     """
     lines = _lines(text)
     first = next(lines, None)
@@ -184,20 +194,23 @@ def _read_array(rows: int, cols: int, rest: str, field: Optional[PrimeField]):
 _PIECE_CHARS = 1 << 18
 
 
-def _int_values(text: str, count: int) -> np.ndarray:
+def _int_values(text: str, count: int, width: Optional[int] = None) -> np.ndarray:
     """The whitespace-separated integers of text, which must number count,
-    as one array (see ``int_array``).  Raises ValueError otherwise.
+    as one array (see ``int_array``); with a width, every line that holds
+    any must hold exactly width of them.  Raises ValueError otherwise.
 
     Each piece goes through ``_piece_ints``; if it refuses one, the whole
-    text takes the exact path, ``int_array`` over ``str.split``."""
+    text takes the exact path, ``int_array`` over ``_split``."""
+    if count > (len(text) + 1) // 2:  # tokens are a character and a gap apart
+        raise ValueError(f"no room for {count} values")
     out = np.empty(count, dtype=np.int64)
     done = start = 0
     while start < len(text):
-        # a piece ends just past a line break, so no token straddles two
+        # a piece ends just past a line break, so no token or line straddles two
         stop = text.find("\n", start + _PIECE_CHARS) + 1 or len(text)
-        vals = _piece_ints(text[start:stop])
+        vals = _piece_ints(text[start:stop], width)
         if vals is None:
-            vals = int_array(text.split())
+            vals = int_array(_split(text, width))
             if len(vals) != count:
                 raise ValueError(f"{len(vals)} values for {count}")
             return vals
@@ -211,15 +224,31 @@ def _int_values(text: str, count: int) -> np.ndarray:
     return out
 
 
-def _piece_ints(piece: str) -> Optional[np.ndarray]:
+def _split(text: str, width: Optional[int]) -> list[str]:
+    """The tokens of text; with a width, ValueError unless every line
+    that is neither blank nor a comment holds exactly width of them."""
+    if width is None:
+        return text.split()
+    lines = _data_lines(text.splitlines())
+    # '%' is never part of an entry, so it can mark each line's end
+    tokens = " % ".join(lines + [""]).split()
+    if len(tokens) != (width + 1) * len(lines) or tokens[width :: width + 1].count("%") != len(lines):
+        raise ValueError(f"a line does not hold {width} values")
+    del tokens[width :: width + 1]
+    return tokens
+
+
+def _piece_ints(piece: str, width: Optional[int] = None) -> Optional[np.ndarray]:
     """The integers of piece as int64, read by one C-level call, or None
     unless piece holds only ASCII digits, the whitespace both ``str.split``
     and numpy skip, and signs that start a token and precede a digit, with
-    no digit run past 18 (so every token fits int64).
+    no digit run past 18 (so every token fits int64), and, with a width,
+    exactly width tokens on every line that holds one.
 
     These checks make ``np.fromstring`` agree with ``int()``: alone, it
     reads "- 5" as -5 and blank text as [0], and it saturates a token past
-    int64 without an error."""
+    int64 without an error.  Lines end where ``str.splitlines`` ends them:
+    of the bytes let through, at \\n, \\r and \\r\\n, \\x0b and \\x0c."""
     if not piece.isascii():
         return None
     raw = piece.encode("ascii")
@@ -238,7 +267,24 @@ def _piece_ints(piece: str) -> Optional[np.ndarray]:
         run = run[shift:] & run[:-shift]
     if run.any():
         return None
-    tokens = np.count_nonzero(digit[1:] > digit[:-1]) + int(digit[0])
+    if width is None:
+        tokens = np.count_nonzero(digit[1:] > digit[:-1]) + int(digit[0])
+    else:
+        starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1
+        if digit[0]:
+            starts = np.concatenate(([0], starts))
+        tokens = len(starts)
+        if tokens % width:
+            return None
+        # the number of line breaks before each token is its line's; \r\n
+        # counts twice, which only skips a line number
+        breaks = np.flatnonzero((b >= ord("\n")) & (b <= ord("\r")))
+        line = np.searchsorted(breaks, starts).reshape(-1, width)
+        # line numbers only rise, so each row of width tokens is one line when
+        # its first and last agree, and a line of its own when the next row's
+        # first differs
+        if (line[:, 0] != line[:, -1]).any() or (line[1:, 0] == line[:-1, -1]).any():
+            return None
     if not tokens:
         return np.empty(0, dtype=np.int64)
     try:
@@ -252,11 +298,10 @@ def _piece_ints(piece: str) -> Optional[np.ndarray]:
 
 
 def _read_coordinate(rows: int, cols: int, nnz: int, rest: str, field: Optional[PrimeField]):
-    lines = rest.splitlines()
-    if "%" in rest or len(lines) != nnz:  # comment or blank lines
-        lines = _data_lines(lines)
+    # comment lines hold no entries
+    body = "\n".join(_data_lines(rest.splitlines())) if "%" in rest else rest
     try:
-        i, j, v = _coordinate_columns(nnz, lines)
+        i, j, v = _int_values(body, 3 * nnz, width=3).reshape(nnz, 3).T
         if field is not None:
             return SparseMatrix.from_arrays(field, rows, cols, i - 1, j - 1, v)
         r, c, order = coordinate_order(rows, cols, i - 1, j - 1)
@@ -267,19 +312,6 @@ def _read_coordinate(rows: int, cols: int, nnz: int, rest: str, field: Optional[
     cells = np.zeros((rows, cols), dtype=v.dtype)
     cells[r, c] = v[order]
     return IntMatrix(cells)
-
-
-def _coordinate_columns(nnz: int, lines: list[str]) -> np.ndarray:
-    """Columns i, j, v of nnz lines of three integers each; ValueError when
-    the lines are not that."""
-    if len(lines) != nnz:
-        raise ValueError(f"{len(lines)} lines for {nnz} entries")
-    # '%' is never part of an entry, so it can mark each line's end
-    tokens = " % ".join(lines + [""]).split()
-    if len(tokens) != 4 * nnz or tokens[3::4].count("%") != nnz:
-        raise ValueError("a line does not hold i j v")
-    del tokens[3::4]
-    return int_array(tokens).reshape(nnz, 3).T
 
 
 def _coordinate_lines(nnz: int, rest: str) -> list[str]:

@@ -219,6 +219,8 @@ def matrix_chunks(value, tag: bytes = b"") -> Chunks:
 
 
 def decode_payload(kind: int, buf: bytes):
+    if kind in (KIND_VEC, KIND_POLY):
+        return _words(kind, buf).tolist()
     r = _Reader(buf)
     value = _decode_payload_inner(kind, r)
     if not r.done:
@@ -226,10 +228,22 @@ def decode_payload(kind: int, buf: bytes):
     return value
 
 
-def _u64_list(r: _Reader, count: int) -> list[int]:
-    # take checks the length before it slices, so a count past the end
-    # of the buffer raises without allocating
-    return np.frombuffer(r.take(8 * count), "<u8").tolist()
+def _words(kind: int, buf, at: int = 0) -> np.ndarray:
+    """The entries of the vector or polynomial payload that starts at
+    offset at of buf, as a u64 view of buf, checked on the bytes alone:
+    the u32 count must match the length, and a polynomial's top
+    coefficient must not be zero."""
+    if len(buf) < at + 4:
+        raise Malformed("record truncated")
+    count = struct.unpack_from("<I", buf, at)[0]
+    end = at + 4 + 8 * count
+    if len(buf) < end:
+        raise Malformed("record truncated")
+    if kind == KIND_POLY and count and not any(buf[end - 8 : end]):
+        raise Malformed("polynomial encoding not canonical")
+    if len(buf) > end:
+        raise Malformed("payload has trailing bytes")
+    return np.frombuffer(buf, "<u8", count, at + 4)
 
 
 def _decode_payload_inner(kind: int, r: _Reader):
@@ -237,11 +251,6 @@ def _decode_payload_inner(kind: int, r: _Reader):
         return None
     if kind in (KIND_SCALAR, KIND_UINT):
         return r.u64()
-    if kind in (KIND_VEC, KIND_POLY):
-        vals = _u64_list(r, r.u32())
-        if kind == KIND_POLY and vals and vals[-1] == 0:
-            raise Malformed("polynomial encoding not canonical")
-        return vals
     if kind == KIND_BIGINT:
         sign = r.u8()
         if sign not in (0, 1):
@@ -257,12 +266,13 @@ def _decode_payload_inner(kind: int, r: _Reader):
     raise Malformed(f"unknown payload kind {kind}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """One protocol message.  A decoded message keeps the bytes it was
     decoded from as ``raw``, which only ``decode_message`` sets: a message
     built or ``dataclasses.replace``d from values has none, so its
-    ``encode`` encodes its value."""
+    ``encode`` encodes its value.  A decoded vector or polynomial reads
+    its ``value`` list from ``raw`` the first time it is asked for."""
 
     role: int
     tag: int
@@ -271,6 +281,15 @@ class Message:
     raw: Optional[bytes] = dataclass_field(
         default=None, init=False, compare=False, repr=False
     )
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: the value decode_message left
+        # for the first read
+        if name != "value":
+            raise AttributeError(name)
+        value = np.frombuffer(self.raw, "<u8", offset=7).tolist()
+        object.__setattr__(self, "value", value)
+        return value
 
     def encode(self) -> bytes:
         if self.raw is not None:
@@ -288,8 +307,13 @@ def decode_message(buf: bytes) -> Message:
         raise Malformed(f"bad role byte {role}")
     if tag not in (TAG_COMMIT, TAG_CHALLENGE, TAG_RESPONSE):
         raise Malformed(f"bad tag byte {tag}")
-    m = Message(role, tag, kind, decode_payload(kind, buf[3:]))
-    # the decode accepts only canonical encodings, so these bytes are what
+    m = Message(role, tag, kind)
+    if kind in (KIND_VEC, KIND_POLY):
+        _words(kind, buf, 3)
+        object.__delattr__(m, "value")  # read from raw when first asked for
+    else:
+        object.__setattr__(m, "value", decode_payload(kind, buf[3:]))
+    # the checks accept only canonical encodings, so these bytes are what
     # encoding the value would give
     object.__setattr__(m, "raw", bytes(buf))
     return m
@@ -736,8 +760,8 @@ class _VerifierChannel(_ChallengeChannel):
 
         A vector or polynomial step must give its field: the value comes
         back as a fresh canonical array of ``field.dtype``, read from the
-        message's bytes in one step and range-checked there once, while
-        the message's own ``value`` stays a list."""
+        message's bytes in one step and range-checked there once; the
+        message's own ``value`` list is not built."""
         m = self._next(count)
         if m.role != ROLE_PROVER or m.tag != tag or m.kind not in kinds:
             raise Reject("ProtocolViolation:unexpected-message")
@@ -747,7 +771,6 @@ class _VerifierChannel(_ChallengeChannel):
             # only a message built in memory can fail to encode: an entry
             # outside [0, 2^64), or a polynomial that is not trimmed
             raise Reject("Malformed:scalar-out-of-range") from None
-        value = m.value
         if m.kind in (KIND_VEC, KIND_POLY):
             # past the role, tag and kind bytes and the u32 entry count, the
             # entries are little-endian u64s; compare them as u64, since a
@@ -758,8 +781,10 @@ class _VerifierChannel(_ChallengeChannel):
             if m.kind == KIND_VEC and len(entries) != count:
                 raise Reject("Malformed:vector-length")
             value = entries.astype(field.dtype)
-        elif m.kind == KIND_SCALAR and field is not None and not 0 <= value < field.p:
-            raise Reject("Malformed:scalar-out-of-range")
+        else:
+            value = m.value
+            if m.kind == KIND_SCALAR and field is not None and not 0 <= value < field.p:
+                raise Reject("Malformed:scalar-out-of-range")
         self._src.absorb(data)
         return m.kind, value
 

@@ -16,6 +16,7 @@ from vlac.la import (
     butterfly_padding,
     butterfly_param_count,
     compose,
+    coordinate_order,
     dense_matmul,
     det_dense,
     diagonal_scaling,
@@ -171,6 +172,72 @@ def test_sparse_entries_sorted_reduced_and_transposed(gf101):
     assert list(t.triples()) == [(0, 1, 5), (1, 0, 2**70 % 101), (1, 2, 100)]
     same = SparseMatrix.from_arrays(gf101, 3, 2, s.ri, s.ci, s.vals)
     assert list(same.triples()) == list(s.triples())
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize(
+    "ri, ci",
+    [
+        ([], []),
+        ([1], [2]),
+        ([0, 0, 1, 2, 2], [1, 3, 0, 0, 2]),
+        ([0, 1, 2], [3, 3, 3]),
+    ],
+)
+def test_coordinate_order_keeps_row_major_positions(dtype, ri, ci):
+    r, c, order = coordinate_order(3, 4, np.array(ri, dtype=dtype), np.array(ci, dtype=dtype))
+    assert r.dtype == c.dtype == np.int64
+    assert r.tolist() == ri and c.tolist() == ci
+    assert order.tolist() == list(range(len(ri)))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_coordinate_order_sorts_other_positions(dtype):
+    ri, ci = [2, 0, 1, 0, 0], [0, 3, 0, 1, 2]
+    r, c, order = coordinate_order(3, 4, np.array(ri, dtype=dtype), np.array(ci, dtype=dtype))
+    assert list(zip(r.tolist(), c.tolist())) == sorted(zip(ri, ci))
+    assert order.tolist() == [3, 4, 1, 2, 0]
+
+
+COORDINATE_FAULTS = [
+    # repeats: adjacent in row-major order, later, and after a sort
+    ([(0, 0), (0, 1), (0, 1), (1, 1)], "duplicate entry at (0,1)"),
+    ([(0, 0), (1, 0), (0, 0)], "duplicate entry at (0,0)"),
+    ([(1, 1), (0, 0), (1, 1), (0, 0)], "duplicate entry at (1,1)"),
+    # outside, first and last in row-major order, and unsorted
+    ([(-1, 0), (0, 0)], "entry (-1,0) outside 2x2"),
+    ([(0, 0), (1, 1), (1, 2)], "entry (1,2) outside 2x2"),
+    ([(0, 0), (1, 1), (2, 0)], "entry (2,0) outside 2x2"),
+    ([(1, 0), (0, 5), (0, 0)], "entry (0,5) outside 2x2"),
+    # the first fault in the given order is named
+    ([(0, 1), (0, 1), (5, 5)], "duplicate entry at (0,1)"),
+    ([(0, 1), (5, 5), (0, 1)], "entry (5,5) outside 2x2"),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("positions, message", COORDINATE_FAULTS)
+def test_coordinate_order_names_the_first_fault(dtype, positions, message):
+    ri, ci = (np.array(col, dtype=dtype) for col in zip(*positions))
+    with pytest.raises(DimensionMismatch) as info:
+        coordinate_order(2, 2, ri, ci)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "positions, message",
+    [
+        ([(0, 0), (2**70, 0)], f"entry ({2**70},0) outside 2x2"),
+        ([(0, 0), (1, -(2**64))], f"entry (1,{-(2**64)}) outside 2x2"),
+        ([(0, 0), (0, 0), (2**70, 1)], "duplicate entry at (0,0)"),
+        ([(2**70, 0), (0, 0), (0, 0)], f"entry ({2**70},0) outside 2x2"),
+    ],
+)
+def test_coordinate_order_past_int64(positions, message):
+    ri, ci = (np.array(col, dtype=object) for col in zip(*positions))
+    with pytest.raises(DimensionMismatch) as info:
+        coordinate_order(2, 2, ri, ci)
+    assert str(info.value) == message
 
 
 # -- blackbox combinators -------------------------------------------------------

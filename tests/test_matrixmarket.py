@@ -499,3 +499,151 @@ def test_array_read_holds_pieces_not_the_whole_body():
     vals, peak = traced_peak(matrixmarket._int_values, body, cells.size)
     assert np.array_equal(vals, cells.T.ravel())
     assert peak - vals.nbytes / 2**20 <= 4, peak
+
+
+# -- row-major coordinate bodies against the per-line reader ----------------------------
+#
+# random_text shuffles its cells, so nearly every coordinate body it makes
+# is sorted before it is checked; these bodies are row-major already, as
+# every written file is, and take the path that skips the sort.
+
+
+def row_major_lines(rows, cols):
+    """'i j v' of every cell, row by row, values 1, 2, ..."""
+    cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
+    return [[str(i), str(j), str(k)] for k, (i, j) in enumerate(cells, start=1)]
+
+
+def with_token(at, tok):
+    def edit(lines):
+        lines[at[0]][at[1]] = tok
+    return edit
+
+
+# a token int() accepts in an entry's value or index slot: signs, digit
+# runs either side of 18 and of int64, and digits the kernel leaves to int()
+TOKEN_EDITS = [
+    with_token(where, tok)
+    for tok in ["+7", "-7", "-0", "007", "9" * 18, "-" + "9" * 18, "9" * 19, "-" + "9" * 19,
+                str(2**63), str(-(2**63)), "٣٤", "１"]
+    for where in [(0, 2), (-1, 2)]
+] + [with_token((0, 0), "+1"), with_token((-1, 1), "03"), with_token((0, 1), "١")]
+
+
+def adjacent_duplicate(lines):
+    lines.insert(3, list(lines[2]))
+
+
+def outside_first(lines):
+    lines.insert(0, ["0", "2", "5"])
+
+
+def outside_last(lines):
+    lines.append([lines[-1][0], str(int(lines[-1][1]) + 1), "5"])
+
+
+def outside_last_row(lines):
+    lines.append([str(int(lines[-1][0]) + 1), "1", "5"])
+
+
+def two_then_four(lines):
+    # the token count is three per line, the lines are not
+    lines[1:3] = [lines[1][:2], lines[1][2:] + lines[2]]
+
+
+def four_then_two(lines):
+    lines[1:3] = [lines[1] + lines[2][:1], lines[2][1:]]
+
+
+ROW_MAJOR_EDITS = [None, adjacent_duplicate, outside_first, outside_last, outside_last_row,
+                   two_then_four, four_then_two, *TOKEN_EDITS]
+
+
+def row_major_text(edit, modulus, sep, gap):
+    lines = row_major_lines(3, 4)
+    if edit is not None:
+        edit(lines)
+    head = COORD + ("" if modulus is None else f"%%modulus={modulus}\n")
+    body = [gap.join(line) for line in lines]
+    return sep.join([head.rstrip("\n"), f"3 4 {len(lines)}", *body]) + sep
+
+
+@pytest.mark.parametrize("piece_chars", [1, 5, matrixmarket._PIECE_CHARS])
+@pytest.mark.parametrize("modulus", [None, 10007, P_BIG])
+def test_row_major_bodies_agree_with_the_per_line_reader(monkeypatch, piece_chars, modulus):
+    monkeypatch.setattr(matrixmarket, "_PIECE_CHARS", piece_chars)
+    for k, edit in enumerate(ROW_MAJOR_EDITS):
+        for sep in BREAKS:
+            text = row_major_text(edit, modulus, sep, [" ", "\t", "  "][k % 3])
+            assert outcome(parse_matrix_market, text) == outcome(reference_parse, text), text
+
+
+def test_a_row_major_body_takes_neither_the_split_nor_the_sort(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the body took the exact path or the sort")
+
+    monkeypatch.setattr(matrixmarket, "int_array", refused)
+    monkeypatch.setattr(np, "lexsort", refused)
+    for sep in BREAKS[:-1]:  # the kernel leaves a non-ASCII break to the exact path
+        text = row_major_text(None, 10007, sep, " ")
+        assert outcome(parse_matrix_market, text) == outcome(reference_parse, text), text
+
+
+def test_row_major_faults_name_their_line():
+    cases = [
+        (adjacent_duplicate, "duplicate entry (1,3)"),
+        (outside_first, "entry (0,2) outside 3x4"),
+        (outside_last, "entry (3,5) outside 3x4"),
+        (outside_last_row, "entry (4,1) outside 3x4"),
+        (two_then_four, "entry (1,2): expected 1 value(s), found 0"),
+        (four_then_two, "entry (1,2): expected 1 value(s), found 2"),
+    ]
+    for edit, message in cases:
+        text = row_major_text(edit, 10007, "\n", " ")
+        assert outcome(parse_matrix_market, text) == ("Malformed", message), text
+
+
+def test_row_major_body_over_several_pieces():
+    rows, cols = 3000, 40
+    lines = row_major_lines(rows, cols)
+    body = "\n".join(" ".join(line) for line in lines)
+    assert len(body) > 3 * matrixmarket._PIECE_CHARS
+    m = parse_matrix_market(COORD + f"%%modulus=10007\n{rows} {cols} {len(lines)}\n{body}\n").matrix
+    kept = [k for k in range(rows * cols) if (k + 1) % 10007]  # zeros are dropped
+    assert m.ri.tolist() == [k // cols for k in kept] and m.ci.tolist() == [k % cols for k in kept]
+    assert m.vals.tolist() == [(k + 1) % 10007 for k in kept]
+    # one line of two tokens and one of four, in the last piece, send the
+    # whole body to the per-line checks
+    lines[-2:] = [lines[-2][:2], lines[-2][2:] + lines[-1]]
+    body = "\n".join(" ".join(line) for line in lines)
+    text = COORD + f"%%modulus=10007\n{rows} {cols} {len(lines)}\n{body}\n"
+    assert outcome(parse_matrix_market, text) == ("Malformed", f"entry ({rows},{cols - 1}): expected 1 value(s), found 0")
+
+
+def test_a_size_line_past_the_body_is_refused_without_allocating():
+    # a count the text cannot hold is refused before any array is made
+    assert outcome(parse_matrix_market, ARRAY + "100000000 100000000\n1\n") == (
+        "Malformed", "expected 10000000000000000 values, found 1")
+    assert outcome(parse_matrix_market, COORD + "100000000 100000000 100000000000\n1 1 1\n") == (
+        "Malformed", "expected 100000000000 entries, found 1")
+
+
+def test_coordinate_read_holds_pieces_not_one_str_per_token():
+    rows, per = 20000, 10
+    ri = np.repeat(np.arange(rows), per)
+    ci = np.tile(np.arange(0, rows, rows // per), rows)
+    vals = np.random.default_rng(5).integers(1, 10007, rows * per)
+    body = "\n".join(map("{} {} {}".format, (ri + 1).tolist(), (ci + 1).tolist(), vals.tolist()))
+    text = COORD + f"%%modulus=10007\n{rows} {rows} {rows * per}\n{body}\n"
+    # 18.4 MiB measured (Python 3.11, numpy 2.4): the 3 MiB body past the
+    # header, 4.6 MiB of values, and the index and value columns on their
+    # way into the matrix.  One str per token, as a split makes, held 58 MiB.
+    got, peak = traced_peak(parse_matrix_market, text)
+    m = got.matrix
+    assert np.array_equal(m.ri, ri) and np.array_equal(m.ci, ci) and np.array_equal(m.vals, vals)
+    assert peak <= 24, peak
+    # the read itself holds the values and one piece's temporaries: 2.7 MiB
+    # past the values measured
+    vals3, peak = traced_peak(matrixmarket._int_values, body, 3 * rows * per, 3)
+    assert np.array_equal(vals3.reshape(-1, 3), np.stack([ri + 1, ci + 1, vals], axis=1))
+    assert peak - vals3.nbytes / 2**20 <= 4, peak

@@ -248,6 +248,58 @@ def test_replay_reads_a_replaced_vector_not_its_old_bytes():
     assert verdict.reason == "CheckFailed:resolvent"
 
 
+def unbuilt(m: Message) -> bool:
+    """True while a decoded message has not yet read its value from its bytes."""
+    try:
+        object.__getattribute__(m, "value")
+    except AttributeError:
+        return True
+    return False
+
+
+def test_a_decoded_vector_reads_its_value_when_first_asked():
+    for kind, value in [(KIND_VEC, [0, 1, 2**64 - 1]), (KIND_VEC, []), (KIND_POLY, [3, 0, 1])]:
+        built = Message(ROLE_PROVER, TAG_RESPONSE, kind, value)
+        m = decode_message(built.encode())
+        assert unbuilt(m) and m.encode() == built.encode()
+        assert m.value == value and not unbuilt(m)
+        assert decode_message(built.encode()) == built
+        assert dataclasses.replace(decode_message(built.encode()), tag=TAG_COMMIT).value == value
+    assert not unbuilt(decode_message(Message(ROLE_PROVER, TAG_COMMIT, KIND_SCALAR, 5).encode()))
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b"\x01\x00\x00", "record truncated"),
+        (struct.pack("<IQ", 2, 1), "record truncated"),
+        (struct.pack("<IQQ", 1, 1, 1), "payload has trailing bytes"),
+        (struct.pack("<IQQ", 2, 1, 0), "polynomial encoding not canonical"),
+        # the top-coefficient check comes before the trailing bytes
+        (struct.pack("<IQQ", 1, 0, 1), "polynomial encoding not canonical"),
+    ],
+)
+def test_vector_and_polynomial_faults_are_found_on_the_bytes(payload, message):
+    kinds = [KIND_POLY] if "canonical" in message else [KIND_VEC, KIND_POLY]
+    for kind in kinds:
+        for decode in (lambda: decode_payload(kind, payload),
+                       lambda: decode_message(bytes([ROLE_PROVER, TAG_RESPONSE, kind]) + payload)):
+            with pytest.raises(Malformed) as info:
+                decode()
+            assert str(info.value) == message
+
+
+def test_replay_reads_prover_vectors_as_bytes():
+    """A replay checks and absorbs every prover vector and polynomial from
+    its bytes; none of them builds its value list."""
+    field = field_new(10007)
+    a = DenseMatrix(field, [[2, 7, 1], [5, 3, 8], [4, 6, 9]])
+    t = transcript_deserialize(transcript_serialize(det_certify(a, FiatShamirSource())[0].transcript))
+    assert det_verify(a, t)[0].accepted
+    read = [m for m in t.messages if m.role == ROLE_PROVER and m.kind in (KIND_VEC, KIND_POLY)]
+    assert read and all(unbuilt(m) for m in read)
+
+
 def test_transcript_rejects_bad_magic():
     blob = transcript_serialize(sample_transcript())
     with pytest.raises(Malformed):
