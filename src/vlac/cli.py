@@ -427,7 +427,7 @@ def _cmd_delegate(args) -> int:
 
 def _cmd_bench(args) -> int:
     kwargs = {"seed": args.bench_seed}
-    if args.size:
+    if args.size is not None:  # a size the suite refuses is an error, not the default
         kwargs["n"] = args.size
     result = bench_mod.SUITES[args.suite](**kwargs)
     print(bench_mod.CSV_HEADER)

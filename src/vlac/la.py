@@ -521,6 +521,27 @@ def compose(*ops: Operator) -> Blackbox:
     )
 
 
+def _corner(m: Operator, rows: int, cols: int) -> Blackbox:
+    """m as the top-left corner of a rows x cols operator: an input is cut
+    to m's width, as a view, or zero-padded to it, and m's output is cut
+    or zero-padded to the corner's size alike."""
+
+    def fit(x, n):
+        if len(x) >= n:
+            return x[:n]
+        out = m.field.zeros((n,) + x.shape[1:])
+        out[: len(x)] = x
+        return out
+
+    def apply(x):
+        return fit(m.apply(fit(x, m.cols)), rows)
+
+    def apply_t(x):
+        return fit(m.apply_t(fit(x, m.rows)), cols)
+
+    return Blackbox(m.field, rows, cols, m.mu, apply, apply_t)
+
+
 def padded(m: Operator, rows: int, cols: int) -> Blackbox:
     """Zero-embed an operator into the top-left of a larger shape.
 
@@ -528,19 +549,7 @@ def padded(m: Operator, rows: int, cols: int) -> Blackbox:
     """
     if rows < m.rows or cols < m.cols:
         raise DimensionMismatch("padding cannot shrink")
-    field = m.field
-
-    def apply(x):
-        out = field.zeros((rows,) + x.shape[1:])
-        out[: m.rows] = m.apply(x[: m.cols])
-        return out
-
-    def apply_t(x):
-        out = field.zeros((cols,) + x.shape[1:])
-        out[: m.cols] = m.apply_t(x[: m.rows])
-        return out
-
-    return Blackbox(field, rows, cols, m.mu, apply, apply_t)
+    return _corner(m, rows, cols)
 
 
 def leading_projection(m: Operator, k: int) -> Blackbox:
@@ -551,19 +560,7 @@ def leading_projection(m: Operator, k: int) -> Blackbox:
     """
     if k < 0 or k > m.rows or k > m.cols:
         raise DimensionMismatch(f"projection {k} of {m.shape}")
-    field = m.field
-
-    def apply(x):
-        xx = field.zeros((m.cols,) + x.shape[1:])
-        xx[:k] = x
-        return m.apply(xx)[:k]
-
-    def apply_t(x):
-        xx = field.zeros((m.rows,) + x.shape[1:])
-        xx[:k] = x
-        return m.apply_t(xx)[:k]
-
-    return Blackbox(field, k, k, m.mu, apply, apply_t)
+    return _corner(m, k, k)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,15 @@ Two structured comment lines extend the format:
 
 Files without a modulus parse as arbitrary-precision integer matrices.
 
-A body of scalar entries, array or coordinate, is read a piece of text at
-a time by one strict int64 kernel; in a coordinate body the same bytes
-show that each data line holds three integers, and a body already in
-row-major order, as every file written here is, is not sorted.  What the
-kernel refuses takes the exact path, ``str.split`` and ``int()``, and a
-malformed body raises the message a line-by-line read would.
+Every body is read in two tiers.  The first is one strict int64 kernel,
+a piece of text at a time; the same bytes show that each data line holds
+its number of integers: D+1 in a polynomial array, 3 or D+3 in a
+coordinate body, while scalar array entries may take any layout.  A
+coordinate body already in row-major order, as every file written here
+is, is not sorted.  Only a body the kernel refuses goes to the second
+tier, one checked line reader: ``int()`` on every token, so values past
+int64 stay exact, and a malformed body raises the message of its first
+faulty line.
 """
 
 from __future__ import annotations
@@ -52,10 +55,6 @@ class MatrixFile:
     layout: str  # "coordinate" or "array"
 
 
-def _tokens(line: str) -> list[str]:
-    return line.split()
-
-
 def _lines(text: str) -> Iterator[tuple[str, int]]:
     """Each line of text with the offset just past its break, found lazily."""
     start = 0
@@ -74,22 +73,21 @@ def _data_lines(lines: list[str]) -> list[str]:
 def parse_matrix_market(text: str) -> MatrixFile:
     """Read a Matrix Market text.
 
-    Only the header is walked line by line.  A body of scalar entries is
-    read in one vectorised pass by a strict int64 kernel (``_piece_ints``),
-    which for a coordinate body also checks that each data line holds
-    three integers; a piece that kernel refuses, for a token past int64
-    among other things, sends the body through ``str.split`` and ``int()``
-    into exact Python ints.  Coordinate positions go through
+    Only the header is walked line by line.  Every body is read in two
+    tiers.  The first is one vectorised pass by a strict int64 kernel
+    (``_piece_ints``), which for a polynomial or coordinate body also
+    checks that each data line holds its number of integers.  Only what
+    that kernel refuses, a token past int64 or a faulty line among other
+    things, goes to the second: a checked line reader (``_read_lines``)
+    that converts every token with ``int()`` and raises the Malformed
+    naming the first faulty line.  Coordinate positions go through
     ``coordinate_order``, which sorts only a body not already row-major.
-    A body that fails a check goes to the per-line checks, which raise the
-    Malformed naming its first faulty line; polynomial entries are read by
-    those lines.
     """
     lines = _lines(text)
     first = next(lines, None)
     if first is None:
         raise Malformed("empty file")
-    head = _tokens(first[0])
+    head = first[0].split()
     if len(head) != 5 or head[0] != "%%MatrixMarket":
         raise Malformed("missing MatrixMarket banner")
     obj, layout, entry_type, symmetry = (w.lower() for w in head[1:])
@@ -125,7 +123,7 @@ def parse_matrix_market(text: str) -> MatrixFile:
                     polydegree = num
                 # unknown structured comments are plain comments
             continue
-        size, rest = _tokens(line), text[end:]
+        size, rest = line.split(), text[end:]
         break
     if size is None:
         raise Malformed("missing size line")
@@ -133,51 +131,29 @@ def parse_matrix_market(text: str) -> MatrixFile:
         raise Malformed("polynomial entries need a modulus")
     if polydegree is not None and polydegree < 0:
         raise Malformed("polynomial degree bound must be nonnegative")
-
-    field = field_new(modulus) if modulus is not None else None
-    if layout == "coordinate":
-        if len(size) != 3:
-            raise Malformed("coordinate size line wants rows cols nnz")
-        rows, cols, nnz = (_int(t) for t in size)
-        if rows < 0 or cols < 0 or nnz < 0:
-            raise Malformed("negative size")
-        if polydegree is None:
-            return MatrixFile(
-                _read_coordinate(rows, cols, nnz, rest, field), modulus, None, "coordinate"
-            )
-        triples = _coordinate_entries(rows, cols, _coordinate_lines(nnz, rest), polydegree)
-        entries = [[Poly.zero(field)] * cols for _ in range(rows)]
-        for i, j, vals in triples:
-            entries[i][j] = Poly(field, [v % field.p for v in vals])
-        return MatrixFile(PolyMatrix(field, entries), modulus, polydegree, "coordinate")
-    if len(size) != 2:
-        raise Malformed("array size line wants rows cols")
-    rows, cols = (_int(t) for t in size)
-    if rows < 0 or cols < 0:
-        raise Malformed("negative size")
-    if polydegree is None:
-        return MatrixFile(_read_array(rows, cols, rest, field), modulus, None, "array")
-    return _parse_poly_array(rows, cols, _data_lines(rest.splitlines()), field, polydegree, modulus)
-
-
-def _int(tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise Malformed(f"bad integer {tok!r}")
-
-
-def _read_array(rows: int, cols: int, rest: str, field: Optional[PrimeField]):
-    count = rows * cols
     if "%" in rest:  # comment lines hold no entries
         rest = "\n".join(_data_lines(rest.splitlines()))
-    try:
-        vals = _int_values(rest, count)
-    except ValueError:
-        tokens = rest.split()
-        for tok in tokens:  # the first token that is not an integer, else the count
-            _int(tok)
-        raise Malformed(f"expected {count} values, found {len(tokens)}")
+
+    field = field_new(modulus) if modulus is not None else None
+    wants = "rows cols nnz" if layout == "coordinate" else "rows cols"
+    if len(size) != len(wants.split()):
+        raise Malformed(f"{layout} size line wants {wants}")
+    dims = [_int(t) for t in size]
+    if min(dims) < 0:
+        raise Malformed("negative size")
+    read = _read_coordinate if layout == "coordinate" else _read_array
+    return MatrixFile(read(*dims, rest, field, polydegree), modulus, polydegree, layout)
+
+
+def _read_array(rows: int, cols: int, body: str, field: Optional[PrimeField], degree):
+    if degree is not None:
+        width = degree + 1
+        flat = _ints(body, rows * cols, width).tolist()
+        coeffs = [flat[k : k + width] for k in range(0, len(flat), width)]
+        # array entries run down columns, per the format
+        entries = [[Poly(field, coeffs[j * rows + i]) for j in range(cols)] for i in range(rows)]
+        return PolyMatrix(field, entries)
+    vals = _ints(body, rows * cols)
     # array entries run down columns, per the format
     cells = vals.reshape(cols, rows).T
     if field is None:
@@ -189,53 +165,64 @@ def _read_array(rows: int, cols: int, rest: str, field: Optional[PrimeField]):
     return DenseMatrix(field, cells)
 
 
+def _read_coordinate(
+    rows: int, cols: int, nnz: int, body: str, field: Optional[PrimeField], degree
+):
+    width = 3 if degree is None else degree + 3
+    vals = _ints(body, nnz, width, (rows, cols))
+    # each line is i j, then one value or degree + 1 coefficients
+    i, j, v = vals[0::width] - 1, vals[1::width] - 1, vals[2::width]
+    try:
+        if field is not None and degree is None:
+            return SparseMatrix.from_arrays(field, rows, cols, i, j, v)
+        r, c, order = coordinate_order(rows, cols, i, j)
+    except DimensionMismatch:
+        # the checked reader names the first faulty line
+        _read_lines(body, nnz, width, (rows, cols))
+        raise AssertionError("a coordinate body the checked reader accepts was refused")
+    if field is None:
+        cells = np.zeros((rows, cols), dtype=v.dtype)
+        cells[r, c] = v[order]
+        return IntMatrix(cells)
+    flat = vals.tolist()
+    entries = [[Poly.zero(field)] * cols for _ in range(rows)]
+    for a, b, k in zip(r.tolist(), c.tolist(), order.tolist()):
+        entries[a][b] = Poly(field, flat[k * width + 2 : (k + 1) * width])
+    return PolyMatrix(field, entries)
+
+
+def _ints(text: str, count: int, width: Optional[int] = None, shape=None) -> np.ndarray:
+    """The integers of text, count lines of width each, or count in any
+    layout without a width: the kernel's read, or where it refuses the
+    text, the checked reader's (see ``_read_lines``)."""
+    vals = _int_values(text, count * (width or 1), width)
+    return _read_lines(text, count, width, shape) if vals is None else vals
+
+
 # Characters of body text read at a time: a read holds a few pieces' worth
 # of temporaries, not the whole body's.
 _PIECE_CHARS = 1 << 18
 
 
-def _int_values(text: str, count: int, width: Optional[int] = None) -> np.ndarray:
-    """The whitespace-separated integers of text, which must number count,
-    as one array (see ``int_array``); with a width, every line that holds
-    any must hold exactly width of them.  Raises ValueError otherwise.
-
-    Each piece goes through ``_piece_ints``; if it refuses one, the whole
-    text takes the exact path, ``int_array`` over ``_split``."""
+def _int_values(text: str, count: int, width: Optional[int] = None) -> Optional[np.ndarray]:
+    """The whitespace-separated integers of text as one int64 array, read
+    a piece at a time by ``_piece_ints``; with a width, every line that
+    holds any must hold exactly width of them.  None when a piece is
+    refused or the integers do not number count."""
     if count > (len(text) + 1) // 2:  # tokens are a character and a gap apart
-        raise ValueError(f"no room for {count} values")
+        return None
     out = np.empty(count, dtype=np.int64)
     done = start = 0
     while start < len(text):
         # a piece ends just past a line break, so no token or line straddles two
         stop = text.find("\n", start + _PIECE_CHARS) + 1 or len(text)
         vals = _piece_ints(text[start:stop], width)
-        if vals is None:
-            vals = int_array(_split(text, width))
-            if len(vals) != count:
-                raise ValueError(f"{len(vals)} values for {count}")
-            return vals
-        if done + len(vals) > count:
-            raise ValueError(f"more than {count} values")
+        if vals is None or done + len(vals) > count:
+            return None
         out[done : done + len(vals)] = vals
         done += len(vals)
         start = stop
-    if done != count:
-        raise ValueError(f"{done} values for {count}")
-    return out
-
-
-def _split(text: str, width: Optional[int]) -> list[str]:
-    """The tokens of text; with a width, ValueError unless every line
-    that is neither blank nor a comment holds exactly width of them."""
-    if width is None:
-        return text.split()
-    lines = _data_lines(text.splitlines())
-    # '%' is never part of an entry, so it can mark each line's end
-    tokens = " % ".join(lines + [""]).split()
-    if len(tokens) != (width + 1) * len(lines) or tokens[width :: width + 1].count("%") != len(lines):
-        raise ValueError(f"a line does not hold {width} values")
-    del tokens[width :: width + 1]
-    return tokens
+    return out if done == count else None
 
 
 def _piece_ints(piece: str, width: Optional[int] = None) -> Optional[np.ndarray]:
@@ -297,68 +284,47 @@ def _piece_ints(piece: str, width: Optional[int] = None) -> Optional[np.ndarray]
     return vals if len(vals) == tokens else None
 
 
-def _read_coordinate(rows: int, cols: int, nnz: int, rest: str, field: Optional[PrimeField]):
-    # comment lines hold no entries
-    body = "\n".join(_data_lines(rest.splitlines())) if "%" in rest else rest
+def _read_lines(text: str, count: int, width: Optional[int], shape=None) -> np.ndarray:
+    """The integers of text by ``int()``, as one array (see ``int_array``),
+    or the Malformed of the first faulty line.  Without a width, text holds
+    count integers in any layout; with one, count data lines of width
+    integers each, the first two an entry's position inside shape when a
+    coordinate shape is given."""
+    if width is None:
+        vals = [_int(t) for t in text.split()]  # the first bad token, else the count
+        if len(vals) != count:
+            raise Malformed(f"expected {count} values, found {len(vals)}")
+        return int_array(vals)
+    lines = _data_lines(text.splitlines())
+    if len(lines) != count:
+        what = "entry lines" if shape is None else "entries"
+        raise Malformed(f"expected {count} {what}, found {len(lines)}")
+    want = width if shape is None else width - 2
+    vals, seen = [], set()
+    for k, line in enumerate(lines, start=1):
+        parts, where = line.split(), f"entry {k}"
+        if shape is not None:
+            if len(parts) < 2:
+                raise Malformed(f"short coordinate line {line!r}")
+            i, j = _int(parts[0]), _int(parts[1])
+            if not (1 <= i <= shape[0] and 1 <= j <= shape[1]):
+                raise Malformed(f"entry ({i},{j}) outside {shape[0]}x{shape[1]}")
+            if (i, j) in seen:
+                raise Malformed(f"duplicate entry ({i},{j})")
+            seen.add((i, j))
+            vals += (i, j)
+            parts, where = parts[2:], f"entry ({i},{j})"
+        if len(parts) != want:
+            raise Malformed(f"{where}: expected {want} value(s), found {len(parts)}")
+        vals += map(_int, parts)
+    return int_array(vals)
+
+
+def _int(tok: str) -> int:
     try:
-        i, j, v = _int_values(body, 3 * nnz, width=3).reshape(nnz, 3).T
-        if field is not None:
-            return SparseMatrix.from_arrays(field, rows, cols, i - 1, j - 1, v)
-        r, c, order = coordinate_order(rows, cols, i - 1, j - 1)
-    except (ValueError, DimensionMismatch):
-        # the per-line checks name the first faulty line
-        _coordinate_entries(rows, cols, _coordinate_lines(nnz, rest), None)
-        raise AssertionError("a coordinate body the per-line checks accept was refused")
-    cells = np.zeros((rows, cols), dtype=v.dtype)
-    cells[r, c] = v[order]
-    return IntMatrix(cells)
-
-
-def _coordinate_lines(nnz: int, rest: str) -> list[str]:
-    body = _data_lines(rest.splitlines())
-    if len(body) != nnz:
-        raise Malformed(f"expected {nnz} entries, found {len(body)}")
-    return body
-
-
-def _entry_tokens(parts: list[str], polydegree: Optional[int], where: str) -> list[int]:
-    want = 1 if polydegree is None else polydegree + 1
-    if len(parts) != want:
-        raise Malformed(f"{where}: expected {want} value(s), found {len(parts)}")
-    return [_int(t) for t in parts]
-
-
-def _coordinate_entries(rows, cols, body, polydegree) -> list:
-    """Checked (i, j, values) of each line, 0-based; raises the Malformed
-    of the first faulty line."""
-    triples = []
-    seen = set()
-    for line in body:
-        parts = _tokens(line)
-        if len(parts) < 2:
-            raise Malformed(f"short coordinate line {line!r}")
-        i, j = _int(parts[0]), _int(parts[1])
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise Malformed(f"entry ({i},{j}) outside {rows}x{cols}")
-        if (i, j) in seen:
-            raise Malformed(f"duplicate entry ({i},{j})")
-        seen.add((i, j))
-        vals = _entry_tokens(parts[2:], polydegree, f"entry ({i},{j})")
-        triples.append((i - 1, j - 1, vals))
-    return triples
-
-
-def _parse_poly_array(rows, cols, body, field, polydegree, modulus) -> MatrixFile:
-    count = rows * cols
-    if len(body) != count:
-        raise Malformed(f"expected {count} entry lines, found {len(body)}")
-    flat = []
-    for k, line in enumerate(body):
-        coeffs = _entry_tokens(_tokens(line), polydegree, f"entry {k + 1}")
-        flat.append(Poly(field, [v % field.p for v in coeffs]))
-    # array entries run down columns, per the format
-    entries = [[flat[j * rows + i] for j in range(cols)] for i in range(rows)]
-    return MatrixFile(PolyMatrix(field, entries), modulus, polydegree, "array")
+        return int(tok)
+    except ValueError:
+        raise Malformed(f"bad integer {tok!r}")
 
 
 # -- writers -------------------------------------------------------------------
@@ -402,15 +368,14 @@ def write_int(m: IntMatrix) -> str:
 
 def write_poly(m: PolyMatrix, deg_bound: Optional[int] = None) -> str:
     d = m.max_degree if deg_bound is None else deg_bound
-    out = [
+    if d < m.max_degree:  # fewer coefficients would write a different matrix
+        raise ValueError("degree bound below an actual entry degree")
+    head = [
         "%%MatrixMarket matrix array integer general",
         f"%%modulus={m.field.p}",
         f"%%polydegree={d}",
         f"{m.rows} {m.cols}",
     ]
-    for j in range(m.cols):
-        for i in range(m.rows):
-            e = m.entries[i][j]
-            coeffs = [e.coeff(k) for k in range(d + 1)]
-            out.append(" ".join(str(c) for c in coeffs))
-    return "\n".join(out) + "\n"
+    # array entries run down columns, per the format
+    entries = (m.entries[i][j] for j in range(m.cols) for i in range(m.rows))
+    return _text(head, (" ".join(str(e.coeff(k)) for k in range(d + 1)) for e in entries))

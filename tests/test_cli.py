@@ -801,3 +801,11 @@ def test_cli_bench_intdet_csv(capsys):
     assert main(["bench", "--suite", "intdet", "--size", "8"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1].startswith("intdet,8,")
+
+
+def test_cli_bench_size_zero_is_refused_not_replaced_by_the_default(capsys):
+    # a given size reaches the suite, so 0 is refused as -3 is
+    for size in ("0", "-3"):
+        assert main(["bench", "--suite", "intdet", "--size", size]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 1x1" in captured.err

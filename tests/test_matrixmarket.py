@@ -17,6 +17,9 @@ from vlac.errors import Malformed
 from vlac.ff import field_new
 from vlac.la import DenseMatrix, SparseMatrix
 from vlac.lift import IntMatrix
+from vlac.ff import Poly
+from vlac.lift import PolyMatrix
+from vlac.matrixmarket import write_poly
 from vlac.matrixmarket import (
     parse_matrix_market,
     write_dense,
@@ -647,3 +650,238 @@ def test_coordinate_read_holds_pieces_not_one_str_per_token():
     vals3, peak = traced_peak(matrixmarket._int_values, body, 3 * rows * per, 3)
     assert np.array_equal(vals3.reshape(-1, 3), np.stack([ri + 1, ci + 1, vals], axis=1))
     assert peak - vals3.nbytes / 2**20 <= 4, peak
+
+
+# -- polynomial bodies against a per-line reader ---------------------------------------
+#
+# A polynomial array entry is one line of D+1 coefficients, a polynomial
+# coordinate line is "i j c0 ... cD"; both go through the strict kernel
+# with that line width, and only what it refuses reaches the checked reader.
+
+
+def reference_poly_parse(text):
+    """(shape, trimmed coefficients of each entry, row by row) of a
+    polynomial file by a per-line walk, or the Malformed the reader raises.
+    The header is taken as well formed: a banner, then structured comments."""
+    lines = [s for s in map(str.strip, text.splitlines()) if s]
+    at = next(k for k in range(1, len(lines)) if not lines[k].startswith("%"))
+    keys = dict(s[2:].split("=") for s in lines[1:at])
+    p, d = int(keys["modulus"]), int(keys["polydegree"])
+    size = [int(t) for t in lines[at].split()]
+    body = [s for s in lines[at + 1:] if not s.startswith("%")]
+
+    def num(tok):
+        try:
+            return int(tok)
+        except ValueError:
+            raise Malformed(f"bad integer {tok!r}")
+
+    def coefficients(parts, where):
+        if len(parts) != d + 1:
+            raise Malformed(f"{where}: expected {d + 1} value(s), found {len(parts)}")
+        c = [num(t) % p for t in parts]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    rows, cols = size[:2]
+    grid = [[[] for _ in range(cols)] for _ in range(rows)]
+    if lines[0].split()[2] == "coordinate":
+        if len(body) != size[2]:
+            raise Malformed(f"expected {size[2]} entries, found {len(body)}")
+        seen = set()
+        for line in body:
+            parts = line.split()
+            if len(parts) < 2:
+                raise Malformed(f"short coordinate line {line!r}")
+            i, j = num(parts[0]), num(parts[1])
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise Malformed(f"entry ({i},{j}) outside {rows}x{cols}")
+            if (i, j) in seen:
+                raise Malformed(f"duplicate entry ({i},{j})")
+            seen.add((i, j))
+            grid[i - 1][j - 1] = coefficients(parts[2:], f"entry ({i},{j})")
+    else:
+        if len(body) != rows * cols:
+            raise Malformed(f"expected {rows * cols} entry lines, found {len(body)}")
+        for k, line in enumerate(body):  # array entries run down columns
+            grid[k % rows][k // rows] = coefficients(line.split(), f"entry {k + 1}")
+    return (rows, cols), grid
+
+
+def poly_outcome(parse, text):
+    try:
+        got = parse(text)
+    except Malformed as exc:
+        return ("Malformed", str(exc))
+    if isinstance(got, tuple):
+        return got
+    m = got.matrix
+    assert isinstance(m, PolyMatrix) and got.modulus == m.field.p
+    return (m.rows, m.cols), [[e.coeffs for e in row] for row in m.entries]
+
+
+# signs, leading zeros, P_BIG's neighbours, and values past int64 that
+# only the checked reader converts, reduced mod p
+COEFFS = ["0", "1", "-1", "+3", "-0", "007", "12", str(P_BIG - 1), str(P_BIG + 5),
+          "9" * 18, str(2**63), str(-(2**64)), str(10**30)]
+
+
+def random_poly_text(rng):
+    modulus, d = rng.choice([7, 10007, P_BIG]), rng.randrange(3)
+    rows, cols = rng.randrange(1, 4), rng.randrange(1, 4)
+    coordinate = rng.random() < 0.5
+    head = [COORD.rstrip("\n") if coordinate else ARRAY.rstrip("\n"),
+            f"%%modulus={modulus}", f"%%polydegree={d}"]
+
+    def coeffs():
+        return [rng.choice(COEFFS) for _ in range(d + 1)]
+
+    if coordinate:
+        cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1) if rng.random() < 0.6]
+        if rng.random() < 0.5:
+            rng.shuffle(cells)
+        body = [[str(i), str(j), *coeffs()] for i, j in cells]
+        size = [str(rows), str(cols), str(len(body))]
+    else:
+        body = [coeffs() for _ in range(rows * cols)]
+        size = [str(rows), str(cols)]
+    for _ in range(rng.randrange(4)):
+        kind = rng.randrange(9)
+        full = [r for r in body if r]
+        if kind == 0 and full:
+            row = rng.choice(full)
+            row[rng.randrange(len(row))] = rng.choice(BAD_TOKENS)
+        elif kind == 1 and full:
+            rng.choice(full).pop()
+        elif kind == 2 and full:
+            rng.choice(full).append("4")
+        elif kind == 3 and len(body) > 1:
+            k = rng.randrange(len(body) - 1)
+            body[k:k + 2] = [body[k] + body[k + 1]]
+        elif kind == 4 and body:
+            body.insert(rng.randrange(len(body) + 1), list(rng.choice(body)))
+        elif kind == 5:
+            body.insert(rng.randrange(len(body) + 1), rng.choice([["%", "note"], [], ["\t"]]))
+        elif kind == 6 and coordinate and full:
+            row = rng.choice(full)
+            row[rng.randrange(min(2, len(row)))] = str(rng.choice([0, rows + 1, cols + 1, -1]))
+        elif kind == 7:
+            body.append(coeffs())
+        elif kind == 8 and body:
+            k = rng.randrange(len(body))
+            body[k:k + 1] = [body[k][:1], body[k][1:]]
+    sep = rng.choice(BREAKS)
+    gap = rng.choice([" ", "  ", "\t"])
+    return sep.join(head + [gap.join(size)] + [gap.join(r) for r in body]) + rng.choice([sep, ""])
+
+
+@pytest.mark.parametrize("piece_chars", [1, 5, matrixmarket._PIECE_CHARS])
+def test_polynomial_bodies_agree_with_the_per_line_reader(monkeypatch, piece_chars):
+    monkeypatch.setattr(matrixmarket, "_PIECE_CHARS", piece_chars)
+    rng = Random(10)
+    for _ in range(1500):
+        text = random_poly_text(rng)
+        assert poly_outcome(parse_matrix_market, text) == poly_outcome(reference_poly_parse, text), text
+
+
+POLY_ARRAY = ARRAY + "%%modulus=101\n%%polydegree=1\n"
+POLY_COORD = COORD + "%%modulus=101\n%%polydegree=1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (POLY_ARRAY + "2 1\n1 2\n3\n", "entry 2: expected 2 value(s), found 1"),
+        (POLY_ARRAY + "2 1\n1 2 3\n4 5\n", "entry 1: expected 2 value(s), found 3"),
+        (POLY_ARRAY + "2 2\n1 2\n% a comment\n3 4\n5 6\n", "expected 4 entry lines, found 3"),
+        (POLY_ARRAY + "1 1\n1 2\n3 4\n", "expected 1 entry lines, found 2"),
+        (POLY_ARRAY + "2 1\n1 2\n3 x\n", "bad integer 'x'"),
+        (POLY_COORD + "2 2 2\n1 1 1 2\n2 2 3\n", "entry (2,2): expected 2 value(s), found 1"),
+        (POLY_COORD + "2 2 2\n1 1 1 2\n", "expected 2 entries, found 1"),
+        (POLY_COORD + "2 2 1\n1 1 1 0x1\n", "bad integer '0x1'"),
+        (POLY_COORD + "2 2 2\n1 1 1 2\n1 1 3 4\n", "duplicate entry (1,1)"),
+        (POLY_COORD + "2 2 2\n1 1 1 2\n3 1 3 4\n", "entry (3,1) outside 2x2"),
+        (POLY_COORD + "2 2 1\n1\n", "short coordinate line '1'"),
+    ],
+)
+def test_polynomial_reject_message_is_exact(text, message):
+    assert poly_outcome(parse_matrix_market, text) == ("Malformed", message)
+    assert poly_outcome(reference_poly_parse, text) == ("Malformed", message)
+
+
+def test_polynomial_coordinate_file_reads_its_entries():
+    text = COORD + f"%%modulus={P_BIG}\n%%polydegree=2\n3 2 3\n% first\n3 1 -1 0 {2**70}\n1 2 5 {P_BIG + 1} 0\n2 2 0 0 0\n"
+    mf = parse_matrix_market(text)
+    assert (mf.modulus, mf.polydegree, mf.layout) == (P_BIG, 2, "coordinate")
+    assert poly_outcome(parse_matrix_market, text) == (
+        (3, 2), [[[], [5, 1]], [[], []], [[P_BIG - 1, 0, 2**70 % P_BIG], []]])
+
+
+def test_a_body_the_kernel_accepts_converts_no_token_by_int(monkeypatch):
+    # the checked reader converts a body's tokens by int(), through _int;
+    # a body the kernel accepts never reaches it, so _int sees the size
+    # line's tokens alone
+    seen = []
+
+    def recorded(tok):
+        seen.append(tok)
+        return int(tok)
+
+    monkeypatch.setattr(matrixmarket, "_int", recorded)
+    poly = [
+        (POLY_ARRAY + "2 2\n1 2\n-3 +4\n% a comment\n5 0\n0 0\n", ["2", "2"]),
+        (ARRAY + f"%%modulus={P_BIG}\n%%polydegree=2\n1 2\n1 2 {P_BIG - 1}\n0 0 9\n", ["1", "2"]),
+        (POLY_COORD + "2 2 2\n1 2 1 2\n2 1 -3 4\n", ["2", "2", "2"]),
+        (POLY_COORD + "3 3 2\n3 3 7 7\n\n1 1 0 1\n", ["3", "3", "2"]),
+    ]
+    for text, size in poly:
+        seen.clear()
+        assert poly_outcome(parse_matrix_market, text) == poly_outcome(reference_poly_parse, text)
+        assert seen == size, text
+    scalar = [
+        (ARRAY + "%%modulus=7\n2 2\n1 2\n3 4\n", ["2", "2"]),
+        (COORD + "3 3 2\n1 1 5\n3 2 -1\n", ["3", "3", "2"]),
+        (COORD + "%%modulus=7\n3 3 2\n3 2 -1\n1 1 5\n", ["3", "3", "2"]),
+    ]
+    for text, size in scalar:
+        seen.clear()
+        assert outcome(parse_matrix_market, text) == outcome(reference_parse, text)
+        assert seen == size, text
+    # a token past int64 sends the body to the checked reader
+    seen.clear()
+    text = POLY_COORD + f"1 1 1\n1 1 {2**64} 1\n"
+    assert poly_outcome(parse_matrix_market, text) == ((1, 1), [[[2**64 % 101, 1]]])
+    assert seen == ["1", "1", "1", "1", "1", str(2**64), "1"]
+
+
+def test_int_values_returns_none_where_the_kernel_refuses():
+    assert matrixmarket._int_values("1 2\n3 4\n", 4, 2).tolist() == [1, 2, 3, 4]
+    assert matrixmarket._int_values("1 2\n3 4\n", 3) is None  # the count
+    assert matrixmarket._int_values("1 2 3\n4\n", 4, 2) is None  # a line's width
+    assert matrixmarket._int_values("1 x\n", 2) is None  # a token
+    assert matrixmarket._int_values("1 " + str(2**63), 2) is None  # past int64
+    assert matrixmarket._int_values("1", 10**12) is None  # no room, nothing allocated
+
+
+def test_write_poly_refuses_a_bound_below_an_entry_degree(gf101):
+    x2, one, x = Poly(gf101, [0, 0, 1]), Poly.one(gf101), Poly.x(gf101)
+    m = PolyMatrix(gf101, [[x2, one], [one, x]])
+    with pytest.raises(ValueError, match="degree bound below an actual entry degree"):
+        write_poly(m, 1)
+    for bound in (None, 2, 4):  # a larger bound pads with zero coefficients
+        back = parse_matrix_market(write_poly(m, bound))
+        assert back.matrix.entries == m.entries and back.polydegree == (bound or 2)
+
+
+def test_a_degree_bound_past_int64_reads_a_body_with_no_entries():
+    big = 10**20
+    for text, shape in [
+        (ARRAY + f"%%modulus=7\n%%polydegree={big}\n0 0\n", (0, 0)),
+        (COORD + f"%%modulus=7\n%%polydegree={big}\n2 2 0\n", (2, 2)),
+    ]:
+        mf = parse_matrix_market(text)
+        assert (mf.matrix.rows, mf.matrix.cols, mf.polydegree) == (*shape, big)
+        assert all(e.is_zero for row in mf.matrix.entries for e in row)
+    assert outcome(parse_matrix_market, COORD + f"%%modulus=7\n%%polydegree={big}\n2 2 1\n1 1 5\n") == (
+        "Malformed", f"entry (1,1): expected {big + 1} value(s), found 1")
